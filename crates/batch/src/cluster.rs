@@ -760,6 +760,15 @@ impl Cluster {
         self.obs.count("ect.snapshot_reuses", 1);
     }
 
+    /// Record that a caller is about to re-probe an estimate it still
+    /// held as a lower bound (the reallocation round's ECT cache keeps
+    /// bounds across tail submissions). Telemetry only: the
+    /// `ect.stale_refreshes` counter goes to the attached [`Obs`]
+    /// recorder, never into [`ClusterStats`].
+    pub fn note_stale_refresh(&self) {
+        self.obs.count("ect.stale_refreshes", 1);
+    }
+
     /// Estimated completion time of a *hypothetical* submission of `job`
     /// at `now`, answered against the frozen snapshot — bit-identical to
     /// [`Cluster::estimate_new`] but requiring only `&self`: no schedule

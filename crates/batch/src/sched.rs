@@ -240,6 +240,14 @@ pub trait LocalScheduler: std::fmt::Debug + Sync {
     /// invariant, so a scheduler must claim it explicitly, as FCFS and
     /// CBF do. Leaving it `false` only costs a full recompute per
     /// submission; claiming it wrongly silently corrupts schedules.
+    ///
+    /// A claim also promises **monotone estimates**: a submission only
+    /// carves one more reservation and never lowers the tail floor, so
+    /// it never makes a dry-run estimate (`Cluster::estimate_new_at`)
+    /// of any other job earlier — with or without `EctNoise`, whose
+    /// perturbation is monotone. The reallocation round's ECT cache
+    /// relies on this: after a submit it keeps the cluster's old
+    /// estimates as lower bounds instead of discarding them.
     fn incremental_tail(&self) -> bool {
         false
     }

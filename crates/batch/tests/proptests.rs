@@ -1,7 +1,7 @@
 //! Property-based tests for the batch substrate: capacity safety, policy
 //! guarantees and conservation laws under arbitrary rigid workloads.
 
-use grid_batch::{BatchPolicy, Cluster, ClusterSpec, JobId, JobSpec, Profile};
+use grid_batch::{BatchPolicy, Cluster, ClusterSpec, EctNoise, JobId, JobSpec, Profile};
 use grid_des::{Duration, SimTime};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -199,6 +199,50 @@ proptest! {
                         .map(|x| x.scaled(1.0).walltime)
                         .unwrap();
                     prop_assert_eq!(new, old + wt, "submission moved {}'s reservation", id);
+                }
+            }
+        }
+    }
+
+    /// The monotone-estimate promise behind `incremental_tail`: under FCFS
+    /// and CBF, with or without ECT noise, a tail submission never makes
+    /// the dry-run estimate of any other job earlier (the reallocation
+    /// round keeps pre-submit estimates as lower bounds on this).
+    #[test]
+    fn tail_submits_never_lower_estimates(
+        jobs in jobs_strategy(8),
+        probes in jobs_strategy(8),
+        busy_procs in 1u32..=8,
+        busy_for in 1u64..2_000,
+        noise_seed in 0u64..4,
+    ) {
+        let probes: Vec<JobSpec> = probes.iter().map(|p| JobSpec { id: JobId(p.id.0 + 10_000), ..*p }).collect();
+        for policy in [BatchPolicy::Fcfs, BatchPolicy::Cbf] {
+            for noisy in [false, true] {
+                let mut c = Cluster::new(ClusterSpec::new("p", 8, 1.3), policy);
+                if noisy {
+                    c.set_ect_noise(Some(EctNoise::new(noise_seed, 0.5)));
+                }
+                // A partly busy cluster, so tail jobs can back-fill holes.
+                c.submit(JobSpec::new(1_000, 0, busy_procs, busy_for, busy_for), SimTime(0)).unwrap();
+                c.start_due(SimTime(0));
+                let now = SimTime(1);
+                let estimates = |c: &mut Cluster| {
+                    c.prepare_estimates(now);
+                    probes.iter().map(|p| c.estimate_new_at(p, now)).collect::<Vec<_>>()
+                };
+                let mut before = estimates(&mut c);
+                for j in &jobs {
+                    c.submit(JobSpec { submit: now, ..*j }, now).unwrap();
+                    let after = estimates(&mut c);
+                    for (p, (old, new)) in probes.iter().zip(before.iter().zip(&after)) {
+                        prop_assert!(
+                            new >= old,
+                            "{policy} noisy={noisy}: submitting {} lowered {}'s estimate {:?} -> {:?}",
+                            j.id, p.id, old, new
+                        );
+                    }
+                    before = after;
                 }
             }
         }

@@ -1,38 +1,49 @@
 //! Cached estimated-completion-time (ECT) queries for reallocation rounds.
 //!
-//! The offline heuristics of §2.2.2 re-examine *every* remaining job after
-//! each decision — that is their defining O(n²) behaviour. Semantically
-//! each examination asks the clusters for fresh estimates; operationally,
-//! an estimate can only change when the cluster it concerns changed. The
-//! [`EctView`] therefore memoises per-(job, cluster) estimates and
-//! invalidates exactly the columns a migration touched, preserving the
-//! heuristics' semantics while avoiding redundant dry-run placements.
+//! The offline heuristics of §2.2.2 re-rank every remaining job after
+//! each decision. Semantically each ranking asks the clusters for fresh
+//! estimates; operationally an estimate can only change when the cluster
+//! it concerns changed, and most changes can only push it *later*. The
+//! [`EctView`] therefore memoises per-(job, cluster) estimates in a flat
+//! matrix and knows, for every entry, whether it is still **exact**, only
+//! a **lower bound**, or **unknown**:
 //!
-//! Since the snapshot engine landed, a column miss is answered in one
-//! *batched* pass ([`Cluster::estimate_new_batch`]): the cluster freezes
-//! its availability profile behind a copy-on-write snapshot, every alive
-//! job estimates against that frozen store, and a shared dominance
-//! frontier lets later (wider/longer) jobs resume their placement
-//! descent from floors earlier jobs proved unreachable.
-//! [`EctView::invalidate_cluster`] merely clears the column; the next
-//! query re-fills it lazily — against the *same* still-valid snapshot
-//! when the invalidation was cache hygiene rather than a real mutation.
+//! * a submit to a cluster whose policy claims
+//!   [`LocalScheduler::incremental_tail`](grid_batch::LocalScheduler::incremental_tail)
+//!   (FCFS, CBF) only carves one more reservation behind the queue, so no
+//!   estimate on that cluster can drop — ECT noise included, its
+//!   perturbation being monotone. The column's entries become lower
+//!   bounds ([`EctView::note_submit`]);
+//! * a cancel, or a submit under any other policy (the EASY family
+//!   re-examines the whole queue), resets the column: its entries become
+//!   unknown ([`EctView::note_cancel`]).
+//!
+//! Both are O(1): every entry records the logical clock of its probe, and
+//! every column the clocks of its last change and last reset.
+//!
+//! A job's best targets (its `depth` cheapest clusters) need no separate
+//! cache: they are known exactly whenever the row's smallest entries by
+//! (known lower bound, cluster) are themselves exact — a best target
+//! stays valid while its column is fresh, because every other entry
+//! could only have risen. `EctView::select` ranks jobs by a
+//! `TargetRank` over those best targets: jobs whose targets are known
+//! score exactly for free, and the others are bracketed between lower
+//! bounds and exact entries and re-probed only when that bracket could
+//! still beat the best exactly-known score.
+//!
+//! A cold column (never filled this round) is answered in one *batched*
+//! pass ([`Cluster::estimate_new_batch`]): the cluster freezes its
+//! availability profile behind a copy-on-write snapshot, every alive job
+//! estimates against that frozen store, and a shared dominance frontier
+//! lets later (wider/longer) jobs resume their placement descent from
+//! floors earlier jobs proved unreachable. Later misses re-probe single
+//! entries against the same snapshot, re-frozen only when a mutation came
+//! through the view since.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cmp::Reverse;
 
 use grid_batch::{Cluster, JobSpec};
 use grid_des::SimTime;
-
-/// Process-wide switch for the snapshot-backed batched column fill.
-/// Disabling restores the historical per-entry `estimate_new(&mut)`
-/// path (benchmark baseline hook; estimates are bit-identical either
-/// way, only the probe sharing differs).
-static ECT_SNAPSHOT: AtomicBool = AtomicBool::new(true);
-
-#[doc(hidden)]
-pub fn set_ect_snapshot_enabled(enabled: bool) {
-    ECT_SNAPSHOT.store(enabled, Ordering::Relaxed);
-}
 
 /// A waiting job captured at the start of a reallocation round.
 #[derive(Debug, Clone, Copy)]
@@ -55,53 +66,96 @@ pub enum ViewMode {
     Cancelled,
 }
 
-/// Lazily filled ECT matrix over the remaining jobs of one round.
+/// What a [`TargetRank`] scores a job by, besides its best targets.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    /// Current ECT (live reservation or pre-cancel snapshot).
+    pub(crate) cur: SimTime,
+    /// Processors the job needs.
+    pub(crate) procs: u32,
+    /// The round's mode (`Queued`: staying put is an option too).
+    pub(crate) mode: ViewMode,
+}
+
+/// A job ranking in the shape [`EctView::select`] can prune: a score
+/// over the job's target ECTs that only its `depth` smallest decide.
+pub(crate) trait TargetRank {
+    /// How many of a job's smallest target ECTs [`score`](Self::score)
+    /// reads (1: the best target only).
+    fn depth(&self) -> usize {
+        1
+    }
+
+    /// `true` when the highest score wins, `false` when the lowest does.
+    fn maximise(&self) -> bool;
+
+    /// Score of a job given its target ECT per cluster (`SimTime::MAX`:
+    /// not a target). Only the `depth` smallest entries are exact; any
+    /// other entry is merely known to be at least as late. For depth 1
+    /// the view passes the row collapsed to its minimum.
+    fn score(&self, job: &Candidate, ects: &[SimTime]) -> i128;
+
+    /// The most favourable score (the highest when maximising, else the
+    /// lowest) over every row with `lo[c] <= ects[c] <= hi[c]`, where
+    /// `hi[c] == SimTime::MAX` leaves cluster `c` open-ended and
+    /// `lo[c] == SimTime::MAX` means it is not a target.
+    fn bound(&self, job: &Candidate, lo: &[SimTime], hi: &[SimTime]) -> i128;
+}
+
+/// Probe clock of entries that never change within a round: a job's own
+/// cluster in `Queued` mode, and clusters too small for the job.
+const STATIC: u32 = u32::MAX;
+
+/// Lazily filled, flat n×k ECT matrix over the remaining jobs of one
+/// round.
 pub struct EctView<'a> {
     clusters: &'a mut [Cluster],
     jobs: &'a [WaitingJob],
     now: SimTime,
     mode: ViewMode,
-    /// Which jobs are still in the round's working list.
-    alive: Vec<bool>,
-    /// Current ECT per job (`Queued`: live; `Cancelled`: pre-cancel
-    /// snapshot, filled eagerly by the caller).
-    cur: Vec<Option<SimTime>>,
-    /// `new_[job][cluster]`: cached dry-run estimate; inner `Option` is
-    /// "not cached", value `SimTime::MAX` means "cannot run there".
-    new_: Vec<Vec<Option<SimTime>>>,
-    /// Per-cluster: column never batch-filled. A cold miss fills the
-    /// whole column in one batched pass (every heuristic reads a cold
-    /// column in full at least once); after an invalidation the column
-    /// refills lazily per entry against the re-frozen snapshot instead.
-    /// Lazy wins on both access shapes: row-at-a-time heuristics (MCT)
-    /// never read most of a refilled column, and for the broad readers
-    /// the per-entry cost of a warm single — snapshot reuse plus a
-    /// precomputed tail floor — already matches the batched loop body.
+    /// Remaining (not yet processed) job indices, ascending.
+    alive: Vec<usize>,
+    /// Current ECT per job (`Queued`: live, valid while `cur_at[i]` is
+    /// not older than its cluster's last change; `Cancelled`: the
+    /// pre-cancel snapshot, always valid).
+    cur: Vec<SimTime>,
+    cur_at: Vec<u32>,
+    /// Column count.
+    k: usize,
+    /// `est[i * k + c]`: last dry-run estimate of job `i` on cluster
+    /// `c`; `SimTime::MAX` means "cannot run there".
+    est: Vec<SimTime>,
+    /// Clock at which each entry was probed (0: never, [`STATIC`]: fixed).
+    probed_at: Vec<u32>,
+    /// Per column: clock of its last change, and of its last reset.
+    changed: Vec<u32>,
+    reset: Vec<u32>,
+    /// Logical clock; every column change advances it.
+    clock: u32,
+    /// Per column: never batch-filled this round. Every ranking reads a
+    /// cold column in full at least once, so its first miss fills it in
+    /// one batched pass; later misses re-probe single entries.
     cold: Vec<bool>,
-    /// Per-cluster: [`Cluster::prepare_estimates`] has run since the
-    /// last [`EctView::invalidate_cluster`], so warm singles can query
-    /// the frozen snapshot directly. Sound because the reallocation
-    /// algorithms invalidate through the view after every mutation —
-    /// the same contract the `new_` cache itself relies on.
+    /// Per column: [`Cluster::prepare_estimates`] has run since the last
+    /// change, so single probes can query the frozen snapshot directly.
     prepared: Vec<bool>,
+    /// Scratch for [`EctView::summarize`]: the row's known bounds.
+    lo: Vec<SimTime>,
+    hi: Vec<SimTime>,
 }
 
 impl<'a> EctView<'a> {
     /// View for Algorithm 1 (jobs still queued).
     pub fn queued(clusters: &'a mut [Cluster], jobs: &'a [WaitingJob], now: SimTime) -> Self {
         let n = jobs.len();
-        let k = clusters.len();
-        EctView {
+        Self::new(
             clusters,
             jobs,
             now,
-            mode: ViewMode::Queued,
-            alive: vec![true; n],
-            cur: vec![None; n],
-            new_: vec![vec![None; k]; n],
-            cold: vec![true; k],
-            prepared: vec![false; k],
-        }
+            ViewMode::Queued,
+            vec![SimTime::ZERO; n],
+            vec![0; n],
+        )
     }
 
     /// View for Algorithm 2 (jobs cancelled; `pre_ects` is the snapshot of
@@ -114,17 +168,52 @@ impl<'a> EctView<'a> {
     ) -> Self {
         assert_eq!(jobs.len(), pre_ects.len());
         let n = jobs.len();
-        let k = clusters.len();
+        Self::new(
+            clusters,
+            jobs,
+            now,
+            ViewMode::Cancelled,
+            pre_ects,
+            vec![STATIC; n],
+        )
+    }
+
+    fn new(
+        clusters: &'a mut [Cluster],
+        jobs: &'a [WaitingJob],
+        now: SimTime,
+        mode: ViewMode,
+        cur: Vec<SimTime>,
+        cur_at: Vec<u32>,
+    ) -> Self {
+        let (n, k) = (jobs.len(), clusters.len());
+        let mut probed_at = vec![0; n * k];
+        for (row, w) in probed_at.chunks_mut(k.max(1)).zip(jobs) {
+            for (c, cluster) in clusters.iter().enumerate() {
+                let fits = w.spec.procs > 0 && w.spec.procs <= cluster.spec().procs;
+                if !fits || (mode == ViewMode::Queued && c == w.cluster) {
+                    row[c] = STATIC;
+                }
+            }
+        }
         EctView {
             clusters,
             jobs,
             now,
-            mode: ViewMode::Cancelled,
-            alive: vec![true; n],
-            cur: pre_ects.into_iter().map(Some).collect(),
-            new_: vec![vec![None; k]; n],
+            mode,
+            alive: (0..n).collect(),
+            cur,
+            cur_at,
+            k,
+            est: vec![SimTime::MAX; n * k],
+            probed_at,
+            changed: vec![1; k],
+            reset: vec![1; k],
+            clock: 1,
             cold: vec![true; k],
             prepared: vec![false; k],
+            lo: vec![SimTime::MAX; k.max(1)],
+            hi: vec![SimTime::MAX; k.max(1)],
         }
     }
 
@@ -136,34 +225,32 @@ impl<'a> EctView<'a> {
     /// Remaining (not yet processed) job indices, ascending — i.e. in
     /// submission order, since callers sort the job list that way.
     pub fn alive_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.then_some(i))
+        self.alive.iter().copied()
     }
 
     /// Count of remaining jobs.
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|a| **a).count()
+        self.alive.len()
     }
 
     /// Remove job `i` from the working list.
     pub fn remove(&mut self, i: usize) {
-        debug_assert!(self.alive[i], "job removed twice");
-        self.alive[i] = false;
+        let pos = self.alive.binary_search(&i).expect("job removed twice");
+        self.alive.remove(pos);
     }
 
     /// Current ECT of job `i` (live reservation or pre-cancel snapshot).
     pub fn cur_ect(&mut self, i: usize) -> SimTime {
-        if let Some(v) = self.cur[i] {
-            return v;
+        let w = &self.jobs[i];
+        if self.cur_at[i] >= self.changed[w.cluster] {
+            return self.cur[i];
         }
         debug_assert_eq!(self.mode, ViewMode::Queued);
-        let w = &self.jobs[i];
         let v = self.clusters[w.cluster]
             .current_ect(w.spec.id, self.now)
             .unwrap_or_else(|| panic!("job {} not waiting on cluster {}", w.spec.id, w.cluster));
-        self.cur[i] = Some(v);
+        self.cur[i] = v;
+        self.cur_at[i] = self.clock;
         v
     }
 
@@ -171,67 +258,59 @@ impl<'a> EctView<'a> {
     /// cannot run there (or, in `Queued` mode, when `c` is its own
     /// cluster — its own cluster is not a migration target).
     pub fn new_ect(&mut self, i: usize, c: usize) -> Option<SimTime> {
-        if self.mode == ViewMode::Queued && c == self.jobs[i].cluster {
-            return None;
+        let at = i * self.k + c;
+        if self.probed_at[at] < self.changed[c] {
+            self.probe(i, c);
         }
-        let v = match self.new_[i][c] {
-            Some(v) => v,
-            None if ECT_SNAPSHOT.load(Ordering::Relaxed) => {
-                if self.cold[c] {
-                    self.fill_column(c, i);
-                    self.cold[c] = false;
-                    self.prepared[c] = true;
-                } else {
-                    // Warm column, invalidated since its batched fill:
-                    // answer just this entry against the (possibly still
-                    // cached) frozen snapshot, re-freezing only when a
-                    // mutation came through the view since the last
-                    // prepare.
-                    if !self.prepared[c] {
-                        self.clusters[c].prepare_estimates(self.now);
-                        self.prepared[c] = true;
-                    } else {
-                        self.clusters[c].note_snapshot_reuse();
-                    }
-                    let est = self.clusters[c].estimate_new_at(&self.jobs[i].spec, self.now);
-                    self.new_[i][c] = Some(est.unwrap_or(SimTime::MAX));
-                }
-                self.new_[i][c].expect("column fill covers the queried job")
-            }
-            None => {
-                let v = self.clusters[c]
-                    .estimate_new(&self.jobs[i].spec, self.now)
-                    .unwrap_or(SimTime::MAX);
-                self.new_[i][c] = Some(v);
-                v
-            }
-        };
+        let v = self.est[at];
         (v != SimTime::MAX).then_some(v)
     }
 
-    /// Fill every missing entry of column `c` (plus the queried row
-    /// `want`, alive or not) in one batched snapshot pass. Estimates are
-    /// bit-identical to per-entry [`Cluster::estimate_new`] calls: every
-    /// query in the pass shares the same frozen profile and the same
-    /// tail-floor base, so the threaded dominance frontier only skips
-    /// descent work, never changes an answer.
+    /// Make entry `(i, c)` exact: a cold column is filled in one batched
+    /// pass, anything else re-probes this one entry against the frozen
+    /// snapshot (re-freezing only after a change came through the view).
+    fn probe(&mut self, i: usize, c: usize) {
+        if self.cold[c] {
+            self.fill_column(c, i);
+            self.cold[c] = false;
+            self.prepared[c] = true;
+            return;
+        }
+        let cluster = &mut self.clusters[c];
+        if self.prepared[c] {
+            cluster.note_snapshot_reuse();
+        } else {
+            cluster.prepare_estimates(self.now);
+            self.prepared[c] = true;
+        }
+        let at = i * self.k + c;
+        if self.probed_at[at] >= self.reset[c] {
+            cluster.note_stale_refresh();
+        }
+        let est = cluster.estimate_new_at(&self.jobs[i].spec, self.now);
+        self.est[at] = est.unwrap_or(SimTime::MAX);
+        self.probed_at[at] = self.clock;
+    }
+
+    /// Fill every inexact entry of column `c` among the alive jobs (plus
+    /// the queried row `want`) in one batched snapshot pass. Estimates
+    /// are bit-identical to per-entry [`Cluster::estimate_new_at`] calls:
+    /// every query in the pass shares the same frozen profile and the
+    /// same tail-floor base, so the threaded dominance frontier only
+    /// skips descent work, never changes an answer.
     fn fill_column(&mut self, c: usize, want: usize) {
-        let queued = self.mode == ViewMode::Queued;
-        let wanted: Vec<Option<&JobSpec>> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let fill = (self.alive[i] || i == want)
-                    && self.new_[i][c].is_none()
-                    && !(queued && w.cluster == c);
-                fill.then_some(&w.spec)
-            })
-            .collect();
+        let k = self.k;
+        let mut wanted: Vec<Option<&JobSpec>> = vec![None; self.jobs.len()];
+        for &i in self.alive.iter().chain(std::iter::once(&want)) {
+            if self.probed_at[i * k + c] < self.changed[c] {
+                wanted[i] = Some(&self.jobs[i].spec);
+            }
+        }
         let ests = self.clusters[c].estimate_new_batch(wanted.iter().copied(), self.now);
         for (i, est) in ests.into_iter().enumerate() {
             if wanted[i].is_some() {
-                self.new_[i][c] = Some(est.unwrap_or(SimTime::MAX));
+                self.est[i * k + c] = est.unwrap_or(SimTime::MAX);
+                self.probed_at[i * k + c] = self.clock;
             }
         }
     }
@@ -239,73 +318,42 @@ impl<'a> EctView<'a> {
     /// Best migration target for job `i`: `(cluster, ect)` minimising the
     /// estimate (lowest index on ties).
     pub fn best_target(&mut self, i: usize) -> Option<(usize, SimTime)> {
-        let k = self.clusters.len();
-        let mut best: Option<(usize, SimTime)> = None;
-        for c in 0..k {
-            if let Some(e) = self.new_ect(i, c) {
-                if best.is_none_or(|(_, b)| e < b) {
-                    best = Some((c, e));
-                }
-            }
-        }
-        best
+        self.refresh_row(i);
+        let row = &self.est[i * self.k..(i + 1) * self.k];
+        let (c, &e) = row.iter().enumerate().min_by_key(|&(_, e)| e)?;
+        (e != SimTime::MAX).then_some((c, e))
     }
 
-    /// The job's best achievable ECT over *all* options (its current
-    /// position included in `Queued` mode). This is the "expected
-    /// completion time of a task" the MinMin/MaxMin heuristics rank by.
-    pub fn best_ect(&mut self, i: usize) -> SimTime {
-        let target = self.best_target(i).map(|(_, e)| e);
-        match self.mode {
-            ViewMode::Queued => {
-                let cur = self.cur_ect(i);
-                target.map_or(cur, |t| t.min(cur))
+    /// Make every entry of job `i`'s row exact. Each re-probe answers a
+    /// change noted since the entry's last probe, so a round never
+    /// probes more than re-reading every invalidated entry would.
+    fn refresh_row(&mut self, i: usize) {
+        for c in 0..self.k {
+            if self.probed_at[i * self.k + c] < self.changed[c] {
+                self.probe(i, c);
             }
-            ViewMode::Cancelled => target.unwrap_or(SimTime::MAX),
         }
     }
 
-    /// Every ECT *value* among the job's options, ascending. In `Queued`
-    /// mode the options are "stay" plus each foreign cluster; in
-    /// `Cancelled` mode, each cluster. Rank-`k` sufferage variants read
-    /// `options[k] − options[0]`.
-    pub fn ect_options(&mut self, i: usize) -> Vec<SimTime> {
-        let mut options: Vec<SimTime> = Vec::with_capacity(self.clusters.len() + 1);
-        if self.mode == ViewMode::Queued {
-            options.push(self.cur_ect(i));
-        }
-        for c in 0..self.clusters.len() {
-            if let Some(e) = self.new_ect(i, c) {
-                options.push(e);
-            }
-        }
-        options.sort_unstable();
-        options
+    /// Record that a job was submitted to cluster `c`. Under a policy
+    /// whose tail submissions never move a reservation the column's
+    /// estimates stay valid lower bounds; otherwise it is reset.
+    pub fn note_submit(&mut self, c: usize) {
+        let keeps_bounds = self.clusters[c].policy().scheduler().incremental_tail();
+        self.note_change(c, !keeps_bounds);
     }
 
-    /// The two best ECT *values* among the job's options (classic
-    /// Sufferage). Returns `(best, second_best)`; `second_best` is
-    /// `None` with fewer than two options.
-    pub fn two_best_ects(&mut self, i: usize) -> (SimTime, Option<SimTime>) {
-        let options = self.ect_options(i);
-        match options.as_slice() {
-            [] => (SimTime::MAX, None),
-            [one] => (*one, None),
-            [a, b, ..] => (*a, Some(*b)),
-        }
+    /// Record that a waiting job was cancelled on cluster `c` (a hole
+    /// opened: any estimate there may drop, so the column is reset).
+    pub fn note_cancel(&mut self, c: usize) {
+        self.note_change(c, true);
     }
 
-    /// Invalidate every cached estimate involving cluster `c` (after a
-    /// cancel or a submit changed its queue).
-    pub fn invalidate_cluster(&mut self, c: usize) {
-        for (i, w) in self.jobs.iter().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            self.new_[i][c] = None;
-            if self.mode == ViewMode::Queued && w.cluster == c {
-                self.cur[i] = None;
-            }
+    fn note_change(&mut self, c: usize, reset: bool) {
+        self.clock += 1;
+        self.changed[c] = self.clock;
+        if reset {
+            self.reset[c] = self.clock;
         }
         self.prepared[c] = false;
     }
@@ -319,12 +367,191 @@ impl<'a> EctView<'a> {
     pub fn now(&self) -> SimTime {
         self.now
     }
+
+    // -----------------------------------------------------------------
+    // Best targets and pruned selection
+    // -----------------------------------------------------------------
+
+    /// Bracket job `i`'s row as it stands — `lo <= ect <= hi` per cluster
+    /// (an exact entry has both ends equal; a lower bound leaves `hi`
+    /// open at `SimTime::MAX`; an unknown entry is at least `now`) — into
+    /// `self.lo`/`self.hi`, and return how many brackets it wrote plus
+    /// whether the row's `d` smallest entries by (lower bound, cluster)
+    /// are all exact: `lo` then carries the job's exact best target ECTs,
+    /// since every entry left out is at least as late.
+    ///
+    /// For `d == 1` the row is collapsed to a single bracket around its
+    /// minimum, which a score of the best target alone cannot tell apart
+    /// from the full row.
+    fn summarize(&mut self, i: usize, d: usize) -> (usize, bool) {
+        let row = i * self.k;
+        // The first entry in (lower bound, cluster) order, the smallest
+        // exact value, and the first inexact entry.
+        let mut first = (SimTime::MAX, true);
+        let mut best_exact = SimTime::MAX;
+        let mut first_inexact: Option<(SimTime, usize)> = None;
+        for c in 0..self.k {
+            let (probed, est) = (self.probed_at[row + c], self.est[row + c]);
+            let exact = probed >= self.changed[c];
+            let lo = if exact || probed >= self.reset[c] {
+                est
+            } else {
+                self.now
+            };
+            if lo < first.0 {
+                first = (lo, exact);
+            }
+            if exact {
+                best_exact = best_exact.min(est);
+            } else if d > 1 && first_inexact.is_none_or(|(v, _)| lo < v) {
+                first_inexact = Some((lo, c));
+            }
+            if d > 1 {
+                self.lo[c] = lo;
+                self.hi[c] = if exact { est } else { SimTime::MAX };
+            }
+        }
+        if d == 1 {
+            (self.lo[0], self.hi[0]) = (first.0, best_exact);
+            return (1, first.1);
+        }
+        let Some(first_inexact) = first_inexact else {
+            return (self.k, true);
+        };
+        let ahead = (0..self.k)
+            .filter(|&c| self.lo[c] == self.hi[c] && (self.lo[c], c) < first_inexact)
+            .count();
+        (self.k, ahead >= d)
+    }
+
+    fn candidate(&mut self, i: usize) -> Candidate {
+        Candidate {
+            cur: self.cur_ect(i),
+            procs: self.jobs[i].spec.procs,
+            mode: self.mode,
+        }
+    }
+
+    /// The alive job `rank` scores best — the earliest-submitted one on
+    /// ties — or `None` when the round is over.
+    ///
+    /// Exactly the job an exhaustive re-ranking over exact estimates
+    /// picks, without re-probing every job: jobs whose best targets are
+    /// known score exactly for free, and the others have their rows
+    /// re-probed only while their bound could still beat the best score
+    /// found.
+    pub(crate) fn select<R: TargetRank + ?Sized>(&mut self, rank: &R) -> Option<usize> {
+        let d = rank.depth().max(1);
+        // Merit: higher is better either way (`!` reverses the order of
+        // every i128 without overflow).
+        let maximise = rank.maximise();
+        let merit = |score: i128| if maximise { score } else { !score };
+        let beats = |m: i128, i: usize, best: Option<(i128, usize)>| {
+            best.is_none_or(|(bm, bi)| m > bm || (m == bm && i < bi))
+        };
+        let mut best: Option<(i128, usize)> = None;
+        let mut pending = Vec::new();
+        for pos in 0..self.alive.len() {
+            let i = self.alive[pos];
+            let (len, known) = self.summarize(i, d);
+            let job = self.candidate(i);
+            if known {
+                let m = merit(rank.score(&job, &self.lo[..len]));
+                if beats(m, i, best) {
+                    best = Some((m, i));
+                }
+            } else {
+                let bound = merit(rank.bound(&job, &self.lo[..len], &self.hi[..len]));
+                if beats(bound, i, best) {
+                    pending.push((bound, i, job));
+                }
+            }
+        }
+        // The most promising job first (its exact score tends to prune
+        // the rest), then the others: against the best score found, most
+        // bounds no longer compete.
+        let first = (0..pending.len()).max_by_key(|&p| (pending[p].0, Reverse(pending[p].1)));
+        if let Some(first) = first {
+            pending.swap(0, first);
+        }
+        for (bound, i, job) in pending {
+            if !beats(bound, i, best) {
+                continue;
+            }
+            self.refresh_row(i);
+            let m = merit(rank.score(&job, &self.est[i * self.k..(i + 1) * self.k]));
+            if beats(m, i, best) {
+                best = Some((m, i));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    // -----------------------------------------------------------------
+    // Exhaustive queries (the reference the pruned selection must match)
+    // -----------------------------------------------------------------
+
+    /// The job's best target ECT, from a full row of exact estimates.
+    #[cfg(test)]
+    pub(crate) fn exhaustive_target(&mut self, i: usize) -> Option<SimTime> {
+        (0..self.k).filter_map(|c| self.new_ect(i, c)).min()
+    }
+
+    /// The job's best achievable ECT over *all* options (its current
+    /// position included in `Queued` mode), from a full exact row.
+    #[cfg(test)]
+    pub(crate) fn best_ect(&mut self, i: usize) -> SimTime {
+        let target = self.exhaustive_target(i);
+        match self.mode {
+            ViewMode::Queued => {
+                let cur = self.cur_ect(i);
+                target.map_or(cur, |t| t.min(cur))
+            }
+            ViewMode::Cancelled => target.unwrap_or(SimTime::MAX),
+        }
+    }
+
+    /// Every ECT *value* among the job's options, ascending. In `Queued`
+    /// mode the options are "stay" plus each foreign cluster; in
+    /// `Cancelled` mode, each cluster.
+    #[cfg(test)]
+    pub(crate) fn ect_options(&mut self, i: usize) -> Vec<SimTime> {
+        let mut options: Vec<SimTime> = (0..self.k).filter_map(|c| self.new_ect(i, c)).collect();
+        if self.mode == ViewMode::Queued {
+            options.push(self.cur_ect(i));
+        }
+        options.sort_unstable();
+        options
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use grid_batch::{BatchPolicy, ClusterSpec};
+
+    /// What the view knows about one (job, cluster) estimate.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Entry {
+        Exact(SimTime),
+        /// The estimate is at least this (the cluster only grew since).
+        Bound(SimTime),
+        Unknown,
+    }
+
+    impl EctView<'_> {
+        fn entry(&self, i: usize, c: usize) -> Entry {
+            let at = i * self.k + c;
+            let probed = self.probed_at[at];
+            if probed >= self.changed[c] {
+                Entry::Exact(self.est[at])
+            } else if probed >= self.reset[c] {
+                Entry::Bound(self.est[at])
+            } else {
+                Entry::Unknown
+            }
+        }
+    }
 
     /// Two 4-proc clusters; cluster 0 busy for 1000 s, cluster 1 free.
     fn setup() -> (Vec<Cluster>, Vec<WaitingJob>) {
@@ -357,7 +584,7 @@ mod tests {
         assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
         assert_eq!(v.best_target(0), Some((1, SimTime(100))));
         assert_eq!(v.best_ect(0), SimTime(100));
-        assert_eq!(v.two_best_ects(0), (SimTime(100), Some(SimTime(1100))));
+        assert_eq!(v.ect_options(0), vec![SimTime(100), SimTime(1100)]);
     }
 
     #[test]
@@ -378,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_cached_until_invalidated() {
+    fn estimates_are_cached_until_noted() {
         let (mut clusters, jobs) = setup();
         let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
         assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
@@ -388,9 +615,111 @@ mod tests {
             .unwrap();
         // Cached value still served (this is the memoisation contract).
         assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
-        // After invalidation the fresh estimate appears.
-        v.invalidate_cluster(1);
+        // Once the submit is noted the entry is only a lower bound, and
+        // an exact query re-probes it.
+        v.note_submit(1);
+        assert_eq!(v.entry(0, 1), Entry::Bound(SimTime(100)));
         assert_eq!(v.new_ect(0, 1), Some(SimTime(600)));
+        assert_eq!(v.entry(0, 1), Entry::Exact(SimTime(600)));
+        // A cancel resets the column: nothing is known any more.
+        v.cluster_mut(1).cancel(grid_batch::JobId(200), SimTime(0));
+        v.note_cancel(1);
+        assert_eq!(v.entry(0, 1), Entry::Unknown);
+        assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
+    }
+
+    /// Re-probing a lower bound is visible as the `ect.stale_refreshes`
+    /// telemetry counter, and only there: `ClusterStats` has no field
+    /// for it.
+    #[test]
+    fn stale_refreshes_are_counted_in_telemetry() {
+        let (mut clusters, jobs) = setup();
+        let obs = grid_obs::Obs::enabled();
+        clusters[1].set_obs(obs.clone(), 1);
+        let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
+        assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
+        v.cluster_mut(1)
+            .submit(JobSpec::new(200, 0, 4, 500, 500), SimTime(0))
+            .unwrap();
+        v.note_submit(1);
+        assert_eq!(v.new_ect(0, 1), Some(SimTime(600)));
+        v.cluster_mut(1).cancel(grid_batch::JobId(200), SimTime(0));
+        v.note_cancel(1);
+        assert_eq!(v.new_ect(0, 1), Some(SimTime(100)), "unknown, not stale");
+        assert_eq!(
+            obs.with(|r| r.counter("ect.stale_refreshes")),
+            Some(1),
+            "one lower bound re-probed"
+        );
+    }
+
+    /// Submits under the aggressive EASY family reset the column instead
+    /// of keeping bounds: its back-filling may move other reservations.
+    #[test]
+    fn non_incremental_submits_reset_the_column() {
+        let mut c0 = Cluster::new(ClusterSpec::new("c0", 4, 1.0), BatchPolicy::Fcfs);
+        let c1 = Cluster::new(ClusterSpec::new("c1", 4, 1.0), BatchPolicy::Easy);
+        let w = JobSpec::new(1, 0, 2, 60, 100);
+        c0.submit(w, SimTime(0)).unwrap();
+        let mut clusters = vec![c0, c1];
+        let jobs = vec![WaitingJob {
+            spec: w,
+            cluster: 0,
+        }];
+        let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
+        assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
+        v.cluster_mut(1)
+            .submit(JobSpec::new(200, 0, 4, 500, 500), SimTime(0))
+            .unwrap();
+        v.note_submit(1);
+        assert_eq!(v.entry(0, 1), Entry::Unknown);
+        assert_eq!(v.new_ect(0, 1), Some(SimTime(600)));
+    }
+
+    /// A best target survives changes to other columns; when its own
+    /// column moves, it is bracketed from the row and re-probed only
+    /// where it could still lead.
+    #[test]
+    fn best_targets_follow_their_columns() {
+        let mut clusters: Vec<Cluster> = (0..3)
+            .map(|c| Cluster::new(ClusterSpec::new(format!("c{c}"), 4, 1.0), BatchPolicy::Fcfs))
+            .collect();
+        clusters[1]
+            .submit(JobSpec::new(100, 0, 4, 50, 50), SimTime(0))
+            .unwrap();
+        clusters[2]
+            .submit(JobSpec::new(101, 0, 4, 80, 80), SimTime(0))
+            .unwrap();
+        let w = JobSpec::new(1, 0, 2, 60, 100);
+        let jobs = vec![WaitingJob {
+            spec: w,
+            cluster: 0,
+        }];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, vec![SimTime(1_000)], SimTime(0));
+        assert_eq!(v.best_target(0), Some((0, SimTime(100))));
+        // Cluster 2 grows: the best target (cluster 0) stands.
+        v.cluster_mut(2)
+            .submit(JobSpec::new(102, 0, 4, 500, 500), SimTime(0))
+            .unwrap();
+        v.note_submit(2);
+        assert_eq!(v.summarize(0, 1), (1, true));
+        assert_eq!((v.lo[0], v.hi[0]), (SimTime(100), SimTime(100)));
+        assert_eq!(v.summarize(0, 2), (3, true));
+        assert_eq!(v.lo, [SimTime(100), SimTime(150), SimTime(180)]);
+        assert_eq!(v.hi, [SimTime(100), SimTime(150), SimTime::MAX]);
+        // Cluster 0 fills up: only a bound remains for it, so the best
+        // target ECT lies between it and cluster 1's exact estimate.
+        v.cluster_mut(0)
+            .submit(JobSpec::new(103, 0, 4, 1_000, 1_000), SimTime(0))
+            .unwrap();
+        v.note_submit(0);
+        assert_eq!(v.summarize(0, 1), (1, false), "the stale cluster 0 leads");
+        assert_eq!((v.lo[0], v.hi[0]), (SimTime(100), SimTime(150)));
+        assert_eq!(v.summarize(0, 2), (3, false));
+        assert_eq!(v.lo, [SimTime(100), SimTime(150), SimTime(180)]);
+        assert_eq!(v.hi, [SimTime::MAX, SimTime(150), SimTime::MAX]);
+        assert_eq!(v.best_target(0), Some((1, SimTime(150))));
+        assert_eq!(v.entry(0, 2), Entry::Exact(SimTime(680)));
     }
 
     #[test]
@@ -416,17 +745,14 @@ mod tests {
         assert_eq!(v.best_target(0), None);
         // best_ect falls back to the current position.
         assert_eq!(v.best_ect(0), SimTime(1100));
-        let (best, second) = v.two_best_ects(0);
-        assert_eq!(best, SimTime(1100));
-        assert_eq!(second, None);
+        assert_eq!(v.ect_options(0), vec![SimTime(1100)]);
     }
 
-    /// The batched snapshot fill produces exactly the matrix the
-    /// historical lazy per-entry path produced, across modes and a
-    /// multi-job, multi-cluster fixture — and leaves the cluster's
-    /// snapshot cached for the next column.
+    /// The batched snapshot fill produces exactly the matrix per-entry
+    /// `estimate_new` calls on the untouched clusters produce, and leaves
+    /// each cluster's snapshot cached for the next column.
     #[test]
-    fn batched_fill_matches_legacy_lazy_path() {
+    fn batched_fill_matches_per_entry_estimates() {
         let build = || {
             let mut c0 = Cluster::new(ClusterSpec::new("c0", 4, 1.0), BatchPolicy::Fcfs);
             let mut c1 = Cluster::new(ClusterSpec::new("c1", 8, 1.5), BatchPolicy::Cbf);
@@ -459,35 +785,38 @@ mod tests {
             ];
             (vec![c0, c1, c2], jobs)
         };
-        let matrix = |clusters: &mut Vec<Cluster>, jobs: &[WaitingJob]| {
-            let mut v = EctView::queued(clusters, jobs, SimTime(5));
-            let mut out = Vec::new();
-            for i in 0..jobs.len() {
-                for c in 0..3 {
-                    out.push(v.new_ect(i, c));
-                }
-                out.push(Some(v.best_ect(i)));
+        let (mut reference, jobs) = build();
+        let mut expected = Vec::new();
+        for w in &jobs {
+            for (c, cluster) in reference.iter_mut().enumerate() {
+                expected.push(if c == w.cluster {
+                    None
+                } else {
+                    cluster.estimate_new(&w.spec, SimTime(5))
+                });
             }
-            out
-        };
-        let (mut legacy_clusters, jobs) = build();
-        set_ect_snapshot_enabled(false);
-        let legacy = matrix(&mut legacy_clusters, &jobs);
-        set_ect_snapshot_enabled(true);
+        }
         let (mut batched_clusters, jobs) = build();
-        let batched = matrix(&mut batched_clusters, &jobs);
-        assert_eq!(batched, legacy);
-        for c in &batched_clusters {
-            assert!(
-                c.stats().ect_column_refills >= 1,
-                "{}: column fills went through the batch path",
+        let mut v = EctView::queued(&mut batched_clusters, &jobs, SimTime(5));
+        let mut batched = Vec::new();
+        for i in 0..jobs.len() {
+            for c in 0..3 {
+                batched.push(v.new_ect(i, c));
+            }
+        }
+        assert_eq!(batched, expected);
+        for c in &batched_clusters[1..] {
+            assert_eq!(
+                c.stats().ect_column_refills,
+                1,
+                "{}: one batched fill per column",
                 c.spec().name
             );
         }
-        // Invalidation without mutation refills from the cached snapshot.
+        // A noted change without mutation refills from the cached snapshot.
         let mut v = EctView::queued(&mut batched_clusters, &jobs, SimTime(5));
         let before = v.new_ect(0, 2);
-        v.invalidate_cluster(2);
+        v.note_cancel(2);
         assert_eq!(v.new_ect(0, 2), before);
         assert!(
             batched_clusters[2].stats().ect_snapshot_reuses >= 1,

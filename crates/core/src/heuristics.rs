@@ -1,7 +1,7 @@
 //! The (re)scheduling heuristics of §2.2.2, as pluggable trait objects.
 //!
 //! One *online* heuristic (MCT) processes jobs in their submission order;
-//! five *offline* heuristics re-rank the whole remaining set after every
+//! five *offline* heuristics rank the whole remaining set anew for every
 //! decision (the paper notes their O(n²) cost):
 //!
 //! * **MCT** — take jobs sequentially in submission order.
@@ -16,6 +16,18 @@
 //!   two best ECTs (the task that would "suffer" most from not getting its
 //!   best placement).
 //!
+//! Semantically every offline decision re-reads every remaining job's
+//! ECTs — n decisions over n jobs and k clusters, O(n²·k) estimates per
+//! round. Operationally each of the five is a `TargetRank`: a score
+//! over a job's cheapest target ECTs, plus a bound on that score when
+//! some ECTs are only bracketed. After a placement only one cluster's
+//! estimates move (and, under FCFS/CBF, only upwards), so
+//! `EctView::select` scores most jobs from cached estimates and
+//! re-probes only the jobs whose bound could still beat the best exact
+//! score. The pick — the earliest-submitted job on ties — is exactly
+//! the exhaustive re-ranking's (a test-only oracle pins this on random
+//! grids).
+//!
 //! Each of these is an [`OrderingHeuristic`] implementation; a
 //! [`Heuristic`] is a `Copy` handle into the string-keyed registry
 //! ([`Heuristic::resolve`]), so campaign specs select heuristics by name
@@ -24,9 +36,10 @@
 
 use std::sync::Mutex;
 
+use grid_des::SimTime;
 use grid_ser::expr::{BoundArgs, ParamSpec};
 
-use crate::ect::EctView;
+use crate::ect::{Candidate, EctView, TargetRank, ViewMode};
 
 /// Job-selection order of a reallocation round.
 ///
@@ -106,6 +119,21 @@ impl Heuristic {
     /// `order.label()`; a unit test pins this for every built-in.
     const fn base(key: &'static str, order: &'static dyn OrderingHeuristic) -> Heuristic {
         Heuristic { order, key }
+    }
+
+    /// An unregistered handle around `order` (test wrappers).
+    #[cfg(test)]
+    pub(crate) fn wrap(order: &'static dyn OrderingHeuristic) -> Heuristic {
+        Heuristic {
+            order,
+            key: order.label(),
+        }
+    }
+
+    /// The ordering behind the handle.
+    #[cfg(test)]
+    pub(crate) fn order(self) -> &'static dyn OrderingHeuristic {
+        self.order
     }
 }
 
@@ -262,42 +290,123 @@ impl Ord for Heuristic {
 // Shared ranking helpers
 // ---------------------------------------------------------------------
 
-/// Reallocation gain of job `i`: current ECT minus best target ECT
-/// (negative when every move would hurt; `i128::MIN` with no target).
-fn gain(view: &mut EctView<'_>, i: usize) -> i128 {
-    let cur = view.cur_ect(i).as_secs() as i128;
-    match view.best_target(i) {
-        Some((_, e)) => cur - e.as_secs() as i128,
-        None => i128::MIN,
-    }
+fn secs(t: SimTime) -> i128 {
+    i128::from(t.as_secs())
 }
 
-/// Index minimising (or maximising) `key`, first index on ties.
-fn arg_best(alive: &[usize], mut key: impl FnMut(usize) -> i128, maximise: bool) -> Option<usize> {
-    let mut best: Option<(i128, usize)> = None;
-    for &i in alive {
-        let v = key(i);
-        let better = match best {
-            None => true,
-            Some((bv, _)) => {
-                if maximise {
-                    v > bv
-                } else {
-                    v < bv
-                }
-            }
-        };
-        if better {
-            best = Some((v, i));
+/// A ranking by a score monotone in the job's best target ECT alone —
+/// MinMin, MaxMin, MaxGain and MaxRelGain. Monotonicity is what makes
+/// the bound cheap: the score's extremes over a bracketed best target
+/// sit at the bracket's ends.
+trait ByBestTarget {
+    /// `true` when the highest score wins.
+    fn maximise(&self) -> bool;
+    /// Score given the best target ECT (`SimTime::MAX`: no target).
+    fn score_best(&self, job: &Candidate, best: SimTime) -> i128;
+}
+
+fn min_ect(ects: &[SimTime]) -> SimTime {
+    ects.iter().copied().min().unwrap_or(SimTime::MAX)
+}
+
+impl<T: ByBestTarget> TargetRank for T {
+    fn maximise(&self) -> bool {
+        ByBestTarget::maximise(self)
+    }
+    fn score(&self, job: &Candidate, ects: &[SimTime]) -> i128 {
+        self.score_best(job, min_ect(ects))
+    }
+    fn bound(&self, job: &Candidate, lo: &[SimTime], hi: &[SimTime]) -> i128 {
+        let (a, b) = (
+            self.score_best(job, min_ect(lo)),
+            self.score_best(job, min_ect(hi)),
+        );
+        if ByBestTarget::maximise(self) {
+            a.max(b)
+        } else {
+            a.min(b)
         }
     }
-    best.map(|(_, i)| i)
 }
 
-/// The alive indices, or `None` when the round is over.
-fn alive(view: &EctView<'_>) -> Option<Vec<usize>> {
-    let alive: Vec<usize> = view.alive_indices().collect();
-    (!alive.is_empty()).then_some(alive)
+/// A job's best achievable ECT given its best target `best`
+/// (`SimTime::MAX`: none): in `Queued` mode staying put is an option too.
+/// This is the "expected completion time of a task" MinMin and MaxMin
+/// rank by.
+fn best_ect(job: &Candidate, best: SimTime) -> i128 {
+    match job.mode {
+        ViewMode::Queued => secs(best.min(job.cur)),
+        ViewMode::Cancelled => secs(best),
+    }
+}
+
+/// Reallocation gain: current ECT minus best target ECT (negative when
+/// every move would hurt; `i128::MIN` with no target).
+fn gain(job: &Candidate, best: SimTime) -> i128 {
+    if best == SimTime::MAX {
+        return i128::MIN;
+    }
+    secs(job.cur) - secs(best)
+}
+
+/// A job's options as brackets `lo <= ect <= hi`: one per target cluster
+/// (`lo == SimTime::MAX`: not a target), plus staying put in `Queued`
+/// mode.
+struct Options<'a> {
+    lo: &'a [SimTime],
+    hi: &'a [SimTime],
+    stay: Option<SimTime>,
+}
+
+impl<'a> Options<'a> {
+    fn new(job: &Candidate, lo: &'a [SimTime], hi: &'a [SimTime]) -> Self {
+        let stay = (job.mode == ViewMode::Queued).then_some(job.cur);
+        Options { lo, hi, stay }
+    }
+
+    fn len(&self) -> usize {
+        self.lo.len() + usize::from(self.stay.is_some())
+    }
+
+    fn bracket(&self, j: usize) -> Option<(SimTime, SimTime)> {
+        match self.lo.get(j) {
+            Some(&SimTime::MAX) => None,
+            Some(&lo) => Some((lo, self.hi[j])),
+            None => self.stay.map(|cur| (cur, cur)),
+        }
+    }
+
+    /// Call `f` with the `n` smallest `(upper end, option)` pairs in
+    /// ascending order (ties by position), padded with `SimTime::MAX`.
+    fn with_smallest_hi<R>(&self, n: usize, f: impl FnOnce(&[(SimTime, usize)]) -> R) -> R {
+        const PAD: (SimTime, usize) = (SimTime::MAX, usize::MAX);
+        let mut inline = [PAD; 4];
+        let mut spilled = Vec::new();
+        let out = if n <= inline.len() {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, PAD);
+            &mut spilled[..]
+        };
+        for j in 0..self.len() {
+            let Some((_, hi)) = self.bracket(j) else {
+                continue;
+            };
+            // Insertion step, shifting the larger ones up; a later
+            // option loses ties.
+            let mut at = n;
+            while at > 0 && out[at - 1].0 > hi {
+                if at < n {
+                    out[at] = out[at - 1];
+                }
+                at -= 1;
+            }
+            if at < n {
+                out[at] = (hi, j);
+            }
+        }
+        f(out)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -316,7 +425,7 @@ impl OrderingHeuristic for MctOrder {
         false
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        alive(view)?.first().copied()
+        view.alive_indices().next()
     }
 }
 
@@ -324,13 +433,21 @@ impl OrderingHeuristic for MctOrder {
 #[derive(Debug)]
 pub struct MinMinOrder;
 
+impl ByBestTarget for MinMinOrder {
+    fn maximise(&self) -> bool {
+        false
+    }
+    fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
+        best_ect(job, best)
+    }
+}
+
 impl OrderingHeuristic for MinMinOrder {
     fn label(&self) -> &'static str {
         "MinMin"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(&alive, |i| view.best_ect(i).as_secs() as i128, false)
+        view.select(self)
     }
 }
 
@@ -338,13 +455,21 @@ impl OrderingHeuristic for MinMinOrder {
 #[derive(Debug)]
 pub struct MaxMinOrder;
 
+impl ByBestTarget for MaxMinOrder {
+    fn maximise(&self) -> bool {
+        true
+    }
+    fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
+        best_ect(job, best)
+    }
+}
+
 impl OrderingHeuristic for MaxMinOrder {
     fn label(&self) -> &'static str {
         "MaxMin"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(&alive, |i| view.best_ect(i).as_secs() as i128, true)
+        view.select(self)
     }
 }
 
@@ -352,13 +477,21 @@ impl OrderingHeuristic for MaxMinOrder {
 #[derive(Debug)]
 pub struct MaxGainOrder;
 
+impl ByBestTarget for MaxGainOrder {
+    fn maximise(&self) -> bool {
+        true
+    }
+    fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
+        gain(job, best)
+    }
+}
+
 impl OrderingHeuristic for MaxGainOrder {
     fn label(&self) -> &'static str {
         "MaxGain"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(&alive, |i| gain(view, i), true)
+        view.select(self)
     }
 }
 
@@ -366,26 +499,27 @@ impl OrderingHeuristic for MaxGainOrder {
 #[derive(Debug)]
 pub struct MaxRelGainOrder;
 
+impl ByBestTarget for MaxRelGainOrder {
+    fn maximise(&self) -> bool {
+        true
+    }
+    fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
+        let g = gain(job, best);
+        if g == i128::MIN {
+            return i128::MIN; // no target at all
+        }
+        // Scale by 2^20 before the integer division so small
+        // per-processor differences survive.
+        (g << 20) / i128::from(job.procs.max(1))
+    }
+}
+
 impl OrderingHeuristic for MaxRelGainOrder {
     fn label(&self) -> &'static str {
         "MaxRelGain"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(
-            &alive,
-            |i| {
-                let g = gain(view, i);
-                if g == i128::MIN {
-                    return i128::MIN; // no target at all
-                }
-                // Scale by 2^20 before the integer division so small
-                // per-processor differences survive.
-                let procs = i128::from(view.jobs()[i].spec.procs.max(1));
-                (g << 20) / procs
-            },
-            true,
-        )
+        view.select(self)
     }
 }
 
@@ -406,24 +540,53 @@ impl SufferageOrder {
     pub const CLASSIC: SufferageOrder = SufferageOrder { rank: 1 };
 }
 
+impl TargetRank for SufferageOrder {
+    // The rank-th option is at worst the rank-th target (0-based) when
+    // staying put comes first.
+    fn depth(&self) -> usize {
+        self.rank + 1
+    }
+    fn maximise(&self) -> bool {
+        true
+    }
+    fn score(&self, job: &Candidate, ects: &[SimTime]) -> i128 {
+        let options = Options::new(job, ects, ects);
+        options.with_smallest_hi(self.rank + 1, |top| match top[self.rank].0 {
+            // Too few options to suffer at this rank.
+            SimTime::MAX => i128::MIN,
+            alt => secs(alt) - secs(top[0].0),
+        })
+    }
+    // Whichever option `m` turns out best (at least its lower end), the
+    // rank-th best is the (rank−1)-th best of the others — at most the
+    // (rank−1)-th smallest of their upper ends, which is the overall
+    // rank-th smallest when `m` is among the first `rank`.
+    fn bound(&self, job: &Candidate, lo: &[SimTime], hi: &[SimTime]) -> i128 {
+        let options = Options::new(job, lo, hi);
+        let rank = self.rank;
+        options.with_smallest_hi(rank + 1, |top| {
+            let spread = |alt: SimTime, best: SimTime| match alt {
+                SimTime::MAX => i128::MAX,
+                alt => secs(alt) - secs(best),
+            };
+            (0..options.len())
+                .filter_map(|m| {
+                    let (best, _) = options.bracket(m)?;
+                    let ahead = top[..rank].iter().any(|&(_, j)| j == m);
+                    Some(spread(top[if ahead { rank } else { rank - 1 }].0, best))
+                })
+                .max()
+                .unwrap_or(i128::MIN)
+        })
+    }
+}
+
 impl OrderingHeuristic for SufferageOrder {
     fn label(&self) -> &'static str {
         "Sufferage"
     }
     fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-        let alive = alive(view)?;
-        arg_best(
-            &alive,
-            |i| {
-                let options = view.ect_options(i);
-                match (options.first(), options.get(self.rank)) {
-                    (Some(best), Some(alt)) => (alt.as_secs() - best.as_secs()) as i128,
-                    // Too few options to suffer at this rank.
-                    _ => i128::MIN,
-                }
-            },
-            true,
-        )
+        view.select(self)
     }
     fn params(&self) -> Vec<ParamSpec> {
         vec![ParamSpec::int(

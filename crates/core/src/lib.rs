@@ -53,6 +53,8 @@ pub mod heuristics;
 pub mod load_threshold;
 pub mod mapping;
 pub mod multisub;
+#[cfg(test)]
+mod oracle;
 pub mod realloc;
 
 pub use grid::{GridConfig, GridSim, GridStats, SimError};

@@ -500,8 +500,8 @@ pub(crate) fn run_no_cancel(
                     .submit(job, now)
                     .expect("target estimated, so the job must fit");
                 check_contract(report, view.cluster_mut(target), &w.spec, start, ect);
-                view.invalidate_cluster(w.cluster);
-                view.invalidate_cluster(target);
+                view.note_cancel(w.cluster);
+                view.note_submit(target);
                 report.migrations.push(Migration {
                     job: w.spec.id,
                     from: w.cluster,
@@ -547,7 +547,7 @@ fn run_cancel_all(
             .submit(w.spec, now)
             .expect("estimated target must accept the job");
         check_contract(report, view.cluster_mut(target), &w.spec, start, ect);
-        view.invalidate_cluster(target);
+        view.note_submit(target);
         if target != w.cluster {
             report.migrations.push(Migration {
                 job: w.spec.id,
