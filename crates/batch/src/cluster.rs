@@ -37,8 +37,6 @@
 //! [`LocalScheduler`](crate::sched::LocalScheduler) trait; see the
 //! [`sched`](crate::sched) module for the registry.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use grid_des::{Duration, SimRng, SimTime};
 use grid_obs::{Field, Obs};
 
@@ -192,17 +190,6 @@ impl JobSlab {
     }
 }
 
-/// Process-wide switch for the completion-skip fast path (an early
-/// completion whose freed window admits no waiting job leaves the
-/// schedule untouched). Benchmark baseline hook; results are
-/// byte-identical either way.
-static COMPLETION_SKIP: AtomicBool = AtomicBool::new(true);
-
-#[doc(hidden)]
-pub fn set_completion_skip_enabled(enabled: bool) {
-    COMPLETION_SKIP.store(enabled, Ordering::Relaxed);
-}
-
 /// Counters accumulated over a run (used by tests, ablations and reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
@@ -233,7 +220,7 @@ pub struct ClusterStats {
     /// report total scheduler effort.
     pub first_fit_probes: u64,
     /// Inline→tree promotions of the adaptive availability profile
-    /// (the backend crossed [`default_crossover`](crate::profile::default_crossover)
+    /// (the backend crossed [`DEFAULT_CROSSOVER`](crate::profile::DEFAULT_CROSSOVER)
     /// breakpoints).
     pub profile_promotions: u64,
     /// Batch first-fit placements that resumed from the walk's dominance
@@ -1013,9 +1000,6 @@ impl Cluster {
     /// window can change its answer — every scheduler query returns
     /// exactly what it returned before the release.
     fn completion_admits_none(&self, freed_end: SimTime) -> bool {
-        if !COMPLETION_SKIP.load(Ordering::Relaxed) {
-            return false;
-        }
         if self.q_procs.is_empty() {
             return true;
         }

@@ -38,8 +38,6 @@ pub mod profile;
 pub mod sched;
 
 pub use avail::Breakpoints;
-#[doc(hidden)]
-pub use cluster::set_completion_skip_enabled;
 pub use cluster::{Cluster, ClusterStats, EctNoise, QueuedRef, Running, SubmitError};
 pub use gantt::{availability_lane, GanttChart, GanttEntry};
 pub use job::{JobId, JobSpec, ScaledJob};
@@ -47,6 +45,4 @@ pub use platform::{ClusterSpec, Platform};
 #[doc(hidden)]
 pub use profile::VecProfile;
 pub use profile::{Profile, ProfileBreakpoints};
-#[doc(hidden)]
-pub use sched::set_batch_floor_enabled;
 pub use sched::{BatchPolicy, LocalScheduler, QueueDelta, QueueScan};

@@ -6,67 +6,32 @@
 //! FCFS, CBF and the EASY family differ only in *where* they look for a
 //! hole, not in how holes are found.
 //!
-//! Since the availability-engine refactor the backing store was
-//! [`AvailTree`] — a balanced, time-indexed structure (see the
-//! [`avail`](crate::avail) module) with O(log n) mutations and an
-//! aggregate-pruned [`Profile::first_fit`] descent. The hot-path
-//! overhaul made the backend **adaptive**: `BENCH_sched.json` shows the
-//! treap *loses* to a flat sorted buffer below a few thousand
-//! breakpoints (pointer chasing and per-node overhead dominate), so a
-//! profile now starts life as a `SmallProfile` — a SmallVec-style
-//! inline point buffer running the exact legacy algorithms — and
-//! promotes to the tree only when it outgrows the measured crossover
-//! (`GRID_PROFILE_CROSSOVER`, default 2048 breakpoints). The switch is
+//! The backend is **adaptive**. The balanced, time-indexed
+//! [`AvailTree`] (see the [`avail`](crate::avail) module) has O(log n)
+//! mutations and an aggregate-pruned [`Profile::first_fit`] descent, but
+//! `BENCH_sched.json` shows it *loses* to a flat sorted buffer below a
+//! few thousand breakpoints (pointer chasing and per-node overhead
+//! dominate). So a profile starts life as a `SmallProfile` — a
+//! SmallVec-style inline point buffer — and promotes to the tree only
+//! when it outgrows [`DEFAULT_CROSSOVER`] breakpoints. The switch is
 //! invisible behind the `Profile` API and byte-identical by
-//! construction: the flat algorithms are the historical [`VecProfile`]
-//! ones, which the differential suite pins against the tree on every
-//! observation. `VecProfile` itself survives as the property-test
-//! oracle and the baseline of the `scheduling-incremental` benchmark.
+//! construction: the flat algorithms are the [`VecProfile`] ones, which
+//! the differential suite pins against the tree on every observation.
+//! `VecProfile` itself survives as the property-test oracle and the
+//! baseline of the `scheduling-incremental` benchmark.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use grid_des::{Duration, SimTime};
 
 use crate::avail::{AvailTree, Breakpoints};
 
-/// Sentinel meaning "not configured yet — read the environment".
-const CROSSOVER_UNSET: usize = usize::MAX;
-
-/// Process-wide default for the small→tree promotion threshold
-/// (breakpoint count). Initialised lazily from `GRID_PROFILE_CROSSOVER`.
-static CROSSOVER: AtomicUsize = AtomicUsize::new(CROSSOVER_UNSET);
-
-/// Fallback promotion threshold when `GRID_PROFILE_CROSSOVER` is unset:
-/// conservatively inside the 2–5k band where `BENCH_sched.json` puts the
-/// flat-buffer/tree break-even.
-const DEFAULT_CROSSOVER: usize = 2048;
-
-/// The promotion threshold new profiles are built with: a profile whose
-/// breakpoint count *exceeds* this promotes from the inline buffer to
-/// the [`AvailTree`]. `0` forces the tree from birth.
-pub fn default_crossover() -> usize {
-    let v = CROSSOVER.load(Ordering::Relaxed);
-    if v != CROSSOVER_UNSET {
-        return v;
-    }
-    let v = std::env::var("GRID_PROFILE_CROSSOVER")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_CROSSOVER);
-    CROSSOVER.store(v, Ordering::Relaxed);
-    v
-}
-
-/// Override the process-wide promotion threshold (the hot-path
-/// benchmark's A/B switch; pass `usize::MAX` to re-read the
-/// environment). Existing profiles keep the threshold they were built
-/// with — results are identical either way, only wall time moves.
-#[doc(hidden)]
-pub fn set_default_crossover(n: usize) {
-    CROSSOVER.store(n, Ordering::Relaxed);
-}
+/// Promotion threshold of [`Profile::flat`]: a profile whose breakpoint
+/// count *exceeds* this promotes from the inline buffer to the
+/// [`AvailTree`]. Conservatively inside the 2–5k band where
+/// `BENCH_sched.json` puts the flat-buffer/tree break-even.
+pub const DEFAULT_CROSSOVER: usize = 2048;
 
 /// Step function of free processors over time, with an adaptive backend:
 /// a flat inline point buffer below the promotion crossover, the
@@ -106,9 +71,9 @@ enum Repr {
 
 impl Profile {
     /// A profile with all `total` processors free from `origin` onwards,
-    /// using the process-default promotion crossover.
+    /// promoting to the tree past [`DEFAULT_CROSSOVER`] breakpoints.
     pub fn flat(total: u32, origin: SimTime) -> Self {
-        Self::flat_with_crossover(total, origin, default_crossover())
+        Self::flat_with_crossover(total, origin, DEFAULT_CROSSOVER)
     }
 
     /// A profile pinned to the tree backend from birth — what the

@@ -73,7 +73,6 @@
 //! actually rode a raised floor are counted via
 //! [`Profile::note_batch_fast`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use grid_des::{Duration, SimTime};
@@ -141,15 +140,6 @@ impl QueueScan<'_> {
     }
 }
 
-/// Process-wide switch for the batch first-fit dominance floor
-/// (benchmark baseline hook; results are byte-identical either way).
-static BATCH_FLOOR: AtomicBool = AtomicBool::new(true);
-
-#[doc(hidden)]
-pub fn set_batch_floor_enabled(enabled: bool) {
-    BATCH_FLOOR.store(enabled, Ordering::Relaxed);
-}
-
 /// Dominance frontier over the placements of one `schedule` walk.
 ///
 /// Soundness: within one walk capacity only decreases, so if a job of
@@ -159,7 +149,6 @@ pub fn set_batch_floor_enabled(enabled: bool) {
 /// Every recorded placement searched from the same base (`now`), which
 /// keeps raised-floor results themselves recordable.
 pub(crate) struct BatchFit {
-    enabled: bool,
     len: usize,
     entries: [(u32, Duration, SimTime); BatchFit::CAP],
 }
@@ -169,7 +158,6 @@ impl BatchFit {
 
     pub(crate) fn new() -> BatchFit {
         BatchFit {
-            enabled: BATCH_FLOOR.load(Ordering::Relaxed),
             len: 0,
             entries: [(0, Duration(0), SimTime::ZERO); BatchFit::CAP],
         }
@@ -189,9 +177,6 @@ impl BatchFit {
 
     /// Record a placement of `(procs, walltime)` at `start`.
     pub(crate) fn note(&mut self, procs: u32, walltime: Duration, start: SimTime) {
-        if !self.enabled {
-            return;
-        }
         // Redundant when an existing entry applies at least as widely
         // and floors at least as high.
         if self.entries[..self.len]
@@ -839,6 +824,50 @@ impl LocalScheduler for EasyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        /// The batch first-fit floor never changes an answer: along one
+        /// walk of placements (capacity only decreases), after each
+        /// `note` every probe answers from its raised floor exactly what
+        /// it answers from the walk's base.
+        #[test]
+        fn batch_floor_never_changes_first_fit(
+            tree in proptest::any::<bool>(),
+            total in 1u32..32,
+            busy in proptest::prop::collection::vec((0u64..400, 1u32..32, 1u64..300), 0..6),
+            base in 0u64..200,
+            walk in proptest::prop::collection::vec((1u32..32, 1u64..300), 1..40),
+            probes in proptest::prop::collection::vec((1u32..32, 1u64..300), 1..6),
+        ) {
+            let mut profile = if tree {
+                Profile::flat_tree(total, SimTime::ZERO)
+            } else {
+                Profile::flat(total, SimTime::ZERO)
+            };
+            let procs = |p: u32| (p - 1) % total + 1;
+            // Reservations already carved before the walk starts.
+            for &(at, p, d) in &busy {
+                let start = profile.first_fit(SimTime(at), Duration(d), procs(p));
+                profile.reserve(start, Duration(d), procs(p));
+            }
+            let base = SimTime(base);
+            let mut fit = BatchFit::new();
+            for &(p, d) in &walk {
+                let (p, d) = (procs(p), Duration(d));
+                let start = profile.first_fit(base, d, p);
+                profile.reserve(start, d, p);
+                fit.note(p, d, start);
+                for &(q, e) in probes.iter().chain(&walk) {
+                    let (q, e) = (procs(q), Duration(e));
+                    proptest::prop_assert_eq!(
+                        profile.first_fit(fit.floor(base, q, e), e, q),
+                        profile.first_fit(base, e, q),
+                        "floor changed the fit of ({}, {:?})", q, e
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn builtins_resolve_by_name_case_insensitively() {

@@ -248,6 +248,24 @@ proptest! {
         }
     }
 
+    /// The completion skip is sound: an early completion whose freed
+    /// window admits no waiting job leaves the warm schedule untouched,
+    /// and a cluster that rebuilds on every change (where the skip never
+    /// runs) must agree on every `(id, start, completion)` record under
+    /// random early-completion mixes. `drive` checks the invariants of
+    /// both after every instant.
+    #[test]
+    fn completion_skip_matches_full_rebuild(jobs in jobs_strategy(8)) {
+        for policy in [BatchPolicy::Fcfs, BatchPolicy::Cbf, BatchPolicy::Easy, BatchPolicy::EasySjf] {
+            let run = |incremental: bool| {
+                let mut c = Cluster::new(ClusterSpec::new("p", 8, 1.0), policy);
+                c.set_incremental(incremental);
+                drive(&mut c, jobs.clone())
+            };
+            prop_assert_eq!(run(true), run(false), "{} diverged from the rebuild", policy);
+        }
+    }
+
     /// Cancelling a waiting job never delays the *head* of the queue, and
     /// leaves every job queued before the victim untouched. (Jobs queued
     /// after it may legitimately move either way — Graham's anomalies.)

@@ -1,35 +1,27 @@
 //! `hotpath` — the million-job end-to-end perf contract.
 //!
-//! One binary, two engine configurations, the identical workload:
-//!
-//! * **legacy** — the pre-hot-path engine, reconstructed through the
-//!   doc-hidden toggles: tree profiles for every queue depth (crossover
-//!   0), the `BinaryHeap` event queue, no batch dominance floor, no
-//!   completion-admits-none skip.
-//! * **optimized** — the defaults: adaptive inline/tree profiles, the
-//!   bucketed calendar queue, batch first-fit floors and the completion
-//!   skip.
-//!
-//! Two scenarios gate the contract:
+//! Two scenarios:
 //!
 //! 1. **1M jobs end-to-end** (16-site grid, CBF, over-estimated
-//!    walltimes): the optimized engine must finish at least **1.3×**
-//!    faster than the legacy one.
+//!    walltimes): adaptive inline/tree profiles, the bucketed event
+//!    queue, batch first-fit floors and the completion skip all carry
+//!    load here.
 //! 2. **1k-job queue depth** (one site, the whole workload queued at
-//!    once): the deep-queue regime that the tree backend exists for —
-//!    the optimized engine must not regress (≤ 1.15× of legacy,
-//!    margin for timer noise).
+//!    once): the deep-queue regime that the tree backend exists for.
 //!
-//! Both scenarios assert **byte-identity** first: every job record —
-//! id, submit, start, completion, site, reallocations — is hashed and
-//! the two configurations must produce the same digest. The speed-ups
-//! are only meaningful because the answers are equal.
+//! Every job record — id, submit, start, completion, site,
+//! reallocations — is hashed, and each scenario's digest must equal its
+//! pinned constant ([`PINNED`]): the digest both the pre-hot-path engine
+//! and the current one produce. So every optimisation stays
+//! byte-identical without rebuilding the engine it replaced in this
+//! binary. End-to-end speed is gated by the campaign ledger
+//! (`perfbench/`), not here.
 //!
 //! Timings are the *minimum* of the measured passes (co-tenant noise on
 //! a shared runner only ever slows a pass down). `BENCH_HOTPATH_QUICK=1`
-//! shrinks the workload (50k jobs, one pass) and skips the speed-up
-//! assertions — byte-identity is still enforced. Results land in
-//! `BENCH_hotpath.json` (override with `BENCH_HOTPATH_JSON`).
+//! shrinks the grid workload (50k jobs, one pass); the digests are
+//! enforced either way. Results land in `BENCH_hotpath.json` (override
+//! with `BENCH_HOTPATH_JSON`).
 
 use std::time::Instant;
 
@@ -37,22 +29,19 @@ use grid_batch::{BatchPolicy, ClusterSpec, JobSpec, Platform};
 use grid_metrics::RunOutcome;
 use grid_realloc::{GridConfig, GridSim};
 
+/// Outcome digest per `(scenario, jobs)`.
+const PINNED: &[(&str, usize, u64)] = &[
+    ("grid", 1_000_000, 0xeede0dc039694a35),
+    ("grid", 50_000, 0x9ac632e8dba853b3),
+    ("deep", 1_000, 0x451903d17480e4b5),
+];
+
 fn quick() -> bool {
     std::env::var("BENCH_HOTPATH_QUICK").is_ok_and(|v| v == "1")
 }
 
-/// Flip every hot-path toggle at once. `legacy == true` reconstructs the
-/// pre-hot-path engine; `false` restores the defaults.
-fn set_engine_legacy(legacy: bool) {
-    // Crossover 0: every profile starts (and stays) on the tree backend.
-    grid_batch::profile::set_default_crossover(if legacy { 0 } else { usize::MAX });
-    grid_des::queue::set_default_backend_heap(legacy);
-    grid_batch::set_batch_floor_enabled(!legacy);
-    grid_batch::set_completion_skip_enabled(!legacy);
-}
-
 /// FNV-1a over every field of every job record, in id order — the
-/// byte-identity digest the two configurations must agree on.
+/// byte-identity digest pinned in [`PINNED`].
 fn outcome_digest(out: &RunOutcome) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
@@ -128,7 +117,7 @@ fn deep_workload(jobs: usize) -> (Platform, Vec<JobSpec>) {
     (platform, specs)
 }
 
-/// Run one configuration over one workload; wall time and digest.
+/// Run one workload; wall time and digest.
 fn run_once(platform: &Platform, specs: &[JobSpec]) -> (f64, u64) {
     let config = GridConfig::new(platform.clone(), BatchPolicy::Cbf).with_seed(42);
     let t0 = Instant::now();
@@ -139,87 +128,50 @@ fn run_once(platform: &Platform, specs: &[JobSpec]) -> (f64, u64) {
     (ms, outcome_digest(&out))
 }
 
-/// Best-of-`passes` wall time for one engine configuration.
-fn measure(legacy: bool, platform: &Platform, specs: &[JobSpec], passes: usize) -> (f64, u64) {
-    set_engine_legacy(legacy);
+/// Best-of-`passes` wall time for one scenario, after checking every
+/// pass's digest against [`PINNED`].
+fn measure(
+    scenario: &str,
+    platform: &Platform,
+    specs: &[JobSpec],
+    passes: usize,
+) -> grid_ser::Value {
+    let jobs = specs.len();
+    let pinned = PINNED
+        .iter()
+        .find(|&&(s, n, _)| (s, n) == (scenario, jobs))
+        .map(|&(_, _, d)| d)
+        .expect("every scenario size has a pinned digest");
     let mut best = f64::INFINITY;
-    let mut digest = 0u64;
-    for _ in 0..passes.max(1) {
-        let (ms, d) = run_once(platform, specs);
+    for _ in 0..passes {
+        let (ms, digest) = run_once(platform, specs);
+        assert_eq!(
+            digest, pinned,
+            "engine changed the answer on the {scenario} workload ({jobs} jobs)"
+        );
         best = best.min(ms);
-        digest = d;
     }
-    set_engine_legacy(false);
-    (best, digest)
+    println!("bench: hotpath/{scenario} {jobs:>7} jobs {best:>9.1} ms");
+    let mut json = grid_ser::Value::object();
+    json.insert("jobs", jobs as u64);
+    json.insert("ms", best);
+    json.insert("digest", format!("{pinned:016x}"));
+    json
 }
 
 fn main() {
     let quick = quick();
     let passes = if quick { 1 } else { 2 };
     let grid_jobs = if quick { 50_000 } else { 1_000_000 };
-    let deep_jobs = 1_000;
 
     let mut json = grid_ser::Value::object();
-    json.insert("schema", "bench-hotpath/1");
+    json.insert("schema", "bench-hotpath/2");
     json.insert("quick", quick);
 
-    // ---- Scenario 1: 1M jobs end-to-end -----------------------------
     let (platform, specs) = grid_workload(grid_jobs);
-    let (legacy_ms, legacy_digest) = measure(true, &platform, &specs, passes);
-    let (opt_ms, opt_digest) = measure(false, &platform, &specs, passes);
-    assert_eq!(
-        legacy_digest, opt_digest,
-        "hot-path engine changed the answer on the grid workload"
-    );
-    let speedup = legacy_ms / opt_ms.max(f64::MIN_POSITIVE);
-    println!(
-        "bench: hotpath/grid {grid_jobs} jobs  legacy {legacy_ms:>9.1} ms | optimized \
-         {opt_ms:>9.1} ms ({speedup:.2}x)"
-    );
-    let mut grid_json = grid_ser::Value::object();
-    grid_json.insert("jobs", grid_jobs as u64);
-    grid_json.insert("legacy_ms", legacy_ms);
-    grid_json.insert("optimized_ms", opt_ms);
-    grid_json.insert("speedup", speedup);
-    grid_json.insert("digest", format!("{legacy_digest:016x}"));
-    json.insert("grid", grid_json);
-
-    // ---- Scenario 2: 1k-job queue depth -----------------------------
-    let (platform, specs) = deep_workload(deep_jobs);
-    let (deep_legacy_ms, deep_legacy_digest) = measure(true, &platform, &specs, passes.max(3));
-    let (deep_opt_ms, deep_opt_digest) = measure(false, &platform, &specs, passes.max(3));
-    assert_eq!(
-        deep_legacy_digest, deep_opt_digest,
-        "hot-path engine changed the answer on the deep-queue workload"
-    );
-    let deep_ratio = deep_opt_ms / deep_legacy_ms.max(f64::MIN_POSITIVE);
-    println!(
-        "bench: hotpath/deep {deep_jobs} jobs   legacy {deep_legacy_ms:>9.1} ms | optimized \
-         {deep_opt_ms:>9.1} ms (x{deep_ratio:.2} of legacy)"
-    );
-    let mut deep_json = grid_ser::Value::object();
-    deep_json.insert("jobs", deep_jobs as u64);
-    deep_json.insert("legacy_ms", deep_legacy_ms);
-    deep_json.insert("optimized_ms", deep_opt_ms);
-    deep_json.insert("ratio_vs_legacy", deep_ratio);
-    deep_json.insert("digest", format!("{deep_legacy_digest:016x}"));
-    json.insert("deep", deep_json);
-
-    // ---- The contract -----------------------------------------------
-    if quick {
-        println!("bench: quick mode — speed-up assertions skipped (byte-identity enforced)");
-    } else {
-        assert!(
-            speedup >= 1.3,
-            "optimized engine must be >= 1.3x faster end-to-end at {grid_jobs} jobs \
-             (measured {speedup:.2}x)"
-        );
-        assert!(
-            deep_ratio <= 1.15,
-            "optimized engine must not regress at {deep_jobs}-job queue depth \
-             (measured x{deep_ratio:.2} of legacy)"
-        );
-    }
+    json.insert("grid", measure("grid", &platform, &specs, passes));
+    let (platform, specs) = deep_workload(1_000);
+    json.insert("deep", measure("deep", &platform, &specs, 3));
 
     let path =
         std::env::var("BENCH_HOTPATH_JSON").unwrap_or_else(|_| "BENCH_hotpath.json".to_string());

@@ -7,11 +7,10 @@
 //! [`EventQueue::pop_batch`] to obtain *all* events of the current instant
 //! at once, so that cluster schedules are recomputed once per instant.
 //!
-//! ## Backends
+//! ## Layout
 //!
-//! The historical backend was a `BinaryHeap` — O(log n) per operation
-//! with poor locality once a month-long trace preloads a million arrival
-//! events. The default backend is now a **bucketed (ladder) queue**:
+//! A month-long trace preloads a million arrival events, so the queue is
+//! a **bucketed (ladder) queue** with O(1) inserts and good locality:
 //!
 //! * a small sorted *current* window served O(1) from its tail,
 //! * a ring of fixed-width future buckets (events land in their bucket
@@ -20,14 +19,8 @@
 //!   into a fresh ring — sized from the live event span — when the ring
 //!   drains ([`EventQueue::bucket_spills`] counts those far landings).
 //!
-//! Both backends implement the same total `(at, seq)` order, so replays
-//! are bit-identical either way; the heap survives as the differential
-//! oracle ([`EventQueue::heap`]) and as the baseline of the hot-path
-//! benchmark (`set_default_backend_heap`).
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+//! Pops follow the total `(at, seq)` order exactly; the tests check the
+//! queue against a sorted-map oracle keyed on `(at, seq)`.
 
 use crate::time::SimTime;
 
@@ -42,51 +35,13 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// Internal heap entry ordered so that the `BinaryHeap` (a max-heap) pops
-/// the earliest `(at, seq)` first.
-#[derive(Debug)]
-struct Entry<E>(Scheduled<E>);
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: smaller (at, seq) is "greater" for the max-heap.
-        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
-    }
-}
-
-/// Process-wide backend default for [`EventQueue::new`]: `false` (the
-/// default) selects the bucketed queue, `true` the legacy heap. Flipped
-/// only by the hot-path benchmark's A/B harness — pop order is identical
-/// either way, so the switch is observation-free.
-static DEFAULT_HEAP: AtomicBool = AtomicBool::new(false);
-
-/// Make [`EventQueue::new`] build the legacy `BinaryHeap` backend
-/// (benchmark baseline). Pop order is identical across backends.
-#[doc(hidden)]
-pub fn set_default_backend_heap(heap: bool) {
-    DEFAULT_HEAP.store(heap, AtomicOrdering::Relaxed);
-}
-
 /// Ring sizing: aim for this many events per bucket at redistribution.
 const TARGET_PER_BUCKET: usize = 16;
 /// Ring size bounds (power-of-two bucket counts).
 const MIN_BUCKETS: usize = 16;
 const MAX_BUCKETS: usize = 1 << 16;
 
-/// The bucketed (ladder) backend. Every event lives in exactly one of
+/// The bucketed (ladder) queue. Every event lives in exactly one of
 /// three tiers, ordered `current < ring < overflow` by timestamp:
 ///
 /// * `current` — sorted descending by `(at, seq)`, popped from the tail;
@@ -234,13 +189,6 @@ impl<E> Ladder<E> {
     }
 }
 
-/// Backend storage of an [`EventQueue`].
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Ladder(Ladder<E>),
-}
-
 /// A deterministic future-event list.
 ///
 /// ```
@@ -258,7 +206,7 @@ enum Backend<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    ladder: Ladder<E>,
     next_seq: u64,
     /// Highest timestamp ever popped; used to reject scheduling in the past.
     watermark: SimTime,
@@ -271,30 +219,10 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue with the process-default backend (the
-    /// bucketed queue unless the benchmark harness asked for the heap).
+    /// Create an empty queue.
     pub fn new() -> Self {
-        if DEFAULT_HEAP.load(AtomicOrdering::Relaxed) {
-            Self::heap()
-        } else {
-            Self::bucketed()
-        }
-    }
-
-    /// An empty queue on the bucketed (ladder) backend.
-    pub fn bucketed() -> Self {
         EventQueue {
-            backend: Backend::Ladder(Ladder::new()),
-            next_seq: 0,
-            watermark: SimTime::ZERO,
-        }
-    }
-
-    /// An empty queue on the legacy `BinaryHeap` backend — the
-    /// differential oracle the bucketed queue is property-tested against.
-    pub fn heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
+            ladder: Ladder::new(),
             next_seq: 0,
             watermark: SimTime::ZERO,
         }
@@ -303,19 +231,13 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with room for `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::new();
-        match &mut q.backend {
-            Backend::Heap(h) => h.reserve(cap),
-            Backend::Ladder(l) => l.overflow.reserve(cap),
-        }
+        q.ladder.overflow.reserve(cap);
         q
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Ladder(l) => l.len,
-        }
+        self.ladder.len
     }
 
     /// `true` when no events are pending.
@@ -326,12 +248,9 @@ impl<E> EventQueue<E> {
     /// Events that landed beyond the ring horizon (and were therefore
     /// redistributed from the overflow list later) — the bucketed
     /// queue's only non-O(1) insertion path, surfaced as a campaign
-    /// stats counter. Always 0 on the heap backend.
+    /// stats counter.
     pub fn bucket_spills(&self) -> u64 {
-        match &self.backend {
-            Backend::Heap(_) => 0,
-            Backend::Ladder(l) => l.spills,
-        }
+        self.ladder.spills
     }
 
     /// Schedule `event` at time `at`.
@@ -347,27 +266,18 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Entry(Scheduled { at, seq, event })),
-            Backend::Ladder(l) => l.schedule(Scheduled { at, seq, event }),
-        }
+        self.ladder.schedule(Scheduled { at, seq, event });
         seq
     }
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.0.at),
-            Backend::Ladder(l) => l.peek_time(),
-        }
+        self.ladder.peek_time()
     }
 
     /// Pop the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let entry = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|e| e.0),
-            Backend::Ladder(l) => l.pop(),
-        }?;
+        let entry = self.ladder.pop()?;
         self.watermark = entry.at;
         Some(entry)
     }
@@ -385,43 +295,33 @@ impl<E> EventQueue<E> {
 
     /// Drop every pending event (the clock watermark is preserved).
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Ladder(l) => l.clear(),
-        }
+        self.ladder.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Run a test body against both backends.
-    fn both(f: impl Fn(EventQueue<i32>)) {
-        f(EventQueue::bucketed());
-        f(EventQueue::heap());
-    }
+    use std::collections::BTreeMap;
 
     #[test]
     fn pops_in_time_order() {
-        both(|mut q| {
-            q.schedule(SimTime(30), 3);
-            q.schedule(SimTime(10), 1);
-            q.schedule(SimTime(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(30), 3);
+        q.schedule(SimTime(10), 1);
+        q.schedule(SimTime(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_broken_by_insertion_order() {
-        both(|mut q| {
-            for i in 0..100 {
-                q.schedule(SimTime(7), i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(SimTime(7), i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -474,15 +374,14 @@ mod tests {
 
     #[test]
     fn clear_removes_everything() {
-        both(|mut q| {
-            q.schedule(SimTime(1), 1);
-            q.schedule(SimTime(2), 2);
-            q.clear();
-            assert!(q.is_empty());
-            // The queue stays usable after a clear.
-            q.schedule(SimTime(3), 3);
-            assert_eq!(q.pop().unwrap().event, 3);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(1), 1);
+        q.schedule(SimTime(2), 2);
+        q.clear();
+        assert!(q.is_empty());
+        // The queue stays usable after a clear.
+        q.schedule(SimTime(3), 3);
+        assert_eq!(q.pop().unwrap().event, 3);
     }
 
     #[test]
@@ -496,54 +395,57 @@ mod tests {
 
     #[test]
     fn interleaved_schedule_and_pop_stays_deterministic() {
-        both(|mut q| {
-            q.schedule(SimTime(1), 0);
-            q.schedule(SimTime(3), 3);
-            assert_eq!(q.pop().unwrap().event, 0);
-            q.schedule(SimTime(2), 1);
-            q.schedule(SimTime(2), 2);
-            assert_eq!(q.pop().unwrap().event, 1);
-            assert_eq!(q.pop().unwrap().event, 2);
-            assert_eq!(q.pop().unwrap().event, 3);
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(1), 0);
+        q.schedule(SimTime(3), 3);
+        assert_eq!(q.pop().unwrap().event, 0);
+        q.schedule(SimTime(2), 1);
+        q.schedule(SimTime(2), 2);
+        assert_eq!(q.pop().unwrap().event, 1);
+        assert_eq!(q.pop().unwrap().event, 2);
+        assert_eq!(q.pop().unwrap().event, 3);
     }
 
     /// A wide-span preload (the million-arrival shape) forces the ring
-    /// rebuild path; pop order must match the heap oracle exactly.
+    /// rebuild path; pop order must match a sorted-map oracle keyed on
+    /// `(at, seq)` exactly.
     #[test]
-    fn bucketed_matches_heap_on_wide_span_preload() {
-        let mut bucketed = EventQueue::bucketed();
-        let mut heap = EventQueue::heap();
+    fn queue_matches_oracle_on_wide_span_preload() {
+        let mut q = EventQueue::new();
+        let mut oracle = BTreeMap::new();
         let mut x: u64 = 0xDEAD_BEEF;
         for i in 0..5_000u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let at = SimTime(x % 2_600_000);
-            bucketed.schedule(at, i as i32);
-            heap.schedule(at, i as i32);
+            let seq = q.schedule(at, i as i32);
+            oracle.insert((at, i), i as i32);
+            assert_eq!(seq, i);
         }
-        assert!(bucketed.bucket_spills() > 0, "wide preload must spill");
+        assert!(q.bucket_spills() > 0, "wide preload must spill");
         // Interleave near-term inserts with pops, like completions do.
+        let mut next_seq = 5_000u64;
         let mut popped = 0u64;
-        while let Some(a) = bucketed.pop() {
-            let b = heap.pop().unwrap();
-            assert_eq!((a.at, a.seq, a.event), (b.at, b.seq, b.event));
+        while let Some(a) = q.pop() {
+            let ((at, seq), event) = oracle.pop_first().unwrap();
+            assert_eq!((a.at, a.seq, a.event), (at, seq, event));
             popped += 1;
             if popped.is_multiple_of(7) {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 let at = a.at + crate::time::Duration(x % 500);
-                bucketed.schedule(at, -(popped as i32));
-                heap.schedule(at, -(popped as i32));
+                assert_eq!(q.schedule(at, -(popped as i32)), next_seq);
+                oracle.insert((at, next_seq), -(popped as i32));
+                next_seq += 1;
             }
         }
-        assert!(heap.pop().is_none());
+        assert!(oracle.is_empty());
     }
 
     /// Draining the queue and restarting (the era reset) keeps ordering.
     #[test]
     fn era_reset_after_drain_keeps_ordering() {
-        let mut q = EventQueue::bucketed();
+        let mut q = EventQueue::new();
         for round in 0..5u64 {
             let base = round * 1_000_000;
             q.schedule(SimTime(base + 10), 1);

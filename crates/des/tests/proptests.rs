@@ -1,5 +1,7 @@
 //! Property-based tests for the DES kernel.
 
+use std::collections::BTreeMap;
+
 use grid_des::{Duration, EventQueue, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -40,62 +42,68 @@ proptest! {
         prop_assert_eq!(total, times.len());
     }
 
-    /// The bucketed (calendar) backend is observationally identical to the
-    /// BinaryHeap oracle under an arbitrary interleaving of schedule, pop,
-    /// pop_batch and peek ops: same sequence numbers out of `schedule`,
-    /// same `(time, seq, event)` stream out of every pop, same lengths.
-    /// Schedules land at `watermark + dt` so the mix stays legal for both.
+    /// The event queue is observationally identical to a sorted-map
+    /// oracle keyed on `(time, seq)` under an arbitrary interleaving of
+    /// schedule, pop, pop_batch and peek ops: the sequence numbers out of
+    /// `schedule` count up from 0, every pop yields the map's first entry,
+    /// and the lengths agree. Schedules land at `watermark + dt` so the
+    /// mix stays legal.
     #[test]
-    fn bucketed_queue_agrees_with_heap_oracle(
+    fn queue_agrees_with_sorted_map_oracle(
         ops in prop::collection::vec((0u8..10, 0u64..500), 1..300),
     ) {
-        let mut ladder = EventQueue::bucketed();
-        let mut heap = EventQueue::heap();
+        let mut q = EventQueue::new();
+        let mut oracle: BTreeMap<(SimTime, u64), usize> = BTreeMap::new();
         let mut watermark = SimTime::ZERO;
-        let mut next_event = 0usize;
+        let mut next_seq = 0u64;
         for (kind, dt) in ops {
             match kind {
                 // Schedule-heavy: keep the ladder populated enough to
                 // trigger era rebuilds and overflow spills.
                 0..=5 => {
                     let at = watermark + Duration(dt);
-                    let s_l = ladder.schedule(at, next_event);
-                    let s_h = heap.schedule(at, next_event);
-                    prop_assert_eq!(s_l, s_h, "seq numbers diverged");
-                    next_event += 1;
+                    let event = next_seq as usize;
+                    prop_assert_eq!(q.schedule(at, event), next_seq, "seq numbers diverged");
+                    oracle.insert((at, next_seq), event);
+                    next_seq += 1;
                 }
                 6 | 7 => {
-                    let p_l = ladder.pop().map(|s| (s.at, s.seq, s.event));
-                    let p_h = heap.pop().map(|s| (s.at, s.seq, s.event));
-                    prop_assert_eq!(&p_l, &p_h, "pop diverged");
-                    if let Some((at, _, _)) = p_l {
+                    let got = q.pop().map(|s| (s.at, s.seq, s.event));
+                    let want = oracle.pop_first().map(|((at, seq), e)| (at, seq, e));
+                    prop_assert_eq!(&got, &want, "pop diverged");
+                    if let Some((at, _, _)) = got {
                         watermark = at;
                     }
                 }
                 8 => {
-                    let b_l = ladder.pop_batch().map(|(t, v)| {
+                    let got = q.pop_batch().map(|(t, v)| {
                         (t, v.into_iter().map(|s| (s.at, s.seq, s.event)).collect::<Vec<_>>())
                     });
-                    let b_h = heap.pop_batch().map(|(t, v)| {
-                        (t, v.into_iter().map(|s| (s.at, s.seq, s.event)).collect::<Vec<_>>())
+                    let want = oracle.keys().next().map(|&(t, _)| t).map(|t| {
+                        let mut batch = Vec::new();
+                        while let Some(e) = oracle.first_entry().filter(|e| e.key().0 == t) {
+                            let ((at, seq), event) = e.remove_entry();
+                            batch.push((at, seq, event));
+                        }
+                        (t, batch)
                     });
-                    prop_assert_eq!(&b_l, &b_h, "pop_batch diverged");
-                    if let Some((t, _)) = b_l {
+                    prop_assert_eq!(&got, &want, "pop_batch diverged");
+                    if let Some((t, _)) = got {
                         watermark = t;
                     }
                 }
                 _ => {
-                    prop_assert_eq!(ladder.peek_time(), heap.peek_time());
+                    prop_assert_eq!(q.peek_time(), oracle.keys().next().map(|&(t, _)| t));
                 }
             }
-            prop_assert_eq!(ladder.len(), heap.len());
+            prop_assert_eq!(q.len(), oracle.len());
         }
-        // Drain both to the end: the tails must agree element-for-element.
+        // Drain to the end: the tails must agree element-for-element.
         loop {
-            let p_l = ladder.pop().map(|s| (s.at, s.seq, s.event));
-            let p_h = heap.pop().map(|s| (s.at, s.seq, s.event));
-            prop_assert_eq!(&p_l, &p_h, "drain diverged");
-            if p_l.is_none() {
+            let got = q.pop().map(|s| (s.at, s.seq, s.event));
+            let want = oracle.pop_first().map(|((at, seq), e)| (at, seq, e));
+            prop_assert_eq!(&got, &want, "drain diverged");
+            if got.is_none() {
                 break;
             }
         }
