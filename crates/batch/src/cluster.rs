@@ -687,15 +687,16 @@ impl Cluster {
     /// `None` when the job cannot run here at all. Subject to the
     /// [`EctNoise`] fault hook when one is installed.
     pub fn estimate_new(&mut self, job: &JobSpec, now: SimTime) -> Option<SimTime> {
+        // An impossible job answers `None` without touching the schedule.
         if job.procs > self.spec.procs || job.procs == 0 {
             return None;
         }
-        let scaled = self.scale_job(job);
         self.ensure_schedule(now);
-        let start = self.place_at_tail(scaled.procs, scaled.walltime, now);
+        let ect = self.estimate_with(job, now, |procs, walltime| {
+            self.place_at_tail(procs, walltime, now)
+        });
         self.harvest_probes();
-        self.obs.count("ect.estimate_new", 1);
-        Some(self.noisy(job.id, now, start + scaled.walltime))
+        ect
     }
 
     /// Estimated completion time of a job already waiting here: its current
@@ -768,17 +769,11 @@ impl Cluster {
     /// drops the snapshot, on purpose: a stale answer would otherwise be
     /// indistinguishable from a fresh one).
     pub fn estimate_new_at(&self, job: &JobSpec, now: SimTime) -> Option<SimTime> {
-        if job.procs > self.spec.procs || job.procs == 0 {
-            return None;
-        }
-        let frozen = self.snapshot.as_ref().expect("prepare_estimates first");
-        debug_assert_eq!(frozen.now, now, "snapshot frozen at a different instant");
-        let scaled = self.scale_job(job);
-        let start = frozen
-            .profile
-            .first_fit(frozen.floor, scaled.walltime, scaled.procs);
-        self.obs.count("ect.estimate_new", 1);
-        Some(self.noisy(job.id, now, start + scaled.walltime))
+        self.estimate_with(job, now, |procs, walltime| {
+            let frozen = self.snapshot.as_ref().expect("prepare_estimates first");
+            debug_assert_eq!(frozen.now, now, "snapshot frozen at a different instant");
+            frozen.profile.first_fit(frozen.floor, walltime, procs)
+        })
     }
 
     /// Fill one ECT column in a single batched pass: estimate every
@@ -805,15 +800,12 @@ impl Cluster {
             let mut out = Vec::new();
             for job in jobs {
                 out.push(job.and_then(|job| {
-                    if job.procs > self.spec.procs || job.procs == 0 {
-                        return None;
-                    }
-                    let scaled = self.scale_job(job);
-                    let base = fit.floor(floor, scaled.procs, scaled.walltime);
-                    let start = snap.first_fit(base, scaled.walltime, scaled.procs);
-                    fit.note(scaled.procs, scaled.walltime, start);
-                    self.obs.count("ect.estimate_new", 1);
-                    Some(self.noisy(job.id, now, start + scaled.walltime))
+                    self.estimate_with(job, now, |procs, walltime| {
+                        let base = fit.floor(floor, procs, walltime);
+                        let start = snap.first_fit(base, walltime, procs);
+                        fit.note(procs, walltime, start);
+                        start
+                    })
                 }));
             }
             out
@@ -827,6 +819,25 @@ impl Cluster {
     #[doc(hidden)]
     pub fn has_estimate_snapshot(&self) -> bool {
         self.snapshot.is_some()
+    }
+
+    /// The step the three new-job estimate queries share: reject a job
+    /// the cluster cannot run, scale it to this cluster's speed, place it
+    /// with `place(procs, walltime)` and apply the ECT-noise hook to the
+    /// resulting completion time.
+    fn estimate_with(
+        &self,
+        job: &JobSpec,
+        now: SimTime,
+        place: impl FnOnce(u32, Duration) -> SimTime,
+    ) -> Option<SimTime> {
+        if job.procs > self.spec.procs || job.procs == 0 {
+            return None;
+        }
+        let scaled = self.scale_job(job);
+        let start = place(scaled.procs, scaled.walltime);
+        self.obs.count("ect.estimate_new", 1);
+        Some(self.noisy(job.id, now, start + scaled.walltime))
     }
 
     /// Apply the ECT-noise hook to an estimate, if one is installed.

@@ -42,7 +42,5 @@ pub use cluster::{Cluster, ClusterStats, EctNoise, QueuedRef, Running, SubmitErr
 pub use gantt::{availability_lane, GanttChart, GanttEntry};
 pub use job::{JobId, JobSpec, ScaledJob};
 pub use platform::{ClusterSpec, Platform};
-#[doc(hidden)]
-pub use profile::VecProfile;
 pub use profile::{Profile, ProfileBreakpoints};
 pub use sched::{BatchPolicy, LocalScheduler, QueueDelta, QueueScan};

@@ -15,9 +15,10 @@
 //! SmallVec-style inline point buffer — and promotes to the tree only
 //! when it outgrows [`DEFAULT_CROSSOVER`] breakpoints. The switch is
 //! invisible behind the `Profile` API and byte-identical by
-//! construction: the flat algorithms are the [`VecProfile`] ones, which
-//! the differential suite pins against the tree on every observation.
-//! `VecProfile` itself survives as the property-test oracle and the
+//! construction, which the differential suite pins on every observation.
+//! A profile that never promotes (crossover `usize::MAX`, see
+//! [`Profile::flat_with_crossover`]) runs the flat algorithms alone: it
+//! is the property-test oracle the tree is compared against and the
 //! baseline of the `scheduling-incremental` benchmark.
 
 use std::cell::Cell;
@@ -87,7 +88,7 @@ impl Profile {
 
     /// A profile with an explicit promotion crossover (test hook: a tiny
     /// crossover lets short op sequences straddle the promotion
-    /// boundary).
+    /// boundary, and `usize::MAX` never promotes — the flat-only oracle).
     #[doc(hidden)]
     pub fn flat_with_crossover(total: u32, origin: SimTime, crossover: usize) -> Self {
         let repr = if crossover == 0 {
@@ -584,10 +585,10 @@ impl PointBuf {
     }
 }
 
-/// The flat sorted-buffer backend of an adaptive [`Profile`]: the legacy
-/// [`VecProfile`] algorithms over a [`PointBuf`]. Behaviour — including
-/// every panic message — is identical to both the oracle and the tree,
-/// which is what makes backend promotion invisible.
+/// The flat sorted-buffer backend of an adaptive [`Profile`]: O(n)
+/// mutations over a [`PointBuf`]. Behaviour — including every panic
+/// message — is identical to the tree, which is what makes backend
+/// promotion invisible.
 #[derive(Clone, Debug)]
 struct SmallProfile {
     buf: PointBuf,
@@ -801,244 +802,6 @@ impl std::fmt::Debug for Profile {
             .field("total", &self.total())
             .field("points", &self.points())
             .finish()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Legacy sorted-Vec backend: the differential oracle
-// ---------------------------------------------------------------------
-
-/// The historical sorted-`Vec` profile backend, kept verbatim as the
-/// differential oracle: property tests drive identical op sequences
-/// through [`VecProfile`] and the tree-backed [`Profile`] and require
-/// byte-identical observations, and the `scheduling-incremental`
-/// benchmark measures the tree against it. Not part of the public API —
-/// O(n) per mutation, superseded by the availability engine.
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VecProfile {
-    /// Breakpoints, strictly increasing in time. Invariant: non-empty.
-    points: Vec<(SimTime, u32)>,
-    /// Total processors of the underlying cluster (upper bound of `free`).
-    total: u32,
-}
-
-impl VecProfile {
-    /// A profile with all `total` processors free from `origin` onwards.
-    pub fn flat(total: u32, origin: SimTime) -> Self {
-        VecProfile {
-            points: vec![(origin, total)],
-            total,
-        }
-    }
-
-    /// Total processors.
-    #[inline]
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
-    /// Time of the first breakpoint.
-    pub fn origin(&self) -> SimTime {
-        self.points[0].0
-    }
-
-    /// Number of breakpoints.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `false` — a profile always has at least one breakpoint.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Free processors at instant `t` (clamped to the profile origin).
-    pub fn free_at(&self, t: SimTime) -> u32 {
-        match self.points.binary_search_by_key(&t, |p| p.0) {
-            Ok(i) => self.points[i].1,
-            Err(0) => self.points[0].1,
-            Err(i) => self.points[i - 1].1,
-        }
-    }
-
-    /// Minimum free count over `[start, start + dur)`.
-    pub fn min_free(&self, start: SimTime, dur: Duration) -> u32 {
-        if dur == Duration::ZERO {
-            return self.free_at(start);
-        }
-        let end = start + dur;
-        let mut i = match self.points.binary_search_by_key(&start, |p| p.0) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        let mut m = u32::MAX;
-        while i < self.points.len() && self.points[i].0 < end {
-            m = m.min(self.points[i].1);
-            i += 1;
-        }
-        m
-    }
-
-    /// Remove `procs` processors over `[start, start + dur)`.
-    pub fn reserve(&mut self, start: SimTime, dur: Duration, procs: u32) {
-        if dur == Duration::ZERO || procs == 0 {
-            return;
-        }
-        assert!(
-            start >= self.origin(),
-            "reservation at {start} before profile origin {}",
-            self.origin()
-        );
-        let end = start + dur;
-        let si = self.ensure_breakpoint(start);
-        let ei = self.ensure_breakpoint(end);
-        for p in &mut self.points[si..ei] {
-            assert!(
-                p.1 >= procs,
-                "over-reservation: {} procs free at {}, need {procs}",
-                p.1,
-                p.0
-            );
-            p.1 -= procs;
-        }
-        self.coalesce();
-    }
-
-    /// Advance the profile origin to `now`.
-    pub fn advance_origin(&mut self, now: SimTime) {
-        if self.points[0].0 >= now {
-            return;
-        }
-        let cut = match self.points.binary_search_by_key(&now, |p| p.0) {
-            Ok(i) => i,
-            Err(i) => i - 1, // i >= 1 because origin < now
-        };
-        if cut > 0 {
-            self.points.drain(..cut);
-        }
-        self.points[0].0 = now;
-    }
-
-    /// Give `procs` processors back over `[start, start + dur)`.
-    pub fn release(&mut self, start: SimTime, dur: Duration, procs: u32) {
-        if dur == Duration::ZERO || procs == 0 {
-            return;
-        }
-        assert!(
-            start >= self.origin(),
-            "release at {start} before profile origin {}",
-            self.origin()
-        );
-        let end = start + dur;
-        let si = self.ensure_breakpoint(start);
-        let ei = self.ensure_breakpoint(end);
-        for p in &mut self.points[si..ei] {
-            assert!(
-                p.1 + procs <= self.total,
-                "over-release: {} procs free at {}, releasing {procs} of {}",
-                p.1,
-                p.0,
-                self.total
-            );
-            p.1 += procs;
-        }
-        self.coalesce();
-    }
-
-    /// Earliest `t >= after` fitting `procs` for `dur` (linear scan).
-    pub fn earliest_fit(&self, after: SimTime, procs: u32, dur: Duration) -> SimTime {
-        assert!(
-            procs <= self.total,
-            "job needs {procs} procs, cluster has {}",
-            self.total
-        );
-        assert!(dur > Duration::ZERO, "placement window must be non-empty");
-        let after = after.max(self.origin());
-        let n = self.points.len();
-        let mut i = match self.points.binary_search_by_key(&after, |p| p.0) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        let mut cand = after;
-        'outer: loop {
-            while i < n && self.points[i].1 < procs {
-                i += 1;
-            }
-            if i >= n {
-                unreachable!("profile tail must have free >= procs");
-            }
-            cand = cand.max(self.points[i].0);
-            let end = cand + dur;
-            let mut j = i;
-            while j < n && self.points[j].0 < end {
-                if self.points[j].1 < procs {
-                    i = j;
-                    cand = if j + 1 < n { self.points[j + 1].0 } else { end };
-                    continue 'outer;
-                }
-                j += 1;
-            }
-            return cand;
-        }
-    }
-
-    /// Same query as [`Profile::first_fit`] (argument-order parity for
-    /// the differential harness).
-    pub fn first_fit(&self, after: SimTime, dur: Duration, procs: u32) -> SimTime {
-        self.earliest_fit(after, procs, dur)
-    }
-
-    /// Outage truncation, mirroring [`Profile::fail_until`].
-    pub fn fail_until(&mut self, now: SimTime, until: SimTime) {
-        *self = VecProfile::flat(self.total, now);
-        if until > now && self.total > 0 {
-            self.reserve(now, until.since(now), self.total);
-        }
-    }
-
-    /// The breakpoints as a slice.
-    pub fn points(&self) -> &[(SimTime, u32)] {
-        &self.points
-    }
-
-    /// Insert a breakpoint at `t` (if absent) and return its index.
-    fn ensure_breakpoint(&mut self, t: SimTime) -> usize {
-        match self.points.binary_search_by_key(&t, |p| p.0) {
-            Ok(i) => i,
-            Err(0) => {
-                unreachable!("breakpoint before profile origin");
-            }
-            Err(i) => {
-                let free = self.points[i - 1].1;
-                self.points.insert(i, (t, free));
-                i
-            }
-        }
-    }
-
-    /// Merge adjacent breakpoints with equal free counts.
-    fn coalesce(&mut self) {
-        self.points.dedup_by(|next, prev| next.1 == prev.1);
-    }
-
-    /// Check internal invariants (test helper).
-    #[doc(hidden)]
-    pub fn assert_invariants(&self) {
-        assert!(!self.points.is_empty(), "profile must be non-empty");
-        for w in self.points.windows(2) {
-            assert!(w[0].0 < w[1].0, "breakpoints must strictly increase");
-        }
-        for p in &self.points {
-            assert!(p.1 <= self.total, "free exceeds total at {}", p.0);
-        }
-        assert_eq!(
-            self.points.last().unwrap().1,
-            self.total,
-            "profile tail must be fully free"
-        );
     }
 }
 
@@ -1393,13 +1156,19 @@ mod tests {
         assert!(collected.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
-    /// Dense deterministic differential sweep: a profile and the legacy
+    /// The test-only oracle: a profile that never promotes, so it runs
+    /// the flat sorted-buffer algorithms alone.
+    fn flat_only(total: u32) -> Profile {
+        Profile::flat_with_crossover(total, t(0), usize::MAX)
+    }
+
+    /// Dense deterministic differential sweep: a profile and the flat
     /// Vec oracle agree on every observation across a
     /// reserve/release/advance/fail_until churn (the in-crate smoke
     /// companion of `tests/differential.rs`). Returns the profile so
     /// callers can inspect backend counters.
     fn churn_against_oracle(mut tree: Profile) -> Profile {
-        let mut vec = VecProfile::flat(16, t(0));
+        let mut vec = flat_only(16);
         let mut live: Vec<(SimTime, Duration, u32)> = Vec::new();
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut step = || {
@@ -1451,7 +1220,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(tree.points(), vec.points().to_vec(), "points at op {i}");
+            assert_eq!(tree.points(), vec.points(), "points at op {i}");
             assert_eq!(tree.origin(), vec.origin(), "origin at op {i}");
             assert_eq!(tree.len(), vec.len(), "len at op {i}");
             tree.assert_invariants();
@@ -1461,7 +1230,8 @@ mod tests {
         let now = t(tree.origin().0 + 13);
         tree.fail_until(now, now + d(57));
         vec.fail_until(now, now + d(57));
-        assert_eq!(tree.points(), vec.points().to_vec());
+        assert_eq!(tree.points(), vec.points());
+        assert!(!vec.backend_is_tree(), "the oracle never promotes");
         tree.assert_invariants();
         vec.assert_invariants();
         tree
@@ -1490,7 +1260,7 @@ mod tests {
     #[test]
     fn promotion_preserves_points_and_tree_invariants() {
         let mut p = Profile::flat_with_crossover(32, t(0), 4);
-        let mut v = VecProfile::flat(32, t(0));
+        let mut v = flat_only(32);
         assert!(!p.backend_is_tree());
         for i in 0..12u64 {
             let s = t(i * 10);
@@ -1499,7 +1269,7 @@ mod tests {
         }
         assert!(p.backend_is_tree(), "must promote past the crossover");
         assert_eq!(p.take_promotions(), 1);
-        assert_eq!(p.points(), v.points().to_vec());
+        assert_eq!(p.points(), v.points());
         p.assert_invariants();
         p.fail_until(t(500), t(520));
         assert!(!p.backend_is_tree(), "outage truncation demotes");

@@ -1,8 +1,11 @@
 //! Differential oracle for the availability engine: random
 //! `reserve` / `release` / `advance_origin` / `fail_until` / `first_fit`
-//! op sequences must agree **byte-for-byte** between the legacy sorted-Vec
-//! profile (`VecProfile`) and the tree backend behind `Profile` — same
-//! breakpoint sequences, same origins, same lengths, same query answers.
+//! op sequences must agree **byte-for-byte** between the tree backend
+//! (`Profile::flat_tree`) and the flat sorted-Vec backend of a profile
+//! that never promotes (`Profile::flat_with_crossover(.., usize::MAX)`)
+//! — same breakpoint sequences, same origins, same lengths, same query
+//! answers. Every check also pins which backend each side runs on, so a
+//! mix test cannot silently compare the flat backend with itself.
 //!
 //! The release generator deliberately reproduces the PR-3 edge cases:
 //! whole-reservation releases (full coalesce back to flat when the last
@@ -14,7 +17,7 @@
 //! by `should_panic` unit tests in `profile.rs` — a panicking oracle
 //! cannot be compared in-line here.
 
-use grid_batch::{Profile, VecProfile};
+use grid_batch::Profile;
 use grid_des::{Duration, SimTime};
 use proptest::prelude::*;
 
@@ -24,22 +27,36 @@ const TOTAL: u32 = 16;
 /// release.
 struct Pair {
     tree: Profile,
-    vec: VecProfile,
+    /// `tree` must sit on the tree backend after every op (`false` for
+    /// the adaptive profile, which moves between the two).
+    pinned_tree: bool,
+    /// The oracle: never promotes, so it always runs the flat backend.
+    vec: Profile,
     live: Vec<(SimTime, Duration, u32)>,
 }
 
 impl Pair {
+    /// The tree backend against the flat-only oracle.
     fn new() -> Pair {
+        Pair::with(Profile::flat_tree(TOTAL, SimTime(0)), true)
+    }
+
+    fn with(tree: Profile, pinned_tree: bool) -> Pair {
         Pair {
-            tree: Profile::flat(TOTAL, SimTime(0)),
-            vec: VecProfile::flat(TOTAL, SimTime(0)),
+            tree,
+            pinned_tree,
+            vec: Profile::flat_with_crossover(TOTAL, SimTime(0), usize::MAX),
             live: Vec::new(),
         }
     }
 
     /// Full-state agreement after every op.
     fn check(&self) -> Result<(), TestCaseError> {
-        prop_assert_eq!(self.tree.points(), self.vec.points().to_vec());
+        if self.pinned_tree {
+            prop_assert!(self.tree.backend_is_tree(), "tree side left the tree");
+        }
+        prop_assert!(!self.vec.backend_is_tree(), "oracle promoted");
+        prop_assert_eq!(self.tree.points(), self.vec.points());
         prop_assert_eq!(self.tree.origin(), self.vec.origin());
         prop_assert_eq!(self.tree.len(), self.vec.len());
         prop_assert_eq!(self.tree.total(), self.vec.total());
@@ -153,8 +170,8 @@ proptest! {
         ops in ops_strategy(120),
         crossover in 0usize..12,
     ) {
-        let mut pair = Pair::new();
-        pair.tree = Profile::flat_with_crossover(TOTAL, SimTime(0), crossover);
+        let adaptive = Profile::flat_with_crossover(TOTAL, SimTime(0), crossover);
+        let mut pair = Pair::with(adaptive, false);
         let mut saw_tree = false;
         let mut saw_small = false;
         for op in ops {
@@ -198,7 +215,7 @@ proptest! {
             }
         }
         prop_assert_eq!(pair.tree.len(), 1, "full release must coalesce to flat");
-        prop_assert_eq!(pair.tree.points(), pair.vec.points().to_vec());
+        prop_assert_eq!(pair.tree.points(), pair.vec.points());
         pair.check()?;
     }
 }

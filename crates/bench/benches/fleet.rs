@@ -2,9 +2,10 @@
 //!
 //! One cost-skewed campaign, two drain strategies:
 //!
-//! * **static** — the legacy `--shards 4` round-robin partition, four
-//!   workers each executing their fixed shard. The matrix is built so
-//!   the expensive axis aligns with the shard stride: the reallocation
+//! * **static** — a fixed 4-way round-robin partition of the plan (the
+//!   baseline dynamic claiming replaced), four workers each executing
+//!   their fixed shard. The matrix is built so the expensive axis
+//!   aligns with the shard stride: the reallocation
 //!   block cycles through four periods (one hot 120 s period, three
 //!   cold ~4 h periods), so round-robin hands *every* hot unit to one
 //!   shard and the other three go idle early.
@@ -98,8 +99,8 @@ fn digest(bytes: &BTreeMap<String, Vec<u8>>) -> u64 {
     h
 }
 
-/// Static round-robin drain: `workers` threads, each executing its
-/// fixed `plan.shard(workers, i)` single-threaded. Returns wall ms.
+/// Static round-robin drain: `workers` threads, worker `i` executing
+/// plan units `i, i + workers, ...` single-threaded. Returns wall ms.
 fn drain_static(
     spec: &CampaignSpec,
     workers: usize,
@@ -111,7 +112,13 @@ fn drain_static(
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for index in 0..workers {
-            let units = plan.shard(workers, index);
+            let units: Vec<_> = plan
+                .units
+                .iter()
+                .skip(index)
+                .step_by(workers)
+                .cloned()
+                .collect();
             let cache = &cache;
             scope.spawn(move || {
                 let (_, summary) = execute(

@@ -12,8 +12,9 @@
 //!    the availability engine opened to the aggressive family. EASY must
 //!    perform strictly fewer full rebuilds than the forced-rebuild
 //!    baseline while repairing at least once.
-//! 3. **Profile backend** (manual timing): the tree backend vs the legacy
-//!    sorted-Vec oracle on a release/first-fit/reserve churn over
+//! 3. **Profile backend** (manual timing): the tree backend vs a profile
+//!    that never leaves its flat sorted-Vec backend (the differential
+//!    oracle) on a release/first-fit/reserve churn over
 //!    1k/10k/50k-reservation timelines. The tree must beat the Vec at 10k
 //!    and 50k and scale sub-linearly from 1k→10k→50k.
 //!
@@ -25,9 +26,7 @@
 //! smoke runs without weakening any assertion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use grid_batch::{
-    BatchPolicy, Cluster, ClusterSpec, ClusterStats, JobId, JobSpec, Profile, VecProfile,
-};
+use grid_batch::{BatchPolicy, Cluster, ClusterSpec, ClusterStats, JobId, JobSpec, Profile};
 use grid_des::{Duration, SimTime};
 use std::hint::black_box;
 use std::time::Instant;
@@ -167,51 +166,17 @@ fn easy_stats(depth: usize, incremental: bool) -> ClusterStats {
 // Layer 3: profile backends head to head (tree vs legacy Vec)
 // ---------------------------------------------------------------------
 
-/// The op surface the backend comparison drives (both backends expose
-/// the same placement calls).
-trait Backend: Clone {
-    fn flat() -> Self;
-    fn first_fit(&self, after: SimTime, dur: Duration, procs: u32) -> SimTime;
-    fn reserve(&mut self, start: SimTime, dur: Duration, procs: u32);
-    fn release(&mut self, start: SimTime, dur: Duration, procs: u32);
-}
-
-impl Backend for Profile {
-    fn flat() -> Self {
-        // Pin the tree backend: `Profile::flat` is adaptive (inline below
-        // the crossover), and this layer's assertions describe the treap.
-        Profile::flat_tree(PROCS, SimTime(0))
-    }
-    fn first_fit(&self, after: SimTime, dur: Duration, procs: u32) -> SimTime {
-        Profile::first_fit(self, after, dur, procs)
-    }
-    fn reserve(&mut self, start: SimTime, dur: Duration, procs: u32) {
-        Profile::reserve(self, start, dur, procs)
-    }
-    fn release(&mut self, start: SimTime, dur: Duration, procs: u32) {
-        Profile::release(self, start, dur, procs)
-    }
-}
-
-impl Backend for VecProfile {
-    fn flat() -> Self {
-        VecProfile::flat(PROCS, SimTime(0))
-    }
-    fn first_fit(&self, after: SimTime, dur: Duration, procs: u32) -> SimTime {
-        VecProfile::first_fit(self, after, dur, procs)
-    }
-    fn reserve(&mut self, start: SimTime, dur: Duration, procs: u32) {
-        VecProfile::reserve(self, start, dur, procs)
-    }
-    fn release(&mut self, start: SimTime, dur: Duration, procs: u32) {
-        VecProfile::release(self, start, dur, procs)
-    }
-}
+/// The two backends under comparison, as [`Profile`] promotion
+/// crossovers: `0` pins the tree from birth (`Profile::flat` is adaptive,
+/// and this layer's assertions describe the treap); `usize::MAX` never
+/// promotes, so the profile runs the flat sorted-buffer algorithms alone.
+const TREE: usize = 0;
+const FLAT: usize = usize::MAX;
 
 /// Seed `depth` stacked reservations (FCFS-style monotone placement, so
 /// seeding stays cheap on both backends) and return the ledger.
-fn seed<B: Backend>(depth: usize) -> (B, Vec<(SimTime, Duration, u32)>) {
-    let mut p = B::flat();
+fn seed(crossover: usize, depth: usize) -> (Profile, Vec<(SimTime, Duration, u32)>) {
+    let mut p = Profile::flat_with_crossover(PROCS, SimTime(0), crossover);
     let mut ledger = Vec::with_capacity(depth);
     let mut after = SimTime(0);
     for i in 0..depth {
@@ -230,7 +195,7 @@ fn seed<B: Backend>(depth: usize) -> (B, Vec<(SimTime, Duration, u32)>) {
 /// placement shape), re-reserve. 3 profile ops per round.
 const CHURN_ROUNDS: usize = 256;
 
-fn backend_churn<B: Backend>(p: &mut B, ledger: &mut [(SimTime, Duration, u32)]) {
+fn backend_churn(p: &mut Profile, ledger: &mut [(SimTime, Duration, u32)]) {
     let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
     for _ in 0..CHURN_ROUNDS {
         x = x
@@ -249,8 +214,8 @@ fn backend_churn<B: Backend>(p: &mut B, ledger: &mut [(SimTime, Duration, u32)])
 /// fresh clones — the minimum is the standard noise-robust estimator
 /// for a deterministic workload: co-tenant CPU spikes on a shared
 /// runner can only slow a pass down, never speed it up.
-fn backend_ns_per_op<B: Backend>(depth: usize, iters: usize) -> f64 {
-    let (p, ledger) = seed::<B>(depth);
+fn backend_ns_per_op(crossover: usize, depth: usize, iters: usize) -> f64 {
+    let (p, ledger) = seed(crossover, depth);
     // Warm-up pass (untimed).
     {
         let mut wp = p.clone();
@@ -400,15 +365,15 @@ fn scheduling_incremental(c: &mut Criterion) {
     let mut tree_json = grid_ser::Value::object();
     let mut vec_json = grid_ser::Value::object();
     for &depth in &depths {
-        let mut t = backend_ns_per_op::<Profile>(depth, iters(depth));
-        let mut v = backend_ns_per_op::<VecProfile>(depth, iters(depth));
+        let mut t = backend_ns_per_op(TREE, depth, iters(depth));
+        let mut v = backend_ns_per_op(FLAT, depth, iters(depth));
         // Head-to-head asserts below gate CI on a shared runner: if a
         // comparison that must hold looks inverted, re-measure once
         // before believing it — min-of-passes absorbs spikes inside a
         // measurement, this absorbs a spike spanning one.
         if depth >= 10_000 && t >= v {
-            t = t.min(backend_ns_per_op::<Profile>(depth, iters(depth)));
-            v = v.min(backend_ns_per_op::<VecProfile>(depth, iters(depth)));
+            t = t.min(backend_ns_per_op(TREE, depth, iters(depth)));
+            v = v.min(backend_ns_per_op(FLAT, depth, iters(depth)));
         }
         println!(
             "bench: profile-backend/{depth:<6} tree {t:>10.1} ns/op | vec {v:>12.1} ns/op \

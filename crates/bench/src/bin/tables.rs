@@ -109,7 +109,7 @@ fn wants(opts: &Options, n: usize) -> bool {
 /// Translate the CLI options into a one-flavour campaign spec, run it
 /// through the engine (cached when `--cache` is set) and aggregate back
 /// into the classic `SuiteResults`.
-fn run_suite_via_campaign(heterogeneous: bool, opts: &Options) -> SuiteResults {
+fn campaign_suite(heterogeneous: bool, opts: &Options) -> SuiteResults {
     let mut spec = CampaignSpec::paper();
     spec.name = format!("tables-{}", if heterogeneous { "het" } else { "hom" });
     spec.scenarios = opts.scenarios.clone();
@@ -172,7 +172,7 @@ fn main() {
     let need_het = (2..=17).any(|n| n % 2 == 1 && n >= 3 && wants(&opts, n));
     let run = |het: bool| -> SuiteResults {
         let t0 = Instant::now();
-        let r = run_suite_via_campaign(het, &opts);
+        let r = campaign_suite(het, &opts);
         eprintln!(
             "[suite {} done in {:.1?}: {} experiments]",
             if het { "heterogeneous" } else { "homogeneous" },

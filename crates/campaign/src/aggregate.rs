@@ -15,10 +15,12 @@
 //!
 //! ## Streaming aggregation
 //!
-//! [`aggregate`] consumes a pre-materialised outcome vector — fine for
-//! the paper's 364 runs, hopeless for million-run campaigns (every
-//! [`RunOutcome`] holds per-job record maps). The streaming entry points
-//! fold cache records one at a time instead:
+//! [`aggregate`] and [`aggregate_streamed`] run the same fold over the
+//! plan and differ only in where a unit's outcome comes from. The first
+//! reads a pre-materialised outcome vector — fine for the paper's 364
+//! runs, hopeless for million-run campaigns (every [`RunOutcome`] holds
+//! per-job record maps). The streaming entry points read cache records
+//! one at a time instead:
 //!
 //! * [`aggregate_streamed`] — loads each reallocation record exactly
 //!   once, pairs it with its reference through a single-slot baseline
@@ -41,7 +43,6 @@ use grid_metrics::{Comparison, PaperTable, RunOutcome};
 use grid_realloc::experiments::{table_number, ExperimentKey, Metric, SuiteResults};
 use grid_realloc::Heuristic;
 use grid_ser::Value;
-use grid_workload::Scenario;
 
 use crate::cache::ResultCache;
 use crate::plan::{BaselineKey, CampaignPlan, ReallocSetting, RunKind, RunUnit};
@@ -88,53 +89,56 @@ pub fn aggregate(
         outcomes.len(),
         "outcome vector must match the plan"
     );
-    let mut references: HashMap<(Scenario, bool, BatchPolicy, u64, Fault), &RunOutcome> =
-        HashMap::new();
+    let mut references: HashMap<BaselineKey, &RunOutcome> = HashMap::new();
     for (unit, outcome) in plan.units.iter().zip(outcomes) {
-        if unit.kind == RunKind::Reference {
-            if let Some(outcome) = outcome {
-                references.insert(unit.baseline_key(), outcome);
-            }
+        if let (RunKind::Reference, Some(outcome)) = (unit.kind, outcome) {
+            references.insert(unit.baseline_key(), outcome);
         }
     }
+    fold_groups(spec, plan, &HashSet::new(), |i, unit| {
+        let outcome = outcomes[i].as_ref().ok_or_else(|| unit.label())?;
+        let baseline = references
+            .get(&unit.baseline_key())
+            .ok_or_else(|| format!("{} (reference missing)", unit.label()))?;
+        Ok(Comparison::against_baseline(baseline, outcome))
+    })
+}
+
+/// The one aggregation loop: compare every reallocation unit not in
+/// `skips` against its reference and group the comparisons. `compare`
+/// says where a unit's outcome comes from (an outcome vector or the
+/// cache); its `Err` is the label the missing-run error lists.
+fn fold_groups(
+    spec: &CampaignSpec,
+    plan: &CampaignPlan,
+    skips: &HashSet<usize>,
+    mut compare: impl FnMut(usize, &RunUnit) -> Result<Comparison, String>,
+) -> Result<CampaignResults, String> {
     let mut groups: BTreeMap<GroupKey, SuiteResults> = BTreeMap::new();
     let mut missing = Vec::new();
-    for (unit, outcome) in plan.units.iter().zip(outcomes) {
+    for (i, unit) in plan.units.iter().enumerate() {
         let RunKind::Realloc(setting) = unit.kind else {
             continue;
         };
-        let Some(outcome) = outcome else {
-            missing.push(unit.label());
+        if skips.contains(&i) {
             continue;
+        }
+        let comparison = match compare(i, unit) {
+            Ok(c) => c,
+            Err(label) => {
+                missing.push(label);
+                continue;
+            }
         };
-        let Some(baseline) = references.get(&unit.baseline_key()) else {
-            missing.push(format!("{} (reference missing)", unit.label()));
-            continue;
-        };
-        let comparison = Comparison::against_baseline(baseline, outcome);
-        let key = GroupKey {
-            heterogeneous: unit.heterogeneous,
-            seed: unit.seed,
-            period_s: setting.period.as_secs(),
-            threshold_s: setting.threshold.as_secs(),
-            fault: unit.fault,
-        };
+        let (group, cell) = group_cell(unit, &setting);
         groups
-            .entry(key)
+            .entry(group)
             .or_insert_with(|| SuiteResults {
                 heterogeneous: unit.heterogeneous,
                 comparisons: HashMap::new(),
             })
             .comparisons
-            .insert(
-                ExperimentKey {
-                    scenario: unit.scenario,
-                    policy: unit.policy,
-                    algorithm: setting.algorithm,
-                    heuristic: setting.heuristic,
-                },
-                comparison,
-            );
+            .insert(cell, comparison);
     }
     if !missing.is_empty() {
         return Err(missing_error(&missing));
@@ -218,39 +222,9 @@ pub fn aggregate_streamed(
     cache: &ResultCache,
     skips: &HashSet<usize>,
 ) -> Result<CampaignResults, String> {
-    let mut groups: BTreeMap<GroupKey, SuiteResults> = BTreeMap::new();
     let mut baseline = None;
-    let mut missing = Vec::new();
-    for (i, unit) in plan.units.iter().enumerate() {
-        let RunKind::Realloc(setting) = unit.kind else {
-            continue;
-        };
-        if skips.contains(&i) {
-            continue;
-        }
-        let comparison = match comparison_for(unit, cache, &mut baseline) {
-            Ok(c) => c,
-            Err(label) => {
-                missing.push(label);
-                continue;
-            }
-        };
-        let (group, cell) = group_cell(unit, &setting);
-        groups
-            .entry(group)
-            .or_insert_with(|| SuiteResults {
-                heterogeneous: unit.heterogeneous,
-                comparisons: HashMap::new(),
-            })
-            .comparisons
-            .insert(cell, comparison);
-    }
-    if !missing.is_empty() {
-        return Err(missing_error(&missing));
-    }
-    Ok(CampaignResults {
-        spec: spec.clone(),
-        groups,
+    fold_groups(spec, plan, skips, |_, unit| {
+        comparison_for(unit, cache, &mut baseline)
     })
 }
 
@@ -327,41 +301,6 @@ pub fn stream_csv<W: std::io::Write>(
     Ok(())
 }
 
-/// Constant-memory cross-seed statistics from the cache: a [`StreamAgg`]
-/// fold over the records in ascending group order, holding one record
-/// pair and one accumulator per live table cell — bit-identical to
-/// materialising every outcome and calling
-/// [`CampaignResults::seed_aggregates`].
-pub fn stream_seed_aggregates(
-    plan: &CampaignPlan,
-    cache: &ResultCache,
-    skips: &HashSet<usize>,
-) -> Result<BTreeMap<SeedAggKey, SeedAggregate>, String> {
-    let rows = export_order(plan, skips);
-    let mut agg = StreamAgg::default();
-    let mut baseline = None;
-    let mut missing = Vec::new();
-    for &(group, i) in &rows {
-        let unit = &plan.units[i];
-        match comparison_for(unit, cache, &mut baseline) {
-            Ok(comparison) => {
-                let (_, cell) = match unit.kind {
-                    RunKind::Realloc(setting) => group_cell(unit, &setting),
-                    RunKind::Reference => {
-                        unreachable!("export_order keeps only reallocation units")
-                    }
-                };
-                agg.push(&group, cell, &comparison);
-            }
-            Err(label) => missing.push(label),
-        }
-    }
-    if !missing.is_empty() {
-        return Err(missing_error(&missing));
-    }
-    Ok(agg.seed_aggregates())
-}
-
 /// Per-cell scheduler-effort totals, summed over a run's sites.
 ///
 /// Harvested from the telemetry sidecars [`crate::execute`] leaves in
@@ -432,19 +371,7 @@ pub fn stats_index(plan: &CampaignPlan, cache: &ResultCache) -> StatsIndex {
             .get("queue_bucket_spills")
             .and_then(Value::as_u64)
             .unwrap_or(0);
-        let group = GroupKey {
-            heterogeneous: unit.heterogeneous,
-            seed: unit.seed,
-            period_s: setting.period.as_secs(),
-            threshold_s: setting.threshold.as_secs(),
-            fault: unit.fault,
-        };
-        let cell = ExperimentKey {
-            scenario: unit.scenario,
-            policy: unit.policy,
-            algorithm: setting.algorithm,
-            heuristic: setting.heuristic,
-        };
+        let (group, cell) = group_cell(unit, &setting);
         index.entry(group).or_default().insert(cell, totals);
     }
     index
@@ -1080,6 +1007,7 @@ mod tests {
     use super::*;
     use crate::exec::{execute, ExecOptions};
     use grid_realloc::{Heuristic, ReallocAlgorithm};
+    use grid_workload::Scenario;
 
     fn mini_spec() -> CampaignSpec {
         let mut spec = CampaignSpec::paper();
@@ -1137,6 +1065,49 @@ mod tests {
         let tables = results.render_tables();
         assert!(tables.contains("Table 2"));
         assert!(tables.contains("## group"));
+    }
+
+    /// The paper's matrix for one scenario and flavour at smoke scale
+    /// (1% of the jobs), executed and aggregated by the engine.
+    fn smoke_suite(scenario: Scenario, heterogeneous: bool) -> SuiteResults {
+        let mut spec = CampaignSpec::paper();
+        spec.scenarios = vec![scenario];
+        spec.heterogeneity = vec![heterogeneous];
+        spec.fraction = 0.01;
+        let plan = spec.expand();
+        let (outcomes, summary) = execute(&plan.units, None, &ExecOptions::default());
+        assert!(summary.failures.is_empty());
+        let mut groups = aggregate(&spec, &plan, &outcomes).unwrap().groups;
+        assert_eq!(groups.len(), 1, "one flavour, one seed");
+        groups.pop_first().unwrap().1
+    }
+
+    #[test]
+    fn smoke_suite_produces_all_cells() {
+        let scenarios = [Scenario::Jun];
+        let results = smoke_suite(Scenario::Jun, false);
+        assert_eq!(results.comparisons.len(), 2 * 2 * 6);
+        for metric in Metric::ALL {
+            for algo in ReallocAlgorithm::ALL {
+                let t = results.table(algo, metric, &scenarios);
+                for policy in ["FCFS", "CBF"] {
+                    for h in Heuristic::ALL {
+                        let label = format!("{}{}", h.label(), algo.suffix());
+                        let v = t.get(policy, &label, "jun").unwrap();
+                        assert!(v.is_finite(), "{policy}/{label}/{metric:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn smoke_suite_reallocation_is_meaningful() {
+        // At least one configuration must actually migrate jobs, otherwise
+        // the mechanism is dead code.
+        let results = smoke_suite(Scenario::Apr, true);
+        let total: u64 = results.comparisons.values().map(|c| c.reallocations).sum();
+        assert!(total > 0, "no migrations in the whole smoke suite");
     }
 
     #[test]

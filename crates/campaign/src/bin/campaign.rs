@@ -2,8 +2,8 @@
 //! experiment campaigns.
 //!
 //! ```text
-//! campaign plan   --spec FILE [--shards K]
-//! campaign run    --spec FILE [--shards K --shard I] [--cache DIR]
+//! campaign plan   --spec FILE
+//! campaign run    --spec FILE [--cache DIR]
 //!                 [--threads N] [--quiet] [--progress] [--trace DIR]
 //! campaign runner --spec FILE [--cache DIR] [--threads N]
 //!                 [--runner-id ID] [--lease-ttl SECS] [--poll-ms MS]
@@ -30,15 +30,14 @@
 //! rebuild, and `ect_column_refills`, how many batched column fills the
 //! dry-run cache paid for).
 //!
-//! `run` executes (its shard of) the spec's expansion, resuming from the
-//! content-addressed cache; invoke it once per shard — from separate
-//! processes or machines sharing the cache directory — then `report`
-//! aggregates the full campaign into the paper's tables or CSV/JSON.
+//! `run` executes the spec's expansion in one process, resuming from
+//! the content-addressed cache; `report` then aggregates the campaign
+//! into the paper's tables or CSV/JSON.
 //!
-//! `runner` replaces static sharding with dynamic work claiming: start
-//! any number of `campaign runner` processes against the same cache
+//! `runner` spreads the same drain over several processes: start any
+//! number of `campaign runner` processes against the same cache
 //! directory and they drain the plan through atomic lease files —
-//! no shard assignment, no coordinator, crash recovery via lease
+//! dynamic work claiming, no coordinator, crash recovery via lease
 //! expiry, and byte-identical records regardless of fleet size. With a
 //! convergence target (spec `[converge]` or `--converge`), multi-seed
 //! cells stop scheduling new seeds once the 95% CI half-width of
@@ -71,8 +70,6 @@ use grid_obs::{HttpServer, MetricsRegistry, Response};
 struct CommonArgs {
     specs: Vec<PathBuf>,
     cache: PathBuf,
-    shards: usize,
-    shard: usize,
     threads: Option<usize>,
     quiet: bool,
     progress: bool,
@@ -101,7 +98,7 @@ impl CommonArgs {
 }
 
 const USAGE: &str = "usage: campaign <plan|run|runner|status|report|gc> [--spec FILE]... \
-[--shards K] [--shard I] [--cache DIR] [--threads N] [--format tables|csv|json] [--out FILE] \
+[--cache DIR] [--threads N] [--format tables|csv|json] [--out FILE] \
 [--quiet] [--progress] [--trace DIR] [--stats] [--runner-id ID] [--lease-ttl SECS] \
 [--poll-ms MS] [--converge TARGET] [--min-seeds N] [--json] [--serve ADDR] \
 [--metrics-addr ADDR]";
@@ -111,8 +108,6 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, CommonArgs), String> 
     let mut parsed = CommonArgs {
         specs: Vec::new(),
         cache: PathBuf::from("campaign-cache"),
-        shards: 1,
-        shard: 0,
         threads: None,
         quiet: false,
         progress: false,
@@ -137,16 +132,6 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, CommonArgs), String> 
                 .specs
                 .push(PathBuf::from(value(&mut args, "--spec")?)),
             "--cache" => parsed.cache = PathBuf::from(value(&mut args, "--cache")?),
-            "--shards" => {
-                parsed.shards = value(&mut args, "--shards")?
-                    .parse()
-                    .map_err(|_| "invalid --shards")?
-            }
-            "--shard" => {
-                parsed.shard = value(&mut args, "--shard")?
-                    .parse()
-                    .map_err(|_| "invalid --shard")?
-            }
             "--threads" => {
                 parsed.threads = Some(
                     value(&mut args, "--threads")?
@@ -206,12 +191,6 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, CommonArgs), String> 
     }
     if parsed.min_seeds.is_some_and(|m| m < 2) {
         return Err("--min-seeds must be at least 2 (a CI needs two samples)".into());
-    }
-    if parsed.shards == 0 || parsed.shard >= parsed.shards {
-        return Err(format!(
-            "--shard {} out of range for --shards {}",
-            parsed.shard, parsed.shards
-        ));
     }
     if !["tables", "csv", "json"].contains(&parsed.format.as_str()) {
         return Err(format!("unknown --format {:?}", parsed.format));
@@ -298,15 +277,6 @@ fn cmd_plan(opts: &CommonArgs) -> Result<(), String> {
         plan.reference_count(),
         plan.realloc_count()
     );
-    if opts.shards > 1 {
-        for i in 0..opts.shards {
-            println!(
-                "  shard {i}/{}: {} runs",
-                opts.shards,
-                plan.shard(opts.shards, i).len()
-            );
-        }
-    }
     // Preview only: never create the cache directory as a side effect.
     if opts.cache.is_dir() {
         let cache = ResultCache::open(&opts.cache).map_err(|e| e.to_string())?;
@@ -329,21 +299,17 @@ fn cmd_plan(opts: &CommonArgs) -> Result<(), String> {
 fn cmd_run(opts: &CommonArgs) -> Result<(), String> {
     let spec = load_spec(opts)?;
     let plan = spec.expand();
-    let units = plan.shard(opts.shards, opts.shard);
     let cache = ResultCache::open(&opts.cache).map_err(|e| e.to_string())?;
     if !opts.quiet {
         eprintln!(
-            "campaign {}: shard {}/{} -> {} of {} runs, cache {}",
+            "campaign {}: {} runs, cache {}",
             spec.name,
-            opts.shard,
-            opts.shards,
-            units.len(),
             plan.len(),
             opts.cache.display(),
         );
     }
     let (_, summary) = execute(
-        &units,
+        &plan.units,
         Some(&cache),
         &ExecOptions {
             threads: opts.threads,
@@ -354,9 +320,8 @@ fn cmd_run(opts: &CommonArgs) -> Result<(), String> {
         },
     );
     println!(
-        "shard {}/{}: {} computed, {} cached, {} failed",
-        opts.shard,
-        opts.shards,
+        "campaign {}: {} computed, {} cached, {} failed",
+        spec.name,
         summary.computed,
         summary.cached,
         summary.failures.len()
@@ -399,13 +364,6 @@ fn effective_converge(spec: &CampaignSpec, opts: &CommonArgs) -> Option<Converge
 }
 
 fn cmd_runner(opts: &CommonArgs) -> Result<(), String> {
-    if opts.shards > 1 {
-        return Err(
-            "runner replaces static sharding with dynamic claiming — drop --shards and \
-             start more runner processes instead"
-                .into(),
-        );
-    }
     let spec = load_spec(opts)?;
     let plan = spec.expand();
     let cache = ResultCache::open(&opts.cache).map_err(|e| e.to_string())?;

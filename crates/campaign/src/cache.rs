@@ -105,7 +105,7 @@ impl ResultCache {
     }
 
     /// Atomically persist a record (write-then-rename, so a concurrent
-    /// shard or an interrupt never leaves a torn file).
+    /// process or an interrupt never leaves a torn file).
     pub fn store(&self, unit: &RunUnit, record: &RunRecord) -> io::Result<()> {
         let final_path = self.path(unit);
         let tmp = final_path.with_extension(format!("tmp.{}", std::process::id()));
@@ -189,7 +189,7 @@ impl ResultCache {
                     report.reclaimed_bytes += size;
                 }
             } else if name.contains(".tmp.") {
-                // Torn write from a crashed shard: never reachable again.
+                // Torn write from a crashed process: never reachable again.
                 std::fs::remove_file(&path)?;
                 report.tmp_deleted += 1;
                 report.reclaimed_bytes += size;
@@ -539,7 +539,7 @@ mod tests {
         assert_eq!(cache.len(), 2, "sidecars must not count as records");
         let loaded = cache.load_obs(&keep_unit).expect("sidecar hit");
         assert_eq!(loaded.get("wall_ms").and_then(Value::as_u64), Some(12));
-        // A torn sidecar write from a crashed shard.
+        // A torn sidecar write from a crashed process.
         std::fs::write(cache.dir().join("obs/feed.json.tmp.7"), "partial").unwrap();
         let keep: std::collections::HashSet<String> =
             [ResultCache::key(&keep_unit)].into_iter().collect();

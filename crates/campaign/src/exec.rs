@@ -1,9 +1,8 @@
-//! Sharded parallel executor with panic isolation and caching.
+//! Parallel executor with panic isolation and caching.
 //!
 //! Work units are pulled off a shared atomic cursor by a scoped worker
-//! pool (the same dynamic load-balancing the suite harness got from
-//! rayon, but with an explicit thread count so benchmarks and the CLI
-//! can pin parallelism). Each unit:
+//! pool (dynamic load balancing with an explicit thread count, so
+//! benchmarks and the CLI can pin parallelism). Each unit:
 //!
 //! 1. probes the [`ResultCache`] (when configured) — a hit skips the
 //!    simulation entirely;
@@ -22,6 +21,7 @@ use grid_des::Duration;
 use grid_metrics::RunOutcome;
 use grid_obs::{Obs, ProgressView};
 use grid_realloc::experiments::{run_one, run_one_observed, SuiteConfig};
+use grid_realloc::ReallocConfig;
 use grid_ser::Value;
 
 use crate::cache::{ResultCache, RunRecord};
@@ -78,17 +78,7 @@ pub struct ExecSummary {
 /// Simulate one unit (no cache, no isolation) — the pure function the
 /// executor wraps.
 pub fn simulate(unit: &RunUnit) -> RunOutcome {
-    let (realloc, period, threshold) = match unit.kind {
-        RunKind::Reference => (None, Duration::hours(1), Duration::secs(60)),
-        RunKind::Realloc(setting) => (Some(setting.to_config()), setting.period, setting.threshold),
-    };
-    let suite = SuiteConfig {
-        seed: unit.seed,
-        fraction: unit.fraction,
-        period,
-        threshold,
-        fault: unit.fault,
-    };
+    let (realloc, suite) = run_setup(unit);
     run_one(
         unit.scenario,
         unit.heterogeneous,
@@ -106,6 +96,20 @@ pub fn simulate_observed(
     unit: &RunUnit,
     obs: &Obs,
 ) -> (RunOutcome, Vec<ClusterStats>, grid_realloc::GridStats) {
+    let (realloc, suite) = run_setup(unit);
+    run_one_observed(
+        unit.scenario,
+        unit.heterogeneous,
+        unit.policy,
+        realloc,
+        &suite,
+        obs,
+    )
+}
+
+/// A unit's reallocation setting (`None` for a reference run) and the
+/// suite knobs it runs under.
+fn run_setup(unit: &RunUnit) -> (Option<ReallocConfig>, SuiteConfig) {
     let (realloc, period, threshold) = match unit.kind {
         RunKind::Reference => (None, Duration::hours(1), Duration::secs(60)),
         RunKind::Realloc(setting) => (Some(setting.to_config()), setting.period, setting.threshold),
@@ -117,14 +121,7 @@ pub fn simulate_observed(
         threshold,
         fault: unit.fault,
     };
-    run_one_observed(
-        unit.scenario,
-        unit.heterogeneous,
-        unit.policy,
-        realloc,
-        &suite,
-        obs,
-    )
+    (realloc, suite)
 }
 
 /// The telemetry sidecar stored next to (but never inside) the record.
@@ -179,9 +176,9 @@ pub(crate) enum Computed {
 
 /// Simulate one unit under `catch_unwind`, persist its record and
 /// telemetry sidecar (when a cache is given) and its trace files (when a
-/// trace directory is given). The one compute path shared by the static
-/// executor and the fleet runner, so both produce byte-identical cache
-/// contents and identical warning lines.
+/// trace directory is given). The one compute path shared by the
+/// in-process executor and the fleet runner, so both produce
+/// byte-identical cache contents and identical warning lines.
 ///
 /// `metrics` mirrors engine counters into a live [`MetricsRegistry`]
 /// (the runner's `/metrics` endpoint); like tracing, it enables the

@@ -1,10 +1,10 @@
 //! Coordinator-free runner fleet: dynamic work claiming over the shared
 //! content-addressed cache directory.
 //!
-//! `campaign run --shards K` splits a plan by *static* round-robin — one
-//! slow shard strands the rest of the fleet idle. The fleet runner
-//! ([`run_fleet`], CLI `campaign runner`) replaces the partition with
-//! dynamic claiming: every pending unit is guarded by a lease file under
+//! The fleet runner ([`run_fleet`], CLI `campaign runner`) is the
+//! multi-process drain. Work is claimed dynamically, so one slow unit
+//! never strands the rest of the fleet idle behind a fixed partition:
+//! every pending unit is guarded by a lease file under
 //! `<cache>/leases/`, claimed with an atomic `create_new` (exactly one
 //! winner, no coordinator), and any number of runner processes — or
 //! machines sharing the cache directory — drain the same campaign.

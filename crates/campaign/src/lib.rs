@@ -2,16 +2,13 @@
 //!
 //! The paper's evaluation is a 364-run campaign (2 algorithms × 6
 //! heuristics × 2 batch policies × 2 platform flavours × 7 traces, plus
-//! the 28 no-reallocation reference runs). The seed reproduction ran it
-//! as hard-coded nested loops in `grid_realloc::experiments::run_suite`;
-//! this crate turns that into a first-class subsystem:
+//! the 28 no-reallocation reference runs). This crate is the one engine
+//! that runs it:
 //!
 //! * [`CampaignSpec`] — a declarative scenario matrix, loadable from TOML
 //!   or JSON (`examples/paper_campaign.toml` is annotated), that
 //!   [expands](CampaignSpec::expand) into concrete run units;
-//! * [`CampaignPlan`] — the deterministic expansion, with
-//!   [sharding](CampaignPlan::shard) for multi-process fan-out
-//!   (`--shards K --shard i`: disjoint, covering, stable);
+//! * [`CampaignPlan`] — the deterministic expansion into run units;
 //! * [`execute`](exec::execute()) — a work-stealing parallel executor with
 //!   per-run panic isolation and progress reporting;
 //! * [`ResultCache`] — a content-addressed on-disk cache (hash of the
@@ -44,7 +41,8 @@
 //! A run unit is a pure function of its descriptor (scenario, platform
 //! flavour, policy, reallocation setting, seed, fraction). Cached records
 //! are canonical JSON, so *the same spec always produces byte-identical
-//! record files*, sharded or not — the integration tests pin this.
+//! record files*, whether one process or a runner fleet drains it — the
+//! integration tests pin this.
 
 pub mod aggregate;
 pub mod cache;
@@ -54,8 +52,8 @@ pub mod plan;
 pub mod spec;
 
 pub use aggregate::{
-    aggregate, aggregate_streamed, stats_index, stream_csv, stream_seed_aggregates,
-    CampaignResults, CellStats, MeanCi, SeedAggKey, SeedAggregate, StatsIndex, StreamAgg, Welford,
+    aggregate, aggregate_streamed, stats_index, stream_csv, CampaignResults, CellStats, MeanCi,
+    SeedAggKey, SeedAggregate, StatsIndex, StreamAgg, Welford,
 };
 pub use cache::{GcReport, ResultCache, RunRecord};
 pub use exec::{execute, ExecOptions, ExecSummary};

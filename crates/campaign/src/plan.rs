@@ -42,7 +42,7 @@ pub enum RunKind {
 }
 
 /// One fully-specified simulation run — the unit of execution, caching
-/// and sharding.
+/// and work claiming.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunUnit {
     /// Workload scenario.
@@ -174,25 +174,6 @@ impl CampaignPlan {
     /// Number of reallocation runs.
     pub fn realloc_count(&self) -> usize {
         self.len() - self.reference_count()
-    }
-
-    /// The subset of units shard `index` of `shards` executes.
-    ///
-    /// Round-robin by position: stable for a fixed spec, shards are
-    /// pairwise disjoint, and the union over `0..shards` is the full
-    /// plan — pinned by the engine tests.
-    ///
-    /// # Panics
-    /// Panics when `shards == 0` or `index >= shards`.
-    pub fn shard(&self, shards: usize, index: usize) -> Vec<RunUnit> {
-        assert!(shards > 0, "need at least one shard");
-        assert!(index < shards, "shard index {index} out of 0..{shards}");
-        self.units
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % shards == index)
-            .map(|(_, u)| u.clone())
-            .collect()
     }
 }
 

@@ -1,9 +1,8 @@
 //! Declarative campaign specifications.
 //!
-//! A [`CampaignSpec`] names every axis of the experiment matrix; loading
-//! one from TOML or JSON and [expanding](CampaignSpec::expand) it
-//! replaces the hard-coded nested loops the suite harness used to carry.
-//! Axes omitted from a spec file default to the paper's values, so the
+//! A [`CampaignSpec`] names every axis of the experiment matrix; it loads
+//! from TOML or JSON and [expands](CampaignSpec::expand) into the run
+//! units the engine executes. Axes omitted from a spec file default to the paper's values, so the
 //! minimal spec `name = "paper"` *is* the paper's 364-run campaign.
 
 use grid_batch::BatchPolicy;

@@ -1,10 +1,10 @@
 //! Integration tests pinning the campaign engine's contracts:
 //!
 //! * the paper spec expands to exactly its 364 runs;
-//! * shards partition the plan (disjoint, covering, stable);
 //! * the cache resumes campaigns and is byte-deterministic (same spec +
 //!   seed ⇒ byte-identical record files);
-//! * sharded execution reproduces the single-process tables exactly.
+//! * executing disjoint slices of the plan against one shared cache
+//!   reproduces the single-process tables exactly.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -64,43 +64,6 @@ fn example_spec_file_is_the_scaled_paper_campaign() {
     assert_eq!(spec.total_runs(), 364, "example spans the full matrix");
     assert!(spec.fraction < 1.0, "example is scaled down");
     assert_eq!(spec.expand().len(), 364);
-}
-
-#[test]
-fn shards_partition_the_plan() {
-    let plan = CampaignSpec::paper().expand();
-    for shards in [1usize, 2, 3, 4, 7] {
-        let mut seen = Vec::new();
-        for index in 0..shards {
-            let part = plan.shard(shards, index);
-            // Balanced to within one unit.
-            assert!((part.len() as i64 - (plan.len() / shards) as i64).abs() <= 1);
-            seen.extend(part.into_iter().map(|u| u.label()));
-        }
-        // Union == full plan, no overlap (labels are unique per unit).
-        let full: Vec<String> = plan.units.iter().map(|u| u.label()).collect();
-        let mut seen_sorted = seen.clone();
-        seen_sorted.sort();
-        let mut full_sorted = full.clone();
-        full_sorted.sort();
-        assert_eq!(
-            seen.len(),
-            plan.len(),
-            "{shards} shards must cover every run once"
-        );
-        assert_eq!(seen_sorted, full_sorted, "{shards}-shard union mismatch");
-    }
-    // Stability: the same shard call twice yields the same subset.
-    assert_eq!(
-        plan.shard(4, 2)
-            .iter()
-            .map(|u| u.label())
-            .collect::<Vec<_>>(),
-        plan.shard(4, 2)
-            .iter()
-            .map(|u| u.label())
-            .collect::<Vec<_>>(),
-    );
 }
 
 #[test]
@@ -167,13 +130,12 @@ fn sharded_execution_reproduces_single_shard_tables() {
     let (outcomes, _) = execute(&plan.units, Some(&cache_single), &opts);
     let single = aggregate(&spec, &plan, &outcomes).unwrap();
 
-    // Four shards executed independently against a shared cache, then a
-    // report assembled purely from that cache.
+    // Four disjoint slices executed independently against a shared
+    // cache, then a report assembled purely from that cache.
     let dir_sharded = scratch("shard-4way");
     let cache_sharded = ResultCache::open(&dir_sharded).unwrap();
-    for index in 0..4 {
-        let units = plan.shard(4, index);
-        let (_, summary) = execute(&units, Some(&cache_sharded), &opts);
+    for units in plan.units.chunks(plan.len().div_ceil(4)) {
+        let (_, summary) = execute(units, Some(&cache_sharded), &opts);
         assert!(summary.failures.is_empty());
     }
     let from_cache: Vec<_> = plan
@@ -386,8 +348,9 @@ faults = ["none"]
 /// The acceptance path of the fault subsystem: the example robustness
 /// sweep runs end to end; the report carries reallocation-vs-none
 /// metrics for every fault intensity; and the whole campaign is
-/// byte-deterministic — a fresh single-process run and a fresh 3-shard
-/// run produce identical cache bytes, CSV and tables.
+/// byte-deterministic — a fresh single-process run and a fresh run in
+/// three disjoint plan slices produce identical cache bytes, CSV and
+/// tables.
 #[test]
 fn fault_sweep_campaign_runs_end_to_end_deterministically() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/fault_sweep.toml");
@@ -413,9 +376,8 @@ fn fault_sweep_campaign_runs_end_to_end_deterministically() {
     // Sharded re-run from scratch: identical bytes everywhere.
     let dir_b = scratch("fault-sharded");
     let cache_b = ResultCache::open(&dir_b).unwrap();
-    for shard in 0..3 {
-        let units = plan.shard(3, shard);
-        let (_, s) = execute(&units, Some(&cache_b), &ExecOptions::default());
+    for units in plan.units.chunks(plan.len().div_ceil(3)) {
+        let (_, s) = execute(units, Some(&cache_b), &ExecOptions::default());
         assert!(s.failures.is_empty());
     }
     assert_eq!(
@@ -472,8 +434,9 @@ fn report_fails_cleanly_on_incomplete_cache() {
     let plan = spec.expand();
     let dir = scratch("incomplete");
     let cache = ResultCache::open(&dir).unwrap();
-    // Execute only shard 0 of 2.
-    let (_, summary) = execute(&plan.shard(2, 0), Some(&cache), &ExecOptions::default());
+    // Execute only the first half of the plan.
+    let half = &plan.units[..plan.len() / 2];
+    let (_, summary) = execute(half, Some(&cache), &ExecOptions::default());
     assert!(summary.failures.is_empty());
     let outcomes: Vec<_> = plan
         .units

@@ -375,23 +375,21 @@ fn metrics_and_heartbeats_leave_cache_bytes_identical() {
 }
 
 #[test]
-fn converge_free_fleet_matches_static_sharded_execute() {
-    // The legacy static path and the fleet must agree byte-for-byte on
-    // a multi-seed campaign without a convergence rule.
+fn converge_free_fleet_matches_single_execute() {
+    // One in-process `execute` over the whole plan and the fleet must
+    // agree byte-for-byte on a multi-seed campaign without a
+    // convergence rule.
     let spec = multi_seed_spec();
     let plan = spec.expand();
 
-    let dir_static = scratch("static");
-    let cache_static = ResultCache::open(&dir_static).unwrap();
-    for shard in 0..2 {
-        let units = plan.shard(2, shard);
-        let (_, s) = execute(&units, Some(&cache_static), &ExecOptions::default());
-        assert!(s.failures.is_empty());
-    }
+    let dir_single = scratch("whole-execute");
+    let cache_single = ResultCache::open(&dir_single).unwrap();
+    let (_, s) = execute(&plan.units, Some(&cache_single), &ExecOptions::default());
+    assert!(s.failures.is_empty());
 
     let dir_fleet = scratch("dynamic");
     let cache_fleet = ResultCache::open(&dir_fleet).unwrap();
     let summary = run_fleet(&spec, &plan, &cache_fleet, &fleet_opts("solo")).unwrap();
     assert_eq!(summary.skipped, 0, "no converge rule, nothing skipped");
-    assert_eq!(cache_bytes(&dir_static), cache_bytes(&dir_fleet));
+    assert_eq!(cache_bytes(&dir_single), cache_bytes(&dir_fleet));
 }

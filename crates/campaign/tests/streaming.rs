@@ -1,7 +1,7 @@
 //! Streaming aggregation must be bit-for-bit equivalent to the
-//! materialised path: the fold-based per-cell mean/CI
-//! ([`stream_seed_aggregates`]) equals the vector-based
-//! [`CampaignResults::seed_aggregates`], [`stream_csv`] writes the exact
+//! materialised path: the per-cell mean/CI folded from cache records
+//! ([`aggregate_streamed`] then `seed_aggregates`) equals the
+//! vector-based [`CampaignResults::seed_aggregates`], [`stream_csv`] writes the exact
 //! bytes of [`CampaignResults::to_csv`], and [`aggregate_streamed`]
 //! reproduces every rendered export of [`aggregate`] — on multi-seed and
 //! faulted specs alike.
@@ -10,8 +10,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 use grid_campaign::{
-    aggregate, aggregate_streamed, execute, stream_csv, stream_seed_aggregates, CampaignSpec,
-    ExecOptions, ResultCache,
+    aggregate, aggregate_streamed, execute, stream_csv, CampaignSpec, ExecOptions, ResultCache,
 };
 use grid_realloc::Heuristic;
 use grid_workload::Scenario;
@@ -85,7 +84,9 @@ fn fold_based_seed_statistics_equal_vector_based_seed_agg() {
     let spec = multi_seed_spec();
     let plan = spec.expand();
     let (cache, vector) = run_and_aggregate(&spec, "seedagg");
-    let folded = stream_seed_aggregates(&plan, &cache, &HashSet::new()).unwrap();
+    let folded = aggregate_streamed(&spec, &plan, &cache, &HashSet::new())
+        .unwrap()
+        .seed_aggregates();
     let materialised = vector.seed_aggregates();
     assert_eq!(folded.len(), materialised.len());
     for ((fk, fa), (mk, ma)) in folded.iter().zip(&materialised) {
@@ -124,7 +125,8 @@ fn streaming_fails_cleanly_on_incomplete_cache() {
     let spec = multi_seed_spec();
     let plan = spec.expand();
     let cache = ResultCache::open(scratch("incomplete")).unwrap();
-    let (_, summary) = execute(&plan.shard(2, 0), Some(&cache), &ExecOptions::default());
+    let half = &plan.units[..plan.len() / 2];
+    let (_, summary) = execute(half, Some(&cache), &ExecOptions::default());
     assert!(summary.failures.is_empty());
     let err = aggregate_streamed(&spec, &plan, &cache, &HashSet::new()).unwrap_err();
     assert!(err.contains("unavailable"), "{err}");

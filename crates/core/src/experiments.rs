@@ -5,8 +5,11 @@
 //! under 2 reallocation algorithms × 6 heuristics (336 runs). Tables 2–17
 //! are four metrics × two algorithms × two heterogeneity levels.
 //!
-//! Runs are independent, so the suite executes them on a rayon thread
-//! pool; everything stays deterministic per `(scenario, seed)`.
+//! This module holds the single-run entry points ([`run_one`],
+//! [`run_one_observed`]) and the table builders; the matrix itself is
+//! expanded, executed and aggregated by the `grid-campaign` crate, which
+//! folds back into [`SuiteResults`]. Every run is deterministic per
+//! `(scenario, seed)`.
 
 use std::collections::HashMap;
 
@@ -15,7 +18,6 @@ use grid_des::Duration;
 use grid_fault::Fault;
 use grid_metrics::{Comparison, PaperTable, RunOutcome};
 use grid_workload::Scenario;
-use rayon::prelude::*;
 
 use crate::grid::{GridConfig, GridSim};
 use crate::heuristics::Heuristic;
@@ -154,19 +156,7 @@ pub fn run_one(
     realloc: Option<ReallocConfig>,
     suite: &SuiteConfig,
 ) -> RunOutcome {
-    let mut jobs = scenario.generate_fraction(suite.seed, suite.fraction);
-    // Trace perturbation happens before the driver sees the workload;
-    // outages and ECT noise are injected by the driver itself.
-    if let Some(perturb) = &suite.fault.config().perturb {
-        perturb.apply(&mut jobs, suite.seed);
-    }
-    let mut config = GridConfig::new(platform_for(scenario, heterogeneous), policy)
-        .with_seed(suite.seed)
-        .with_fault(suite.fault);
-    if let Some(r) = realloc {
-        config = config.with_realloc(r);
-    }
-    GridSim::new(config, jobs)
+    build_sim(scenario, heterogeneous, policy, realloc, suite)
         .run()
         .expect("paper scenarios are schedulable")
 }
@@ -185,6 +175,22 @@ pub fn run_one_observed(
     suite: &SuiteConfig,
     obs: &grid_obs::Obs,
 ) -> (RunOutcome, Vec<grid_batch::ClusterStats>, crate::GridStats) {
+    let mut sim = build_sim(scenario, heterogeneous, policy, realloc, suite);
+    sim.set_obs(obs.clone());
+    sim.run_instrumented()
+        .expect("paper scenarios are schedulable")
+}
+
+/// The simulator both entry points run: the scenario's workload (with
+/// trace perturbation applied before the driver sees it; outages and ECT
+/// noise are injected by the driver itself) on the scenario's platform.
+fn build_sim(
+    scenario: Scenario,
+    heterogeneous: bool,
+    policy: BatchPolicy,
+    realloc: Option<ReallocConfig>,
+    suite: &SuiteConfig,
+) -> GridSim {
     let mut jobs = scenario.generate_fraction(suite.seed, suite.fraction);
     if let Some(perturb) = &suite.fault.config().perturb {
         perturb.apply(&mut jobs, suite.seed);
@@ -195,97 +201,7 @@ pub fn run_one_observed(
     if let Some(r) = realloc {
         config = config.with_realloc(r);
     }
-    let mut sim = GridSim::new(config, jobs);
-    sim.set_obs(obs.clone());
-    sim.run_instrumented()
-        .expect("paper scenarios are schedulable")
-}
-
-/// The paper's batch policies, in table order.
-pub const SUITE_POLICIES: [BatchPolicy; 2] = [BatchPolicy::Fcfs, BatchPolicy::Cbf];
-
-/// The declarative experiment matrix for one heterogeneity level:
-/// every `(scenario, policy, algorithm, heuristic)` cell of Tables 2–17,
-/// in deterministic order. With all seven scenarios this is the paper's
-/// 336 reallocation experiments (a 337th dimension — the 28 reference
-/// runs — is implied: one per `(scenario, policy)` pair and flavour).
-pub fn suite_cells(scenarios: &[Scenario]) -> Vec<ExperimentKey> {
-    let mut cells = Vec::with_capacity(scenarios.len() * 2 * 12);
-    for &scenario in scenarios {
-        for policy in SUITE_POLICIES {
-            for algorithm in ReallocAlgorithm::ALL {
-                for heuristic in Heuristic::ALL {
-                    cells.push(ExperimentKey {
-                        scenario,
-                        policy,
-                        algorithm,
-                        heuristic,
-                    });
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// Run the reference and the 12 reallocation runs of one
-/// `(scenario, policy)` pair, returning the §3.4 comparisons.
-pub fn compare_pair(
-    scenario: Scenario,
-    heterogeneous: bool,
-    policy: BatchPolicy,
-    suite: &SuiteConfig,
-) -> Vec<(ExperimentKey, Comparison)> {
-    let baseline = run_one(scenario, heterogeneous, policy, None, suite);
-    suite_cells(&[scenario])
-        .into_iter()
-        .filter(|key| key.policy == policy)
-        .map(|key| {
-            let cfg = ReallocConfig::new(key.algorithm, key.heuristic)
-                .with_period(suite.period)
-                .with_threshold(suite.threshold);
-            let run = run_one(scenario, heterogeneous, policy, Some(cfg), suite);
-            (key, Comparison::against_baseline(&baseline, &run))
-        })
-        .collect()
-}
-
-/// Run the full suite (or a scaled-down version) for one heterogeneity
-/// level: 14 reference runs + 168 reallocation runs when all scenarios are
-/// included.
-///
-/// This is the in-process compatibility path kept for tests, examples and
-/// library callers that want a `SuiteResults` in one call. Anything
-/// bigger — sharding across processes, resuming interrupted sweeps,
-/// caching, period/threshold/seed matrices — lives in the `grid-campaign`
-/// crate, which supersedes the nested loops that used to live here and
-/// aggregates back into this same [`SuiteResults`] type.
-pub fn run_suite(heterogeneous: bool, scenarios: &[Scenario], suite: &SuiteConfig) -> SuiteResults {
-    // One work item per (scenario, policy): the reference run is shared by
-    // the 12 reallocation runs of that pair.
-    let pairs: Vec<(Scenario, BatchPolicy)> = scenarios
-        .iter()
-        .flat_map(|&s| SUITE_POLICIES.map(|p| (s, p)))
-        .collect();
-    let comparisons: HashMap<ExperimentKey, Comparison> = pairs
-        .par_iter()
-        .flat_map_iter(|&(scenario, policy)| {
-            let t0 = std::time::Instant::now();
-            let out = compare_pair(scenario, heterogeneous, policy, suite);
-            eprintln!(
-                "[{}/{}/{} done in {:.1?}]",
-                scenario.label(),
-                if heterogeneous { "het" } else { "hom" },
-                policy,
-                t0.elapsed()
-            );
-            out
-        })
-        .collect();
-    SuiteResults {
-        heterogeneous,
-        comparisons,
-    }
+    GridSim::new(config, jobs)
 }
 
 /// Row-group (policy) rendering order: registered policies in registry
@@ -615,49 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn suite_cells_cover_the_paper_matrix() {
-        let cells = suite_cells(&Scenario::ALL);
-        assert_eq!(cells.len(), 7 * 2 * 2 * 6);
-        // Deterministic order and no duplicates.
-        assert_eq!(cells, suite_cells(&Scenario::ALL));
-        let unique: std::collections::HashSet<_> = cells.iter().collect();
-        assert_eq!(unique.len(), cells.len());
-    }
-
-    #[test]
     fn table1_matches_paper_counts() {
         let t = table1();
         assert_eq!(t.get("2008", "jan", "Bordeaux"), Some(13_084.0));
         assert_eq!(t.get("2008", "apr", "Total"), Some(36_041.0));
         assert_eq!(t.get("2008", "jun", "Lyon"), Some(3_540.0));
-    }
-
-    #[test]
-    fn smoke_suite_produces_all_cells() {
-        let scenarios = [Scenario::Jun];
-        let results = run_suite(false, &scenarios, &SuiteConfig::smoke());
-        assert_eq!(results.comparisons.len(), 2 * 2 * 6);
-        for metric in Metric::ALL {
-            for algo in ReallocAlgorithm::ALL {
-                let t = results.table(algo, metric, &scenarios);
-                for policy in ["FCFS", "CBF"] {
-                    for h in Heuristic::ALL {
-                        let label = format!("{}{}", h.label(), algo.suffix());
-                        let v = t.get(policy, &label, "jun").unwrap();
-                        assert!(v.is_finite(), "{policy}/{label}/{metric:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn smoke_suite_reallocation_is_meaningful() {
-        // At least one configuration must actually migrate jobs, otherwise
-        // the mechanism is dead code.
-        let results = run_suite(true, &[Scenario::Apr], &SuiteConfig::smoke());
-        let total: u64 = results.comparisons.values().map(|c| c.reallocations).sum();
-        assert!(total > 0, "no migrations in the whole smoke suite");
     }
 
     /// The harness applies trace perturbation before the driver runs:

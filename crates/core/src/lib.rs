@@ -21,8 +21,9 @@
 //!   reallocation round (§2.2.2): MCT, MinMin, MaxMin, MaxGain, MaxRelGain
 //!   and Sufferage;
 //! * the **simulation driver** gluing these to the `grid-batch` clusters,
-//!   and the **experiment harness** reproducing the paper's 364 runs and
-//!   Tables 2–17, plus the ablations described in `DESIGN.md`.
+//!   and the **single-run entry points and table builders** behind the
+//!   paper's Tables 2–17 (the `grid-campaign` crate runs the 364-run
+//!   matrix through them), plus the ablations described in `DESIGN.md`.
 //!
 //! ## Quick start
 //!

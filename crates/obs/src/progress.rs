@@ -26,7 +26,7 @@ fn t_975(df: usize) -> f64 {
 /// Snapshot of a running campaign, renderable as one status line.
 #[derive(Debug, Clone, Default)]
 pub struct ProgressView {
-    /// Cells in the campaign (this shard).
+    /// Cells this drain covers.
     pub total: usize,
     /// Cells finished from cache.
     pub cached: usize,

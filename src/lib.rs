@@ -20,11 +20,11 @@
 //! | [`des`] | deterministic discrete-event kernel (virtual clock, event queue, seeded RNG) |
 //! | [`batch`] | Simbatch-equivalent cluster simulator: availability profiles, FCFS and conservative back-filling, the four middleware queries, ASCII Gantt charts |
 //! | [`workload`] | SWF trace I/O and the calibrated synthetic generator reproducing the paper's Table 1 scenarios |
-//! | [`realloc`] | the paper's contribution: MCT meta-scheduling, reallocation Algorithms 1 & 2, the six heuristics, the 364-experiment harness and ablations |
+//! | [`realloc`] | the paper's contribution: MCT meta-scheduling, reallocation Algorithms 1 & 2, the six heuristics, single-run entry points, table builders and ablations |
 //! | [`metrics`] | the §3.4 evaluation metrics and paper-style table rendering |
 //! | [`fault`] | deterministic fault injection: cluster outage windows, ECT estimation noise, trace perturbation |
 //! | [`obs`] | deterministic, zero-cost-when-disabled instrumentation: recorder, Chrome-trace/JSONL exporters, campaign progress view |
-//! | [`campaign`] | declarative experiment campaigns: spec files, sharded execution, content-addressed result cache, aggregation and exports |
+//! | [`campaign`] | declarative experiment campaigns: spec files, parallel execution and a runner fleet, content-addressed result cache, aggregation and exports |
 //!
 //! ## Quick start
 //!
