@@ -423,6 +423,12 @@ impl Cluster {
         self.lane = lane;
     }
 
+    /// The attached instrumentation handle (disabled unless
+    /// [`Cluster::set_obs`] attached one).
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
     /// Enable/disable warm-profile incremental schedule maintenance.
     /// Disabling restores the historical "invalidate on every cancel or
     /// early completion" behaviour; results are identical either way, only

@@ -1,4 +1,5 @@
-//! Regenerate the paper's Tables 1–17 (and the DESIGN.md ablations).
+//! Regenerate the paper's Tables 1–17 (and the A1–A6 ablations of
+//! [`grid_realloc::ablation`]).
 //!
 //! A thin consumer of the `grid-campaign` engine: the option set below is
 //! translated into a [`CampaignSpec`], executed (optionally against a

@@ -1,22 +1,25 @@
-//! Ablations and extensions beyond the paper's headline experiments
-//! (DESIGN.md §6).
+//! Ablations and extensions beyond the paper's headline experiments,
+//! numbered A1–A6 as the `tables --ablations` report prints them:
 //!
-//! * **Period sweep** — the paper fixes the reallocation period at one hour
-//!   and argues it is "rare enough … and often enough"; the sweep
-//!   quantifies that trade-off.
-//! * **Threshold sweep** — Algorithm 1's one-minute improvement threshold.
-//! * **Mapping ablation** — MCT vs Random vs Round-Robin initial mapping
-//!   (§2.1 lists all three).
-//! * **Starvation probe** — §4.3 warns Algorithm 2 "can produce
+//! * **A1 · Period sweep** — the paper fixes the reallocation period at
+//!   one hour and argues it is "rare enough … and often enough"; the
+//!   sweep quantifies that trade-off.
+//! * **A2 · Threshold sweep** — Algorithm 1's one-minute improvement
+//!   threshold.
+//! * **A3 · Mapping ablation** — MCT vs Random vs Round-Robin initial
+//!   mapping (§2.1 lists all three).
+//! * **A4 · Starvation probe** — §4.3 warns Algorithm 2 "can produce
 //!   starvation"; we measure per-job migration counts and worst response
 //!   times.
-//! * **Multi-submission baseline** — the related-work alternative (Sonmez
-//!   et al., reference 23 of the paper): submit a copy of each job to `k`
-//!   clusters, cancel the
-//!   other copies when one starts. Approximated a priori: each job is
-//!   mapped to its best cluster at submission *and re-examined at every
-//!   tick against all clusters with a zero threshold*, which bounds what
-//!   duplicate submission can achieve without holding multiple queue slots.
+//! * **A5 · Walltime adjustment** — §1's automatic scaling of walltimes
+//!   to cluster speeds, switched off on a heterogeneous platform.
+//! * **A6 · Multi-submission baseline** — the related-work alternative
+//!   (Sonmez et al., reference 23 of the paper): submit a copy of each
+//!   job to `k` clusters, cancel the other copies when one starts.
+//!   Approximated a priori: each job is mapped to its best cluster at
+//!   submission *and re-examined at every tick against all clusters with
+//!   a zero threshold*, which bounds what duplicate submission can
+//!   achieve without holding multiple queue slots.
 
 use grid_batch::BatchPolicy;
 use grid_des::Duration;

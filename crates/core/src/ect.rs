@@ -12,24 +12,32 @@
 //!   [`LocalScheduler::incremental_tail`](grid_batch::LocalScheduler::incremental_tail)
 //!   (FCFS, CBF) only carves one more reservation behind the queue, so no
 //!   estimate on that cluster can drop — ECT noise included, its
-//!   perturbation being monotone. The column's entries become lower
-//!   bounds ([`EctView::note_submit`]);
+//!   perturbation being monotone — and no reservation moves. The
+//!   column's entries become lower bounds ([`EctView::note_submit`]);
 //! * a cancel, or a submit under any other policy (the EASY family
 //!   re-examines the whole queue), resets the column: its entries become
 //!   unknown ([`EctView::note_cancel`]).
 //!
-//! Both are O(1): every entry records the logical clock of its probe, and
-//! every column the clocks of its last change and last reset.
+//! Both are O(1) for the matrix: every entry records the logical clock of
+//! its probe, and every column the clocks of its last change and last
+//! reset.
 //!
 //! A job's best targets (its `depth` cheapest clusters) need no separate
 //! cache: they are known exactly whenever the row's smallest entries by
 //! (known lower bound, cluster) are themselves exact — a best target
 //! stays valid while its column is fresh, because every other entry
-//! could only have risen. `EctView::select` ranks jobs by a
-//! `TargetRank` over those best targets: jobs whose targets are known
-//! score exactly for free, and the others are bracketed between lower
-//! bounds and exact entries and re-probed only when that bracket could
-//! still beat the best exactly-known score.
+//! could only have risen.
+//!
+//! Selection runs on a per-round **priority index** over the remaining
+//! jobs (`EctView::select`). Each job's key is its merit under the
+//! round's `TargetRank` — exact when its best targets are known, else the
+//! optimistic bound over its bracketed row — so the top key is the pick
+//! as soon as it is exact. A column change re-keys only the rows whose
+//! bracket it can move: the rows exact in that column (after a
+//! bound-keeping submit), every row with an estimate there (after a
+//! reset), and in `Queued` mode the rows queued on a reset cluster, whose
+//! current ECT may move. Probes only tighten brackets, so they never
+//! invalidate a key.
 //!
 //! A cold column (never filled this round) is answered in one *batched*
 //! pass ([`Cluster::estimate_new_batch`]): the cluster freezes its
@@ -40,10 +48,9 @@
 //! entries against the same snapshot, re-frozen only when a mutation came
 //! through the view since.
 
-use std::cmp::Reverse;
-
 use grid_batch::{Cluster, JobSpec};
 use grid_des::SimTime;
+use grid_obs::Obs;
 
 /// A waiting job captured at the start of a reallocation round.
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +84,7 @@ pub(crate) struct Candidate {
     pub(crate) mode: ViewMode,
 }
 
-/// A job ranking in the shape [`EctView::select`] can prune: a score
+/// A job ranking in the shape [`EctView::select`] can index: a score
 /// over the job's target ECTs that only its `depth` smallest decide.
 pub(crate) trait TargetRank {
     /// How many of a job's smallest target ECTs [`score`](Self::score)
@@ -106,15 +113,168 @@ pub(crate) trait TargetRank {
 /// cluster in `Queued` mode, and clusters too small for the job.
 const STATIC: u32 = u32::MAX;
 
+/// A score as a merit: higher is better either way (`!` reverses the
+/// order of every i128 without overflow).
+fn merit(maximise: bool, score: i128) -> i128 {
+    if maximise {
+        score
+    } else {
+        !score
+    }
+}
+
+/// A row's place in the selection order, packed so that one unsigned
+/// comparison decides a match: the merit, offset to unsigned, above the
+/// row's complement, so the earliest submission (the lowest row) wins
+/// ties. Every ranking's merits stay within ±2^86 — seconds, their
+/// differences, per-processor gains scaled by 2^20 — or are the `i128`
+/// extremes the rankings use as sentinels, which the 96-bit clamp keeps
+/// at the ends of the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
+
+impl Key {
+    /// An empty slot: below every row's key.
+    const NONE: Key = Key(0);
+
+    fn new(merit: i128, row: usize) -> Key {
+        const LIMIT: i128 = 1 << 95;
+        let clamped = merit.clamp(-LIMIT, LIMIT - 1);
+        debug_assert!(
+            clamped == merit || merit == i128::MIN || merit == i128::MAX,
+            "merit {merit} outside the packed range"
+        );
+        Key(((clamped + LIMIT) as u128) << 32 | u128::from(!(row as u32)))
+    }
+
+    fn row(self) -> usize {
+        !(self.0 as u32) as usize
+    }
+}
+
+/// The round's selection index: a four-way winner tree over the
+/// round's rows. Leaves sit at fixed row slots and every inner node
+/// holds the best key below it, so re-keying or removing a row replays
+/// only the matches on its path to the root, and stops where a winner
+/// stands. A popped bound won every match on its path and replays all
+/// of it, so each node holds four children — half a binary tree's path
+/// length, with a match's four keys side by side in memory.
+struct Index {
+    /// The ranking the keys were computed for: its type and address.
+    ranking: (&'static str, usize),
+    /// Inner node count; row `i`'s leaf is `inner + i`.
+    inner: usize,
+    /// `tree[node]`: the best key in the node's subtree. Node 0 is the
+    /// root, and node `v`'s children are `4v + 1 ..= 4v + 4`.
+    tree: Vec<Key>,
+    /// Whether each row's merit is its exact score (else an upper bound).
+    exact: Vec<bool>,
+    /// Rows a column change may have re-keyed since the last selection
+    /// (`marked` deduplicates them).
+    stale: Vec<u32>,
+    marked: Vec<bool>,
+}
+
+impl Index {
+    /// An index over `n` rows, none of them keyed yet.
+    fn new(ranking: (&'static str, usize), n: usize) -> Index {
+        let mut leaves = 1;
+        while leaves < n {
+            leaves *= 4;
+        }
+        let inner = (leaves - 1) / 3;
+        Index {
+            ranking,
+            inner,
+            tree: vec![Key::NONE; inner + leaves],
+            exact: vec![false; n],
+            stale: Vec::new(),
+            marked: vec![false; n],
+        }
+    }
+
+    /// Play every match, once each row is keyed.
+    fn play_all(&mut self) {
+        for node in (0..self.inner).rev() {
+            self.tree[node] = self.winner(node);
+        }
+    }
+
+    fn winner(&self, node: usize) -> Key {
+        let c = &self.tree[4 * node + 1..4 * node + 5];
+        c[0].max(c[1]).max(c[2].max(c[3]))
+    }
+
+    /// The best alive row, if any.
+    fn top(&self) -> Option<usize> {
+        let top = self.tree[0];
+        (top != Key::NONE).then(|| top.row())
+    }
+
+    fn is_alive(&self, row: usize) -> bool {
+        self.tree[self.inner + row] != Key::NONE
+    }
+
+    /// Put `key` in `row`'s leaf and replay the matches above it.
+    fn place(&mut self, row: usize, key: Key) {
+        let mut node = self.inner + row;
+        self.tree[node] = key;
+        while node > 0 {
+            node = (node - 1) / 4;
+            let won = self.winner(node);
+            if won == self.tree[node] {
+                break;
+            }
+            self.tree[node] = won;
+        }
+    }
+
+    fn set(&mut self, row: usize, merit: i128, exact: bool) {
+        self.exact[row] = exact;
+        let key = Key::new(merit, row);
+        if self.tree[self.inner + row] != key {
+            self.place(row, key);
+        }
+    }
+
+    fn remove(&mut self, row: usize) {
+        self.place(row, Key::NONE);
+    }
+
+    /// Queue `row` for re-keying, unless it already left the index.
+    fn mark(&mut self, row: u32) {
+        let r = row as usize;
+        if self.is_alive(r) && !self.marked[r] {
+            self.marked[r] = true;
+            self.stale.push(row);
+        }
+    }
+}
+
+/// Per column, the rows whose key a change of the column can move.
+struct ColumnRows {
+    /// The rows probed in each column since its last change (its exact
+    /// entries) and since its last reset (its exact and bounded
+    /// entries). A change of the column moves no other row's bracket.
+    exact: Vec<Vec<u32>>,
+    known: Vec<Vec<u32>>,
+    /// Per cluster, in `Queued` mode: the rows queued there, whose
+    /// current ECT a reset of the cluster may move.
+    queued: Vec<Vec<u32>>,
+}
+
 /// Lazily filled, flat n×k ECT matrix over the remaining jobs of one
-/// round.
+/// round, with the round's selection index.
 pub struct EctView<'a> {
     clusters: &'a mut [Cluster],
     jobs: &'a [WaitingJob],
     now: SimTime,
     mode: ViewMode,
-    /// Remaining (not yet processed) job indices, ascending.
-    alive: Vec<usize>,
+    /// Per job: not yet processed.
+    alive: Vec<bool>,
+    alive_count: usize,
+    /// Every job below this index is processed.
+    first_alive: usize,
     /// Current ECT per job (`Queued`: live, valid while `cur_at[i]` is
     /// not older than its cluster's last change; `Cancelled`: the
     /// pre-cancel snapshot, always valid).
@@ -132,16 +292,24 @@ pub struct EctView<'a> {
     reset: Vec<u32>,
     /// Logical clock; every column change advances it.
     clock: u32,
+    /// The rows each column change can re-key, tracked from the first
+    /// index build on.
+    rows: Option<ColumnRows>,
     /// Per column: never batch-filled this round. Every ranking reads a
-    /// cold column in full at least once, so its first miss fills it in
-    /// one batched pass; later misses re-probe single entries.
+    /// cold column in full at least once, so its first miss — or the
+    /// index build, for every column — fills it in one batched pass;
+    /// later misses re-probe single entries.
     cold: Vec<bool>,
     /// Per column: [`Cluster::prepare_estimates`] has run since the last
     /// change, so single probes can query the frozen snapshot directly.
     prepared: Vec<bool>,
+    /// The selection index, built by the first [`EctView::select`].
+    index: Option<Index>,
     /// Scratch for [`EctView::summarize`]: the row's known bounds.
     lo: Vec<SimTime>,
     hi: Vec<SimTime>,
+    /// Where the round's telemetry goes: its clusters' recorder.
+    obs: Obs,
 }
 
 impl<'a> EctView<'a> {
@@ -196,12 +364,18 @@ impl<'a> EctView<'a> {
                 }
             }
         }
+        let obs = clusters
+            .first()
+            .map(|c| c.obs().clone())
+            .unwrap_or_default();
         EctView {
             clusters,
             jobs,
             now,
             mode,
-            alive: (0..n).collect(),
+            alive: vec![true; n],
+            alive_count: n,
+            first_alive: 0,
             cur,
             cur_at,
             k,
@@ -210,10 +384,13 @@ impl<'a> EctView<'a> {
             changed: vec![1; k],
             reset: vec![1; k],
             clock: 1,
+            rows: None,
             cold: vec![true; k],
             prepared: vec![false; k],
+            index: None,
             lo: vec![SimTime::MAX; k.max(1)],
             hi: vec![SimTime::MAX; k.max(1)],
+            obs,
         }
     }
 
@@ -225,18 +402,33 @@ impl<'a> EctView<'a> {
     /// Remaining (not yet processed) job indices, ascending — i.e. in
     /// submission order, since callers sort the job list that way.
     pub fn alive_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.alive.iter().copied()
+        (self.first_alive..self.alive.len()).filter(|&i| self.alive[i])
     }
 
     /// Count of remaining jobs.
     pub fn alive_count(&self) -> usize {
-        self.alive.len()
+        self.alive_count
     }
 
     /// Remove job `i` from the working list.
     pub fn remove(&mut self, i: usize) {
-        let pos = self.alive.binary_search(&i).expect("job removed twice");
-        self.alive.remove(pos);
+        assert!(
+            std::mem::replace(&mut self.alive[i], false),
+            "job removed twice"
+        );
+        self.alive_count -= 1;
+        while self.alive.get(self.first_alive) == Some(&false) {
+            self.first_alive += 1;
+        }
+        if let Some(index) = &mut self.index {
+            index.remove(i);
+        }
+    }
+
+    /// The telemetry handle of the round (the one its clusters report
+    /// to; a grid attaches the same handle to every site).
+    pub(crate) fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Current ECT of job `i` (live reservation or pre-cancel snapshot).
@@ -283,11 +475,24 @@ impl<'a> EctView<'a> {
             cluster.prepare_estimates(self.now);
             self.prepared[c] = true;
         }
-        let at = i * self.k + c;
-        if self.probed_at[at] >= self.reset[c] {
+        if self.probed_at[i * self.k + c] >= self.reset[c] {
             cluster.note_stale_refresh();
         }
         let est = cluster.estimate_new_at(&self.jobs[i].spec, self.now);
+        self.store(i, c, est);
+    }
+
+    /// Record a fresh estimate of entry `(i, c)`, listing row `i` among
+    /// the column's exact rows, and among its known rows unless it
+    /// already was, once rows are tracked.
+    fn store(&mut self, i: usize, c: usize, est: Option<SimTime>) {
+        let at = i * self.k + c;
+        if let Some(rows) = &mut self.rows {
+            if self.probed_at[at] < self.reset[c] {
+                rows.known[c].push(i as u32);
+            }
+            rows.exact[c].push(i as u32);
+        }
         self.est[at] = est.unwrap_or(SimTime::MAX);
         self.probed_at[at] = self.clock;
     }
@@ -299,18 +504,17 @@ impl<'a> EctView<'a> {
     /// same tail-floor base, so the threaded dominance frontier only
     /// skips descent work, never changes an answer.
     fn fill_column(&mut self, c: usize, want: usize) {
-        let k = self.k;
-        let mut wanted: Vec<Option<&JobSpec>> = vec![None; self.jobs.len()];
-        for &i in self.alive.iter().chain(std::iter::once(&want)) {
+        let (k, jobs) = (self.k, self.jobs);
+        let mut wanted: Vec<Option<&JobSpec>> = vec![None; jobs.len()];
+        for i in self.alive_indices().chain(std::iter::once(want)) {
             if self.probed_at[i * k + c] < self.changed[c] {
-                wanted[i] = Some(&self.jobs[i].spec);
+                wanted[i] = Some(&jobs[i].spec);
             }
         }
         let ests = self.clusters[c].estimate_new_batch(wanted.iter().copied(), self.now);
         for (i, est) in ests.into_iter().enumerate() {
             if wanted[i].is_some() {
-                self.est[i * k + c] = est.unwrap_or(SimTime::MAX);
-                self.probed_at[i * k + c] = self.clock;
+                self.store(i, c, est);
             }
         }
     }
@@ -349,13 +553,34 @@ impl<'a> EctView<'a> {
         self.note_change(c, true);
     }
 
+    /// Advance column `c`'s clocks, and mark for re-keying every row
+    /// whose bracket or current ECT the change can move: the rows exact
+    /// in `c` (their entry is now a bound), on a reset also the rows
+    /// bounded there (their entry is now unknown), and the rows queued
+    /// on a reset cluster. Any other row's key stands.
     fn note_change(&mut self, c: usize, reset: bool) {
         self.clock += 1;
         self.changed[c] = self.clock;
+        self.prepared[c] = false;
         if reset {
             self.reset[c] = self.clock;
         }
-        self.prepared[c] = false;
+        if let Some(rows) = &mut self.rows {
+            let index = self.index.as_mut().expect("rows are tracked for an index");
+            let queued: &[u32] = if reset { &rows.queued[c] } else { &[] };
+            let moved = if reset {
+                &rows.known[c]
+            } else {
+                &rows.exact[c]
+            };
+            for &i in moved.iter().chain(queued) {
+                index.mark(i);
+            }
+            rows.exact[c].clear();
+            if reset {
+                rows.known[c].clear();
+            }
+        }
     }
 
     /// Mutable access to a cluster (for the migration itself).
@@ -369,7 +594,7 @@ impl<'a> EctView<'a> {
     }
 
     // -----------------------------------------------------------------
-    // Best targets and pruned selection
+    // Best targets and indexed selection
     // -----------------------------------------------------------------
 
     /// Bracket job `i`'s row as it stands — `lo <= ect <= hi` per cluster
@@ -432,59 +657,137 @@ impl<'a> EctView<'a> {
         }
     }
 
+    /// Job `i`'s key under `rank` as its row stands: its merit, and
+    /// whether that is its exact score rather than an upper bound.
+    fn key<R: TargetRank + ?Sized>(&mut self, rank: &R, i: usize) -> (i128, bool) {
+        let (len, known) = self.summarize(i, rank.depth().max(1));
+        let job = self.candidate(i);
+        let (lo, hi) = (&self.lo[..len], &self.hi[..len]);
+        if known {
+            (merit(rank.maximise(), rank.score(&job, lo)), true)
+        } else {
+            (merit(rank.maximise(), rank.bound(&job, lo, hi)), false)
+        }
+    }
+
     /// The alive job `rank` scores best — the earliest-submitted one on
     /// ties — or `None` when the round is over.
     ///
     /// Exactly the job an exhaustive re-ranking over exact estimates
-    /// picks, without re-probing every job: jobs whose best targets are
-    /// known score exactly for free, and the others have their rows
-    /// re-probed only while their bound could still beat the best score
-    /// found.
+    /// picks, read off the round's priority index. The first call keys
+    /// every alive job; later calls first re-key the jobs the noted
+    /// changes marked. Then the top key decides: an exact key is the
+    /// pick (every other key is at least its job's true merit, and the
+    /// key order is the tie-break order), while a bound has its row
+    /// re-probed and goes back in at its exact score. The index serves
+    /// one ranking; a call with another rebuilds it.
     pub(crate) fn select<R: TargetRank + ?Sized>(&mut self, rank: &R) -> Option<usize> {
-        let d = rank.depth().max(1);
-        // Merit: higher is better either way (`!` reverses the order of
-        // every i128 without overflow).
-        let maximise = rank.maximise();
-        let merit = |score: i128| if maximise { score } else { !score };
-        let beats = |m: i128, i: usize, best: Option<(i128, usize)>| {
-            best.is_none_or(|(bm, bi)| m > bm || (m == bm && i < bi))
-        };
-        let mut best: Option<(i128, usize)> = None;
-        let mut pending = Vec::new();
-        for pos in 0..self.alive.len() {
-            let i = self.alive[pos];
-            let (len, known) = self.summarize(i, d);
-            let job = self.candidate(i);
-            if known {
-                let m = merit(rank.score(&job, &self.lo[..len]));
-                if beats(m, i, best) {
-                    best = Some((m, i));
-                }
-            } else {
-                let bound = merit(rank.bound(&job, &self.lo[..len], &self.hi[..len]));
-                if beats(bound, i, best) {
-                    pending.push((bound, i, job));
-                }
+        let ranking = (
+            std::any::type_name::<R>(),
+            (rank as *const R).cast::<()>() as usize,
+        );
+        let mut index = match self.index.take() {
+            Some(mut index) if index.ranking == ranking => {
+                self.rekey_marked(rank, &mut index);
+                index
             }
-        }
-        // The most promising job first (its exact score tends to prune
-        // the rest), then the others: against the best score found, most
-        // bounds no longer compete.
-        let first = (0..pending.len()).max_by_key(|&p| (pending[p].0, Reverse(pending[p].1)));
-        if let Some(first) = first {
-            pending.swap(0, first);
-        }
-        for (bound, i, job) in pending {
-            if !beats(bound, i, best) {
-                continue;
+            _ => self.build_index(rank, ranking),
+        };
+        let pick = loop {
+            let Some(i) = index.top() else {
+                break None;
+            };
+            if index.exact[i] {
+                break Some(i);
             }
             self.refresh_row(i);
-            let m = merit(rank.score(&job, &self.est[i * self.k..(i + 1) * self.k]));
-            if beats(m, i, best) {
-                best = Some((m, i));
+            let job = self.candidate(i);
+            let score = rank.score(&job, &self.est[i * self.k..(i + 1) * self.k]);
+            index.set(i, merit(rank.maximise(), score), true);
+        };
+        self.index = Some(index);
+        pick
+    }
+
+    /// Re-key the alive rows the noted changes marked, counted as
+    /// `ect.rekeys`.
+    fn rekey_marked<R: TargetRank + ?Sized>(&mut self, rank: &R, index: &mut Index) {
+        let mut stale = std::mem::take(&mut index.stale);
+        let mut rekeys = 0;
+        for &i in &stale {
+            let i = i as usize;
+            index.marked[i] = false;
+            if index.is_alive(i) {
+                let (merit, exact) = self.key(rank, i);
+                index.set(i, merit, exact);
+                rekeys += 1;
             }
         }
-        best.map(|(_, i)| i)
+        if rekeys > 0 {
+            self.obs.count("ect.rekeys", rekeys);
+        }
+        stale.clear();
+        index.stale = stale;
+    }
+
+    /// List the alive rows by what the matrix knows of them per column.
+    fn column_rows(&self) -> ColumnRows {
+        let k = self.k;
+        let mut rows = ColumnRows {
+            exact: vec![Vec::new(); k],
+            known: vec![Vec::new(); k],
+            queued: vec![Vec::new(); k],
+        };
+        for i in self.alive_indices() {
+            if self.mode == ViewMode::Queued {
+                rows.queued[self.jobs[i].cluster].push(i as u32);
+            }
+            for c in 0..k {
+                let probed = self.probed_at[i * k + c];
+                if probed != STATIC && probed >= self.reset[c] {
+                    rows.known[c].push(i as u32);
+                }
+                if probed != STATIC && probed >= self.changed[c] {
+                    rows.exact[c].push(i as u32);
+                }
+            }
+        }
+        rows
+    }
+
+    /// Key every alive job under `rank` into a fresh index.
+    fn build_index<R: TargetRank + ?Sized>(
+        &mut self,
+        rank: &R,
+        ranking: (&'static str, usize),
+    ) -> Index {
+        // Fill every cold column a remaining job can run on first, so no
+        // key starts out bracketing an unknown entry.
+        let (n, k) = (self.jobs.len(), self.k);
+        for c in 0..k {
+            if !self.cold[c] {
+                continue;
+            }
+            let reader = self
+                .alive_indices()
+                .find(|&i| self.probed_at[i * k + c] != STATIC);
+            if let Some(i) = reader {
+                self.probe(i, c);
+            }
+        }
+        if self.rows.is_none() {
+            self.rows = Some(self.column_rows());
+        }
+        let mut index = Index::new(ranking, n);
+        for i in self.first_alive..n {
+            if self.alive[i] {
+                let (merit, exact) = self.key(rank, i);
+                index.exact[i] = exact;
+                index.tree[index.inner + i] = Key::new(merit, i);
+            }
+        }
+        index.play_all();
+        index
     }
 
     // -----------------------------------------------------------------
@@ -550,6 +853,18 @@ mod tests {
             } else {
                 Entry::Unknown
             }
+        }
+
+        /// The rows the noted changes marked for re-keying, ascending.
+        fn marked_rows(&self) -> Vec<u32> {
+            let mut rows = self
+                .index
+                .as_ref()
+                .expect("a select built it")
+                .stale
+                .clone();
+            rows.sort_unstable();
+            rows
         }
     }
 
@@ -833,5 +1148,80 @@ mod tests {
         v.remove(0);
         assert_eq!(v.alive_count(), 0);
         assert!(v.alive_indices().next().is_none());
+    }
+
+    /// Three idle 4-proc FCFS sites and three 1-proc jobs: every
+    /// estimate ties, so each job's best target is site 0.
+    fn idle_grid() -> (Vec<Cluster>, Vec<WaitingJob>) {
+        let clusters = (0..3)
+            .map(|c| Cluster::new(ClusterSpec::new(format!("c{c}"), 4, 1.0), BatchPolicy::Fcfs))
+            .collect();
+        let jobs = (0..3)
+            .map(|i| WaitingJob {
+                spec: JobSpec::new(i, 0, 1, 100, 100 * (i + 1)),
+                cluster: 0,
+            })
+            .collect();
+        (clusters, jobs)
+    }
+
+    /// A bound-keeping submit re-keys only the rows exact in its column:
+    /// a row already bounded there keeps its bracket, and with it its
+    /// key. A cancel re-keys every row with an estimate in the column.
+    #[test]
+    fn submits_rekey_rows_exact_in_the_column_and_cancels_every_row_targeting_it() {
+        let (mut clusters, jobs) = idle_grid();
+        let obs = grid_obs::Obs::enabled();
+        clusters[0].set_obs(obs.clone(), 0);
+        let mut v = EctView::cancelled(&mut clusters, &jobs, vec![SimTime(1_000); 3], SimTime(0));
+        assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(0));
+        let blocker = JobSpec::new(100, 0, 4, 500, 500);
+        v.cluster_mut(1).submit(blocker, SimTime(0)).unwrap();
+        v.note_submit(1);
+        assert_eq!(v.marked_rows(), [0, 1, 2], "the fill left every row exact");
+        // Site 1 was nobody's best target: the re-keys keep every key
+        // exact, so the next pick needs no probe.
+        assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(0));
+        assert_eq!(obs.with(|r| r.counter("ect.rekeys")), Some(3));
+        assert_eq!(v.entry(1, 1), Entry::Bound(SimTime(200)));
+        // Only row 2 is exact on site 1 again when it next grows.
+        assert_eq!(v.new_ect(2, 1), Some(SimTime(800)));
+        v.cluster_mut(1)
+            .submit(JobSpec::new(101, 0, 4, 500, 500), SimTime(0))
+            .unwrap();
+        v.note_submit(1);
+        assert_eq!(v.marked_rows(), [2]);
+        v.cluster_mut(1).cancel(grid_batch::JobId(101), SimTime(0));
+        v.note_cancel(1);
+        assert_eq!(v.marked_rows(), [0, 1, 2], "bounded rows lose their bound");
+        // A removed row is never re-keyed.
+        v.remove(1);
+        assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(0));
+        v.cluster_mut(1).cancel(grid_batch::JobId(100), SimTime(0));
+        v.note_cancel(1);
+        assert!(!v.marked_rows().contains(&1));
+    }
+
+    /// In `Queued` mode a reset also re-keys the rows queued on the
+    /// reset cluster (their reservations may move), while a tail submit
+    /// leaves them alone (it never moves a reservation).
+    #[test]
+    fn resets_rekey_the_rows_queued_on_the_cluster() {
+        let (mut clusters, mut jobs) = idle_grid();
+        for w in &mut jobs[..2] {
+            clusters[0].submit(w.spec, SimTime(0)).unwrap();
+        }
+        jobs[2].cluster = 1;
+        clusters[1].submit(jobs[2].spec, SimTime(0)).unwrap();
+        let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
+        assert!(v.select(&crate::heuristics::MinMinOrder).is_some());
+        v.note_submit(1);
+        assert_eq!(
+            v.marked_rows(),
+            [0, 1],
+            "row 2 has no estimate on its own site"
+        );
+        v.note_cancel(1);
+        assert_eq!(v.marked_rows(), [0, 1, 2]);
     }
 }

@@ -22,10 +22,11 @@
 //! over a job's cheapest target ECTs, plus a bound on that score when
 //! some ECTs are only bracketed. After a placement only one cluster's
 //! estimates move (and, under FCFS/CBF, only upwards), so
-//! `EctView::select` scores most jobs from cached estimates and
-//! re-probes only the jobs whose bound could still beat the best exact
-//! score. The pick — the earliest-submitted job on ties — is exactly
-//! the exhaustive re-ranking's (a test-only oracle pins this on random
+//! `EctView::select` keeps every job's score — or its bound — in a
+//! per-round priority index, re-keys only the jobs the placement can
+//! move, and re-probes only the jobs whose bound tops the index. The
+//! pick — the earliest-submitted job on ties — is exactly the
+//! exhaustive re-ranking's (a test-only oracle pins this on random
 //! grids).
 //!
 //! Each of these is an [`OrderingHeuristic`] implementation; a

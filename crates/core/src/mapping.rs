@@ -6,7 +6,7 @@
 //! this study, we consider that the meta-scheduler uses a MCT policy."
 //!
 //! MCT is the paper's choice; Random and Round-Robin are provided for the
-//! mapping ablation (A3 in `DESIGN.md`).
+//! mapping ablation (A3 in [`crate::ablation`]).
 //!
 //! The closed enum this module used to export is now the
 //! [`MappingPolicy`] trait: a registry entry names the policy and builds

@@ -233,15 +233,11 @@ fn run(grid: &[Cluster], algorithm: ReallocAlgorithm, order: &'static Logged) ->
     (order.take(), result)
 }
 
-/// The pruned, cache-driven orderings pick exactly what the exhaustive
-/// oracle picks — same order, same tick report, same final queues and
-/// reservations — on random grids mixing FCFS, CBF, EASY and EASY-SJF
-/// sites, with and without ECT noise, under both paper algorithms and
-/// the load-threshold trigger.
-#[test]
-fn pruned_selection_matches_exhaustive_oracle() {
+/// Every paper ordering, plus `Sufferage(rank=2)`, next to its
+/// exhaustive oracle, both logging their picks.
+fn logged_pairs() -> Vec<(&'static Logged, &'static Logged)> {
     let sufferage2 = Heuristic::resolve_expr("Sufferage(rank=2)").unwrap();
-    let pairs: Vec<(&'static Logged, &'static Logged)> = [
+    [
         (Heuristic::Mct, Oracle::Mct),
         (Heuristic::MinMin, Oracle::MinMin),
         (Heuristic::MaxMin, Oracle::MaxMin),
@@ -255,33 +251,64 @@ fn pruned_selection_matches_exhaustive_oracle() {
         let oracle: &'static Oracle = Box::leak(Box::new(oracle));
         (Logged::leak(h.order()), Logged::leak(oracle))
     })
-    .collect();
-    let algorithms = [
-        ReallocAlgorithm::NoCancel,
-        ReallocAlgorithm::CancelAll,
-        ReallocAlgorithm::LoadThreshold,
-    ];
-    let (mut migrations, mut completed, mut ticks) = (0, 0, 0);
-    for seed in 0..200u64 {
-        let grid = random_grid(seed, seed % 2 == 1);
-        for algorithm in algorithms {
-            for &(pruned, oracle) in &pairs {
-                let got = run(&grid, algorithm, pruned);
-                let want = run(&grid, algorithm, oracle);
-                assert_eq!(
-                    got,
-                    want,
-                    "seed {seed}, {algorithm}, {}",
-                    pruned.inner.label()
-                );
-                ticks += 1;
-                if let Ok((report, _)) = &got.1 {
-                    completed += 1;
-                    migrations += report.migrations.len();
-                }
+    .collect()
+}
+
+/// Both paper algorithms and the load-threshold trigger.
+const ALGORITHMS: [ReallocAlgorithm; 3] = [
+    ReallocAlgorithm::NoCancel,
+    ReallocAlgorithm::CancelAll,
+    ReallocAlgorithm::LoadThreshold,
+];
+
+/// Tally of [`assert_matches_oracle`] runs.
+#[derive(Debug, Default)]
+struct Tally {
+    ticks: usize,
+    completed: usize,
+    migrations: usize,
+}
+
+/// One tick of every ordering under every algorithm on `grid`, each
+/// asserted equal to its oracle's tick.
+fn assert_matches_oracle(
+    grid: &[Cluster],
+    what: &str,
+    pairs: &[(&'static Logged, &'static Logged)],
+    tally: &mut Tally,
+) {
+    for algorithm in ALGORITHMS {
+        for &(indexed, oracle) in pairs {
+            let got = run(grid, algorithm, indexed);
+            let want = run(grid, algorithm, oracle);
+            assert_eq!(got, want, "{what}, {algorithm}, {}", indexed.inner.label());
+            tally.ticks += 1;
+            if let Ok((report, _)) = &got.1 {
+                tally.completed += 1;
+                tally.migrations += report.migrations.len();
             }
         }
     }
+}
+
+/// The indexed, cache-driven orderings pick exactly what the exhaustive
+/// oracle picks — same order, same tick report, same final queues and
+/// reservations — on random grids mixing FCFS, CBF, EASY and EASY-SJF
+/// sites, with and without ECT noise, under both paper algorithms and
+/// the load-threshold trigger.
+#[test]
+fn pruned_selection_matches_exhaustive_oracle() {
+    let pairs = logged_pairs();
+    let mut tally = Tally::default();
+    for seed in 0..200u64 {
+        let grid = random_grid(seed, seed % 2 == 1);
+        assert_matches_oracle(&grid, &format!("seed {seed}"), &pairs, &mut tally);
+    }
+    let Tally {
+        ticks,
+        completed,
+        migrations,
+    } = tally;
     assert!(
         migrations > 1_000,
         "grids exercise migrations ({migrations})"
@@ -290,4 +317,81 @@ fn pruned_selection_matches_exhaustive_oracle() {
         completed * 5 > ticks * 4,
         "{completed} of {ticks} ticks completed"
     );
+}
+
+/// A wide random grid at `NOW`: five to nine sites under random
+/// policies, each fully busy until a random horizon, with 100 to 300
+/// waiting jobs of six shapes spread over the sites (half on site 0).
+/// Jobs of one shape queued on one site share every estimate, so equal
+/// scores — and the index's earliest-submitted tie-break — are common.
+/// With `noisy`, every site perturbs its estimates.
+fn wide_grid(seed: u64, noisy: bool) -> Vec<Cluster> {
+    const SHAPES: [(u32, u64); 6] = [
+        (1, 600),
+        (2, 600),
+        (4, 1_200),
+        (8, 600),
+        (8, 3_600),
+        (16, 1_200),
+    ];
+    let mut rng = SimRng::seed_from_u64(seed);
+    let policies = [
+        BatchPolicy::Fcfs,
+        BatchPolicy::Cbf,
+        BatchPolicy::Easy,
+        BatchPolicy::EasySjf,
+    ];
+    let sites = rng.gen_range(5..=9usize);
+    let mut clusters: Vec<Cluster> = (0..sites)
+        .map(|s| {
+            let procs = 16 << rng.gen_range(0..3u32);
+            let speed = 1.0 + 0.25 * rng.gen_range(0..2u32) as f64;
+            let policy = policies[rng.gen_range(0..policies.len())];
+            let mut c = Cluster::new(ClusterSpec::new(format!("s{s}"), procs, speed), policy);
+            if noisy {
+                c.set_ect_noise(Some(EctNoise::new(seed ^ s as u64, 0.4)));
+            }
+            let horizon = rng.gen_range(1..3_000u64) + 2 * NOW.as_secs();
+            c.submit(
+                JobSpec::new(1_000 + s as u64, 0, procs, horizon, horizon),
+                SimTime(0),
+            )
+            .unwrap();
+            c.start_due(SimTime(0));
+            c
+        })
+        .collect();
+    let waiting = rng.gen_range(100..=300u64);
+    for id in 0..waiting {
+        let (procs, walltime) = SHAPES[rng.gen_range(0..SHAPES.len())];
+        let site = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(0..sites)
+        };
+        let submit = SimTime(id * 3);
+        clusters[site]
+            .submit(
+                JobSpec::new(id, submit.as_secs(), procs, walltime, walltime),
+                submit,
+            )
+            .unwrap();
+    }
+    clusters
+}
+
+/// The differential above on wide grids: more sites and an order of
+/// magnitude more waiting jobs, with few distinct job shapes, so ties
+/// between equal scores are decided by the index's tie-break.
+#[test]
+fn pruned_selection_matches_exhaustive_oracle_on_wide_grids() {
+    let pairs = logged_pairs();
+    let mut tally = Tally::default();
+    for seed in 0..4u64 {
+        let grid = wide_grid(seed, seed % 2 == 1);
+        assert_matches_oracle(&grid, &format!("wide seed {seed}"), &pairs, &mut tally);
+    }
+    eprintln!("{tally:?}");
+    assert!(tally.migrations > 1_000, "{tally:?}");
+    assert!(tally.completed * 2 > tally.ticks, "{tally:?}");
 }

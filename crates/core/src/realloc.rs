@@ -474,6 +474,14 @@ fn check_contract(
     }
 }
 
+/// The heuristic's next pick, timed as the sidecar-only
+/// `realloc.select` span. The decision it leads to (estimate, cancel,
+/// submit) is timed as `realloc.commit`; both nest in `realloc.tick`.
+fn select(view: &mut EctView<'_>, heuristic: Heuristic) -> Option<usize> {
+    let _span = view.obs().span("realloc.select");
+    heuristic.select(view)
+}
+
 /// Algorithm 1 of the paper (shared with the load-threshold strategy).
 pub(crate) fn run_no_cancel(
     clusters: &mut [Cluster],
@@ -483,7 +491,8 @@ pub(crate) fn run_no_cancel(
     report: &mut TickReport,
 ) {
     let mut view = EctView::queued(clusters, jobs, now);
-    while let Some(i) = cfg.heuristic.select(&mut view) {
+    while let Some(i) = select(&mut view, cfg.heuristic) {
+        let _commit = view.obs().span("realloc.commit");
         let w = view.jobs()[i];
         let cur = view.cur_ect(i);
         if let Some((target, ect)) = view.best_target(i) {
@@ -536,7 +545,8 @@ fn run_cancel_all(
             .expect("waiting job must be cancellable");
     }
     let mut view = EctView::cancelled(clusters, jobs, pre_ects, now);
-    while let Some(i) = cfg.heuristic.select(&mut view) {
+    while let Some(i) = select(&mut view, cfg.heuristic) {
+        let _commit = view.obs().span("realloc.commit");
         let w = view.jobs()[i];
         let (target, ect) = view
             .best_target(i)

@@ -10,9 +10,8 @@
 //!
 //! The checked-in artifacts cover the whole matrix at fraction 0.002
 //! (fast enough for `cargo test`); the `#[ignore]`d test additionally
-//! pins the 1% example-spec campaign by hash — run it with
-//! `cargo test --release -- --ignored golden` when touching scheduling
-//! internals.
+//! pins the 1% example-spec campaign by hash — CI runs it on every push
+//! (`cargo test --release --test golden_paper_suite -- --include-ignored`).
 
 use caniou_realloc::campaign::{aggregate, execute, CampaignSpec, ExecOptions};
 
@@ -117,7 +116,7 @@ fn sha256_hex(bytes: &[u8]) -> String {
 
 /// The 1% example-spec campaign, pinned by hash (slow — release only).
 #[test]
-#[ignore = "minutes-long; run with --release -- --ignored when touching scheduling internals"]
+#[ignore = "7-13 s wall in release on a 2-CPU host; CI runs it with --release -- --include-ignored"]
 fn paper_suite_at_one_percent_matches_pre_refactor_hashes() {
     let pinned = include_str!("golden/paper_suite_001.sha256");
     let hash_of = |suffix: &str| {
