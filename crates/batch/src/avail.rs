@@ -706,6 +706,41 @@ impl AvailTree {
         it
     }
 
+    /// Iterator over the breakpoint in force at `t` (the first one when
+    /// `t` precedes the origin) and every later one: one O(log n)
+    /// descent to that breakpoint's key, then a lower-bound in-order
+    /// walk, so the past is never visited.
+    pub fn breakpoints_from(&self, t: SimTime) -> Breakpoints<'_> {
+        let mut from = self.origin;
+        let mut x = self.root;
+        while x != NIL {
+            let n = self.node(x);
+            if n.t <= t {
+                from = n.t;
+                x = n.right;
+            } else {
+                x = n.left;
+            }
+        }
+        let mut it = Breakpoints {
+            tree: self,
+            stack: Vec::with_capacity(16),
+        };
+        let (mut x, mut acc) = (self.root, 0i64);
+        while x != NIL {
+            let n = self.node(x);
+            let next = if n.t >= from {
+                it.stack.push((x, acc));
+                n.left
+            } else {
+                n.right
+            };
+            acc += n.lazy;
+            x = next;
+        }
+        it
+    }
+
     /// Check every structural invariant (test helper).
     pub fn assert_invariants(&self) {
         let points: Vec<(SimTime, u32)> = self.breakpoints().collect();

@@ -31,7 +31,9 @@
 //! the full rebuilds that remain; [`ClusterStats::suffix_repairs`] counts
 //! the warm-path fixups that replaced them;
 //! [`ClusterStats::first_fit_probes`] counts the placement queries the
-//! availability engine answered (scheduler effort).
+//! availability engine answered (scheduler effort), and
+//! [`ClusterStats::sweep_placements`] the FCFS placements a release sweep
+//! made without one (see the [`sched`](crate::sched) module).
 //!
 //! The scheduling policies themselves live behind the
 //! [`LocalScheduler`](crate::sched::LocalScheduler) trait; see the
@@ -44,7 +46,7 @@ use crate::gantt::GanttEntry;
 use crate::job::{JobId, JobSpec, ScaledJob};
 use crate::platform::ClusterSpec;
 use crate::profile::{Profile, ProfileSnapshot};
-use crate::sched::{BatchFit, BatchPolicy, QueueDelta, QueueScan};
+use crate::sched::{BatchFit, BatchPolicy, QueueDelta, QueueScan, Staircase};
 
 /// Why a submission was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,6 +237,10 @@ pub struct ClusterStats {
     /// ([`Cluster::estimate_new_batch`] calls — one per per-cluster
     /// column the reallocation round (re)filled).
     pub ect_column_refills: u64,
+    /// Queue placements made by the FCFS release sweep, which answers
+    /// without a `first_fit` query (so `first_fit_probes` keeps counting
+    /// real queries only). Telemetry: it rides in the sidecar only.
+    pub sweep_placements: u64,
 }
 
 impl ClusterStats {
@@ -275,6 +281,9 @@ impl ClusterStats {
         if self.ect_column_refills > 0 {
             obj.insert("ect_column_refills", self.ect_column_refills);
         }
+        if self.sweep_placements > 0 {
+            obj.insert("sweep_placements", self.sweep_placements);
+        }
         obj
     }
 
@@ -298,21 +307,23 @@ impl ClusterStats {
             batch_fast_placements: opt("batch_fast_placements"),
             ect_snapshot_reuses: opt("ect_snapshot_reuses"),
             ect_column_refills: opt("ect_column_refills"),
+            sweep_placements: opt("sweep_placements"),
         })
     }
 }
 
 /// The frozen state behind a run of read-only ECT dry-runs: the
 /// copy-on-write profile snapshot plus the policy's tail floor at the
-/// freeze instant. The floor is a pure function of the frozen queue, so
-/// computing it once here amortises what is otherwise a per-estimate
-/// cost (FCFS pays an O(queue) max-scan for it) across every
+/// freeze instant, and — for a scheduler that returns one from
+/// [`tail_staircase`](crate::sched::LocalScheduler::tail_staircase) — the
+/// post-floor free counts, read once so every
 /// [`Cluster::estimate_new_at`] / [`Cluster::estimate_new_batch`] call
-/// served by the same freeze.
+/// served by the same freeze is a binary search instead of a first-fit.
 #[derive(Debug, Clone)]
 struct FrozenEstimates {
     profile: ProfileSnapshot,
     floor: SimTime,
+    staircase: Option<Staircase>,
     /// Instant `floor` was computed at; a later `prepare_estimates`
     /// with a different `now` recomputes the floor without dropping the
     /// (still valid) profile snapshot.
@@ -723,21 +734,23 @@ impl Cluster {
     pub fn prepare_estimates(&mut self, now: SimTime) {
         self.ensure_schedule(now);
         self.harvest_probes();
+        let profile = self.profile.as_ref().expect("schedule just ensured");
+        let scheduler = self.policy.scheduler();
+        let floor = scheduler.tail_floor(&self.q_reserved, now);
+        let staircase = || scheduler.tail_staircase(profile, floor);
         if let Some(frozen) = &mut self.snapshot {
             if frozen.now != now {
-                frozen.floor = self.policy.scheduler().tail_floor(&self.q_reserved, now);
+                frozen.floor = floor;
+                frozen.staircase = staircase();
                 frozen.now = now;
             }
             self.stats.ect_snapshot_reuses += 1;
             self.obs.count("ect.snapshot_reuses", 1);
         } else {
             self.snapshot = Some(FrozenEstimates {
-                profile: self
-                    .profile
-                    .as_ref()
-                    .expect("schedule just ensured")
-                    .snapshot(),
-                floor: self.policy.scheduler().tail_floor(&self.q_reserved, now),
+                profile: profile.snapshot(),
+                floor,
+                staircase: staircase(),
                 now,
             });
         }
@@ -778,12 +791,16 @@ impl Cluster {
         self.estimate_with(job, now, |procs, walltime| {
             let frozen = self.snapshot.as_ref().expect("prepare_estimates first");
             debug_assert_eq!(frozen.now, now, "snapshot frozen at a different instant");
-            frozen.profile.first_fit(frozen.floor, walltime, procs)
+            match &frozen.staircase {
+                Some(staircase) => staircase.first_free(procs),
+                None => frozen.profile.first_fit(frozen.floor, walltime, procs),
+            }
         })
     }
 
     /// Fill one ECT column in a single batched pass: estimate every
-    /// `Some` entry of `jobs` against one frozen snapshot, threading a
+    /// `Some` entry of `jobs` against one frozen snapshot — on the
+    /// staircase when the scheduler has one, otherwise threading a
     /// `BatchFit` dominance frontier across the column so each
     /// placement descent resumes from the floor earlier jobs proved
     /// unreachable (sound because every query shares the same tail-floor
@@ -807,6 +824,9 @@ impl Cluster {
             for job in jobs {
                 out.push(job.and_then(|job| {
                     self.estimate_with(job, now, |procs, walltime| {
+                        if let Some(staircase) = &frozen.staircase {
+                            return staircase.first_free(procs);
+                        }
                         let base = fit.floor(floor, procs, walltime);
                         let start = snap.first_fit(base, walltime, procs);
                         fit.note(procs, walltime, start);
@@ -1108,6 +1128,7 @@ impl Cluster {
             self.stats.first_fit_probes += p.take_probes();
             self.stats.profile_promotions += p.take_promotions();
             self.stats.batch_fast_placements += p.take_batch_fast();
+            self.stats.sweep_placements += p.take_sweep_placements();
         }
         if let Some(f) = &self.snapshot {
             self.stats.first_fit_probes += f.profile.take_probes();
@@ -1157,14 +1178,21 @@ impl Cluster {
                     // index itself; EASY: the end of its protected head;
                     // EASY-SJF: 0).
                     //
-                    // Cost model on the tree backend: a repair is two
-                    // O(log n) passes per suffix job (release +
-                    // re-place), a rebuild one pass per running and
-                    // queued job plus the flat-profile setup. All ops
-                    // cost O(log n) now, so the constants compare
-                    // directly — the legacy 3× mid-vector-insert
-                    // penalty is gone (`scheduling-incremental`
-                    // bench pins the win).
+                    // Cost model: a repair gives back and re-places
+                    // each suffix job, a rebuild carves each running
+                    // job and places the whole queue, so the job
+                    // counts compare while every op costs about the
+                    // same. That holds for CBF/EASY (one release or
+                    // first-fit + reserve per job). It does not for
+                    // FCFS: its placement is one release sweep and
+                    // bulk carve on either side, but a repair still
+                    // releases the suffix one job at a time, so at
+                    // depth the repair is the slower path
+                    // (`scheduling-incremental` layer 1, quick mode:
+                    // FCFS/10000 warm 33.7 ms vs rebuild 21.2 ms per
+                    // churn). A bulk release of the suffix closes that
+                    // gap in the bench but gained nothing end to end
+                    // (ROADMAP, "FCFS staircase").
                     let repair_ops = 2 * (self.q_slot.len() - from);
                     let rebuild_ops = self.running.len() + self.q_slot.len() + 1;
                     if repair_ops <= rebuild_ops {
@@ -2060,6 +2088,7 @@ pub(crate) mod tests {
             batch_fast_placements: 0,
             ect_snapshot_reuses: 0,
             ect_column_refills: 0,
+            sweep_placements: 0,
         };
         let clean = s.to_json().encode();
         assert!(!clean.contains("suffix_repairs"), "{clean}");
@@ -2069,6 +2098,7 @@ pub(crate) mod tests {
         assert!(!clean.contains("batch_fast_placements"), "{clean}");
         assert!(!clean.contains("ect_snapshot_reuses"), "{clean}");
         assert!(!clean.contains("ect_column_refills"), "{clean}");
+        assert!(!clean.contains("sweep_placements"), "{clean}");
         assert_eq!(ClusterStats::from_json(&s.to_json()).unwrap(), s);
         s.evicted = 2;
         s.suffix_repairs = 9;
@@ -2077,6 +2107,7 @@ pub(crate) mod tests {
         s.batch_fast_placements = 17;
         s.ect_snapshot_reuses = 7;
         s.ect_column_refills = 5;
+        s.sweep_placements = 11;
         let full = s.to_json().encode();
         assert!(full.contains("\"suffix_repairs\":9"), "{full}");
         assert!(full.contains("\"first_fit_probes\":41"), "{full}");
@@ -2085,6 +2116,7 @@ pub(crate) mod tests {
         assert!(full.contains("\"batch_fast_placements\":17"), "{full}");
         assert!(full.contains("\"ect_snapshot_reuses\":7"), "{full}");
         assert!(full.contains("\"ect_column_refills\":5"), "{full}");
+        assert!(full.contains("\"sweep_placements\":11"), "{full}");
         assert_eq!(ClusterStats::from_json(&s.to_json()).unwrap(), s);
         // Byte-stable encoding.
         assert_eq!(s.to_json().encode(), s.to_json().encode());
@@ -2339,6 +2371,7 @@ pub(crate) mod tests {
             batch_fast_placements: 23,
             ect_snapshot_reuses: 6,
             ect_column_refills: 4,
+            sweep_placements: 8,
         };
         let v = stats.to_json();
         let back = ClusterStats::from_json(&v).unwrap();
@@ -2367,6 +2400,7 @@ pub(crate) mod tests {
         assert_eq!(back.batch_fast_placements, 0);
         assert_eq!(back.ect_snapshot_reuses, 0);
         assert_eq!(back.ect_column_refills, 0);
+        assert_eq!(back.sweep_placements, 0);
         // A required counter missing is still an error.
         let mut broken = grid_ser::Value::object();
         broken.insert("submitted", 1u64);

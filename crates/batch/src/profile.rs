@@ -20,6 +20,12 @@
 //! [`Profile::flat_with_crossover`]) runs the flat algorithms alone: it
 //! is the property-test oracle the tree is compared against and the
 //! baseline of the `scheduling-incremental` benchmark.
+//!
+//! A whole batch of reservations is carved at once by
+//! [`Profile::reserve_many`] (the FCFS release sweep's carve): one merge
+//! of the sorted window edges with the breakpoints, rebuilt on the
+//! backend the result's size calls for. [`Profile::breakpoints_from`]
+//! reads the timeline from an instant on without walking the past.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -60,6 +66,10 @@ pub struct Profile {
     /// descent (`ClusterStats::batch_fast_placements`); ticked by the
     /// schedulers via [`Profile::note_batch_fast`].
     batch_fast: Cell<u64>,
+    /// Placements made by a release sweep instead of a first-fit query
+    /// (`ClusterStats::sweep_placements`); ticked by FCFS via
+    /// [`Profile::note_sweep_placements`].
+    sweeps: Cell<u64>,
 }
 
 /// The two backends. Behaviourally identical (the differential suite
@@ -102,6 +112,7 @@ impl Profile {
             probes: Cell::new(0),
             promotions: Cell::new(0),
             batch_fast: Cell::new(0),
+            sweeps: Cell::new(0),
         }
     }
 
@@ -157,7 +168,7 @@ impl Profile {
         }
         if let Repr::Tree(t) = &*self.repr {
             if t.len() <= self.crossover / 4 {
-                let small = SmallProfile::from_points(t.total(), t.breakpoints());
+                let small = SmallProfile::from_points(t.total(), t.breakpoints().collect());
                 self.repr = Arc::new(Repr::Small(small));
             }
         }
@@ -230,6 +241,47 @@ impl Profile {
             Repr::Tree(t) => t.reserve(start, dur, procs),
         }
         self.maybe_promote();
+    }
+
+    /// Carve every `(start, dur, procs)` window of `windows` at once: the
+    /// same profile as calling [`Profile::reserve`] on each in turn, built
+    /// in one merge of the sorted window edges with the breakpoints —
+    /// O(B + m log m) for B breakpoints and m windows instead of m
+    /// separate mutations. The result is rebuilt on the backend its size
+    /// calls for (the inline buffer, or [`AvailTree::from_points`]).
+    ///
+    /// # Panics
+    /// Panics like [`Profile::reserve`]: if the windows together make the
+    /// free count negative anywhere, or a window starts before the origin.
+    pub fn reserve_many(&mut self, windows: &[(SimTime, Duration, u32)]) {
+        let origin = self.origin();
+        let mut edges: Vec<(SimTime, i64)> = Vec::with_capacity(2 * windows.len());
+        for &(start, dur, procs) in windows {
+            if dur == Duration::ZERO || procs == 0 {
+                continue;
+            }
+            assert!(
+                start >= origin,
+                "reservation at {start} before profile origin {origin}"
+            );
+            edges.push((start, i64::from(procs)));
+            edges.push((start + dur, -i64::from(procs)));
+        }
+        if edges.is_empty() {
+            return;
+        }
+        edges.sort_unstable_by_key(|e| e.0);
+        let points = carve(self.breakpoints(), &edges);
+        let total = self.total();
+        let tree = self.backend_is_tree() || points.len() > self.crossover;
+        if tree && !self.backend_is_tree() {
+            self.promotions.set(self.promotions.get() + 1);
+        }
+        self.repr = Arc::new(if tree {
+            Repr::Tree(AvailTree::from_points(total, &points))
+        } else {
+            Repr::Small(SmallProfile::from_points(total, points))
+        });
     }
 
     /// Advance the profile origin to `now`, dropping breakpoints that lie
@@ -337,6 +389,16 @@ impl Profile {
         }
     }
 
+    /// The breakpoint in force at `t` (the first one when `t` precedes
+    /// the origin), then every later one, in time order — a reader that
+    /// skips the past without walking it.
+    pub fn breakpoints_from(&self, t: SimTime) -> ProfileBreakpoints<'_> {
+        match &*self.repr {
+            Repr::Small(s) => ProfileBreakpoints::Small(s.points()[s.index_at(t)..].iter()),
+            Repr::Tree(tr) => ProfileBreakpoints::Tree(tr.breakpoints_from(t)),
+        }
+    }
+
     /// The breakpoints collected into a `Vec` (convenience for tests and
     /// rendering; prefer [`Profile::breakpoints`] for streaming access).
     pub fn points(&self) -> Vec<(SimTime, u32)> {
@@ -369,6 +431,19 @@ impl Profile {
     #[doc(hidden)]
     pub fn take_batch_fast(&self) -> u64 {
         self.batch_fast.replace(0)
+    }
+
+    /// Record `n` placements made by a release sweep (ticked by FCFS).
+    #[doc(hidden)]
+    pub fn note_sweep_placements(&self, n: u64) {
+        self.sweeps.set(self.sweeps.get() + n);
+    }
+
+    /// Drain the sweep-placement counter
+    /// (`ClusterStats::sweep_placements`).
+    #[doc(hidden)]
+    pub fn take_sweep_placements(&self) -> u64 {
+        self.sweeps.replace(0)
     }
 
     /// Check internal invariants (test helper).
@@ -484,6 +559,41 @@ impl Iterator for ProfileBreakpoints<'_> {
             ProfileBreakpoints::Tree(it) => it.next(),
         }
     }
+}
+
+/// Merge sorted reservation edges (`(t, +procs)` at a window's start,
+/// `(t, -procs)` at its end) into a breakpoint stream: the coalesced
+/// breakpoints of the profile with every window carved.
+fn carve(
+    points: impl Iterator<Item = (SimTime, u32)>,
+    edges: &[(SimTime, i64)],
+) -> Vec<(SimTime, u32)> {
+    let mut out: Vec<(SimTime, u32)> = Vec::with_capacity(points.size_hint().0 + edges.len());
+    let mut points = points.peekable();
+    let mut edges = edges.iter().peekable();
+    let (mut free, mut held) = (0u32, 0i64);
+    loop {
+        let next_point = points.peek().map(|p| p.0);
+        let next_edge = edges.peek().map(|e| e.0);
+        let Some(t) = next_point.into_iter().chain(next_edge).min() else {
+            break;
+        };
+        while let Some((_, v)) = points.next_if(|p| p.0 == t) {
+            free = v;
+        }
+        while let Some(&(_, d)) = edges.next_if(|e| e.0 == t) {
+            held += d;
+        }
+        let v = i64::from(free) - held;
+        assert!(
+            v >= 0,
+            "over-reservation: {free} procs free at {t}, need {held}"
+        );
+        if out.last().is_none_or(|&(_, last)| i64::from(last) != v) {
+            out.push((t, v as u32));
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -603,10 +713,11 @@ impl SmallProfile {
         }
     }
 
-    /// Demotion path: rebuild from a tree's breakpoint stream.
-    fn from_points(total: u32, points: impl Iterator<Item = (SimTime, u32)>) -> Self {
+    /// Rebuild from a sorted, coalesced breakpoint list (demotion and
+    /// bulk carving).
+    fn from_points(total: u32, points: Vec<(SimTime, u32)>) -> Self {
         SmallProfile {
-            buf: PointBuf::Spill(points.collect()),
+            buf: PointBuf::Spill(points),
             total,
         }
     }
@@ -623,13 +734,17 @@ impl SmallProfile {
         self.buf.as_slice()
     }
 
-    fn free_at(&self, t: SimTime) -> u32 {
-        let points = self.points();
-        match points.binary_search_by_key(&t, |p| p.0) {
-            Ok(i) => points[i].1,
-            Err(0) => points[0].1,
-            Err(i) => points[i - 1].1,
+    /// Index of the breakpoint in force at `t` (0 when `t` precedes the
+    /// origin).
+    fn index_at(&self, t: SimTime) -> usize {
+        match self.points().binary_search_by_key(&t, |p| p.0) {
+            Ok(i) => i,
+            Err(i) => i.saturating_sub(1),
         }
+    }
+
+    fn free_at(&self, t: SimTime) -> u32 {
+        self.points()[self.index_at(t)].1
     }
 
     fn min_free(&self, start: SimTime, dur: Duration) -> u32 {
@@ -638,11 +753,7 @@ impl SmallProfile {
         }
         let points = self.points();
         let end = start + dur;
-        let mut i = match points.binary_search_by_key(&start, |p| p.0) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
+        let mut i = self.index_at(start);
         let mut m = u32::MAX;
         while i < points.len() && points[i].0 < end {
             m = m.min(points[i].1);
@@ -703,11 +814,7 @@ impl SmallProfile {
         let points = self.points();
         let after = after.max(self.origin());
         let n = points.len();
-        let mut i = match points.binary_search_by_key(&after, |p| p.0) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
+        let mut i = self.index_at(after);
         let mut cand = after;
         'outer: loop {
             while i < n && points[i].1 < procs {
@@ -1333,6 +1440,60 @@ mod tests {
         assert_eq!(p.take_probes(), 2, "live probes unaffected by the snapshot");
         drop(snap);
         assert!(!p.is_shared(), "dropping the snapshot releases the store");
+    }
+
+    proptest::proptest! {
+        /// One bulk carve equals the same windows reserved one by one
+        /// (zero-length and zero-width windows included), on the inline
+        /// buffer, the tree and across the promotion boundary; and
+        /// `breakpoints_from` reads exactly the in-force breakpoint and
+        /// every later one.
+        #[test]
+        fn reserve_many_matches_sequential_reserves(
+            crossover in proptest::prop::sample::select(vec![0, 1, 2, 4, 7, usize::MAX]),
+            total in 1u32..24,
+            busy in proptest::prop::collection::vec((0u64..300, 1u32..24, 1u64..100), 0..8),
+            advance in 0u64..100,
+            windows in proptest::prop::collection::vec((0u64..300, 0u32..24, 0u64..100), 0..30),
+            probe in 0u64..500,
+        ) {
+            let mut base = Profile::flat_with_crossover(total, t(0), crossover);
+            for &(after, p, dur) in &busy {
+                let p = (p - 1) % total + 1;
+                let start = base.first_fit(t(after), d(dur), p);
+                base.reserve(start, d(dur), p);
+            }
+            base.advance_origin(t(advance));
+            let mut sequential = base.clone();
+            let mut carved = Vec::new();
+            for &(after, p, dur) in &windows {
+                let (p, dur) = (p % (total + 1), d(dur));
+                let start = if p == 0 || dur == Duration::ZERO {
+                    t(after)
+                } else {
+                    sequential.first_fit(t(after), dur, p)
+                };
+                sequential.reserve(start, dur, p);
+                carved.push((start, dur, p));
+            }
+            let mut bulk = base.clone();
+            bulk.reserve_many(&carved);
+            proptest::prop_assert_eq!(bulk.points(), sequential.points());
+            bulk.assert_invariants();
+            let points = bulk.points();
+            let in_force = points.partition_point(|p| p.0 <= t(probe)).saturating_sub(1);
+            proptest::prop_assert_eq!(
+                bulk.breakpoints_from(t(probe)).collect::<Vec<_>>(),
+                points[in_force..].to_vec()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "over-reservation")]
+    fn reserve_many_rejects_overflow() {
+        let mut p = Profile::flat(4, t(0));
+        p.reserve_many(&[(t(0), d(10), 3), (t(5), d(2), 3)]);
     }
 
     /// A pinned-tree profile built via `from_points` behaves exactly like

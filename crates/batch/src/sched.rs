@@ -60,19 +60,43 @@
 //!   the warm running-set profile equals a rebuild). `None` keeps the
 //!   conservative invalidate-and-rebuild behaviour.
 //!
+//! ## FCFS release sweep
+//!
+//! FCFS never calls `first_fit` in a rebuild or repair. Every reservation
+//! on an FCFS profile starts at or before the *floor* — the start of the
+//! last reservation kept: running jobs start in the past, an outage
+//! blackout starts now, and FCFS starts are non-decreasing in queue
+//! order. So on `[floor, ∞)` the free count only ever rises, and a job
+//! fits at the first instant its processors are free, whatever its
+//! walltime. Placing the suffix is then one sweep over the post-floor
+//! breakpoints ([`Profile::breakpoints_from`]) merged with a min-heap of
+//! the ends of the jobs it has already placed; the placements are carved
+//! afterwards in one merge ([`Profile::reserve_many`]). That costs
+//! O(B + m log m) for B breakpoints and m placed jobs where a first-fit
+//! plus a reserve per job cost O(m·B), and every start is exactly the
+//! `first_fit(previous start, walltime, procs)` answer the per-job loop
+//! gave (a test-only oracle pins it). Sweep placements are counted apart
+//! from first-fit probes ([`Profile::note_sweep_placements`]). The same
+//! rule serves ECT dry runs: [`Staircase`] holds the post-floor free
+//! counts of a frozen FCFS profile, so a tail estimate is a binary search
+//! over procs ([`LocalScheduler::tail_staircase`]). This module is the
+//! one place that relies on the rule.
+//!
 //! ## Batch first-fit
 //!
-//! A rebuild or repair places a whole queue suffix in one walk. Within
-//! one [`schedule`](LocalScheduler::schedule) call capacity only ever
-//! *decreases* (each placement carves a reservation), so a job at least
-//! as wide and at least as long as an already-placed one can never start
-//! earlier than it did. `BatchFit` tracks the dominance frontier of
+//! A CBF or EASY rebuild or repair places a whole queue suffix in one
+//! walk. Within one [`schedule`](LocalScheduler::schedule) call capacity
+//! only ever *decreases* (each placement carves a reservation), so a job
+//! at least as wide and at least as long as an already-placed one can
+//! never start earlier than it did. `BatchFit` tracks the dominance frontier of
 //! this walk's placements and raises the `first_fit` search floor
 //! accordingly — the descent resumes from the previous placement instead
 //! of restarting at `now`, with byte-identical results. Placements that
 //! actually rode a raised floor are counted via
 //! [`Profile::note_batch_fast`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 use grid_des::{Duration, SimTime};
@@ -258,6 +282,20 @@ pub trait LocalScheduler: std::fmt::Debug + Sync {
     /// profile, given the reserved starts of the waiting queue (FCFS: no
     /// start before the last queued reservation).
     fn tail_floor(&self, reserved: &[SimTime], now: SimTime) -> SimTime;
+
+    /// The post-floor free counts of `profile`, when every reservation on
+    /// this scheduler's profile starts at or before `floor` (its
+    /// [`tail_floor`](Self::tail_floor)): the free count then never falls
+    /// after the floor, and a new tail job starts at the first instant its
+    /// processors are free, whatever its walltime. Dry-run estimates read
+    /// the returned [`Staircase`] instead of running a first-fit per job.
+    ///
+    /// **Opt-in**, like [`incremental_tail`](Self::incremental_tail):
+    /// returning a staircase wrongly silently corrupts estimates. FCFS
+    /// returns one; `None` keeps the first-fit.
+    fn tail_staircase(&self, _profile: &Profile, _floor: SimTime) -> Option<Staircase> {
+        None
+    }
 
     /// (Re)compute the reservations of queue positions `from..`, carving
     /// them into `profile`. On entry the profile holds the running jobs
@@ -631,29 +669,33 @@ impl LocalScheduler for FcfsScheduler {
         Some(delta.dirty_from())
     }
 
+    // Starts are non-decreasing in queue order, so the last is the latest.
     fn tail_floor(&self, reserved: &[SimTime], now: SimTime) -> SimTime {
-        reserved
-            .iter()
-            .copied()
-            .max()
-            .map_or(now, |last| last.max(now))
+        reserved.last().map_or(now, |&last| last.max(now))
+    }
+
+    fn tail_staircase(&self, profile: &Profile, floor: SimTime) -> Option<Staircase> {
+        Some(Staircase::read(profile, floor))
     }
 
     fn schedule(&self, profile: &mut Profile, queue: QueueScan<'_>, from: usize, now: SimTime) {
-        // Start times are non-decreasing in queue order; the floor chains
-        // through the previous job's start (FCFS's own batch fast path —
-        // the dominance frontier cannot beat it).
-        let mut prev_start = if from == 0 {
-            now
-        } else {
-            queue.reserved[from - 1].max(now)
+        // The same sweep serves a rebuild (`from == 0`, floor `now`) and a
+        // suffix repair (floor: the last kept start); see the module docs.
+        let floor = match from {
+            0 => now,
+            _ => queue.reserved[from - 1].max(now),
         };
-        for i in from..queue.len() {
-            let start = profile.first_fit(prev_start, queue.walltime[i], queue.procs[i]);
-            profile.reserve(start, queue.walltime[i], queue.procs[i]);
-            queue.reserved[i] = start;
-            prev_start = start;
+        let placed = release_sweep(
+            profile,
+            floor,
+            &queue.procs[from..],
+            &queue.walltime[from..],
+        );
+        for (reserved, &(start, _, _)) in queue.reserved[from..].iter_mut().zip(&placed) {
+            *reserved = start;
         }
+        profile.note_sweep_placements(placed.len() as u64);
+        profile.reserve_many(&placed);
     }
 
     fn check_invariants(&self, reserved: &[SimTime]) {
@@ -665,6 +707,89 @@ impl LocalScheduler for FcfsScheduler {
             );
             prev = start;
         }
+    }
+}
+
+/// Place FCFS jobs `(procs, walltime)` in queue order against a profile
+/// whose free count never falls after `floor`, without carving them:
+/// returns each job's `(start, walltime, procs)` window.
+///
+/// The free count after the previous start is the profile's, which only
+/// rises (at its breakpoints), minus the jobs placed so far, which only
+/// leave (at their ends, kept in a min-heap). Each job starts at the first
+/// release instant from which its processors are free — exactly
+/// `first_fit(previous start, walltime, procs)` on the carved profile.
+///
+/// # Panics
+/// Panics like [`Profile::first_fit`] when a job needs more processors
+/// than the cluster owns or has a zero walltime.
+fn release_sweep(
+    profile: &Profile,
+    floor: SimTime,
+    procs: &[u32],
+    walltime: &[Duration],
+) -> Vec<(SimTime, Duration, u32)> {
+    let total = profile.total();
+    let mut steps = profile.breakpoints_from(floor).peekable();
+    let (_, mut free) = steps.next().expect("a profile has a breakpoint");
+    let mut ends: BinaryHeap<Reverse<(SimTime, u32)>> = BinaryHeap::new();
+    let mut held = 0u32;
+    let mut at = floor.max(profile.origin());
+    let mut placed = Vec::with_capacity(procs.len());
+    for (&p, &d) in procs.iter().zip(walltime) {
+        assert!(p <= total, "job needs {p} procs, cluster has {total}");
+        assert!(d > Duration::ZERO, "placement window must be non-empty");
+        while free - held < p {
+            let next_step = steps.peek().map(|s| s.0);
+            let next_end = ends.peek().map(|e| e.0 .0);
+            at = next_step
+                .into_iter()
+                .chain(next_end)
+                .min()
+                .expect("profile tail must have free >= procs");
+            while let Some((_, v)) = steps.next_if(|s| s.0 <= at) {
+                debug_assert!(v >= free, "FCFS profile falls after its floor");
+                free = v;
+            }
+            while let Some(Reverse((_, q))) = ends.peek().copied().filter(|e| e.0 .0 <= at) {
+                ends.pop();
+                held -= q;
+            }
+        }
+        ends.push(Reverse((at + d, p)));
+        held += p;
+        placed.push((at, d, p));
+    }
+    placed
+}
+
+/// The free counts of an FCFS profile from its tail floor on, where they
+/// never fall: `(instant, free)` steps with strictly rising `free`, the
+/// first at the floor and the last at the cluster's total. Read once per
+/// estimate freeze ([`LocalScheduler::tail_staircase`]).
+#[derive(Debug, Clone)]
+pub struct Staircase(Vec<(SimTime, u32)>);
+
+impl Staircase {
+    fn read(profile: &Profile, floor: SimTime) -> Staircase {
+        let steps: Vec<(SimTime, u32)> = profile
+            .breakpoints_from(floor)
+            .map(|(t, free)| (t.max(floor), free))
+            .collect();
+        debug_assert!(
+            steps.windows(2).all(|w| w[0].1 < w[1].1),
+            "FCFS profile falls after its floor"
+        );
+        Staircase(steps)
+    }
+
+    /// The first instant at least `procs` processors are free — where a
+    /// tail job of that width starts, whatever its walltime.
+    ///
+    /// # Panics
+    /// Panics if `procs` exceeds the cluster's total.
+    pub fn first_free(&self, procs: u32) -> SimTime {
+        self.0[self.0.partition_point(|&(_, free)| free < procs)].0
     }
 }
 
@@ -824,6 +949,95 @@ impl LocalScheduler for EasyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-job FCFS loop the release sweep replaced: a first-fit from
+    /// the previous start and a reserve per job. Test-only oracle.
+    fn fcfs_per_job(profile: &mut Profile, queue: QueueScan<'_>, from: usize, now: SimTime) {
+        let mut prev_start = match from {
+            0 => now,
+            _ => queue.reserved[from - 1].max(now),
+        };
+        for i in from..queue.len() {
+            let start = profile.first_fit(prev_start, queue.walltime[i], queue.procs[i]);
+            profile.reserve(start, queue.walltime[i], queue.procs[i]);
+            queue.reserved[i] = start;
+            prev_start = start;
+        }
+    }
+
+    proptest::proptest! {
+        /// The release sweep plus one bulk carve places and carves exactly
+        /// what the per-job first-fit + reserve loop does: on rebuilds and
+        /// mid-queue repairs, against running jobs or an outage blackout,
+        /// with releases colliding on one instant (walltimes are multiples
+        /// of 25 s), over never-carved `SimTime::MAX` suffix entries, on
+        /// the inline buffer, the tree and across the promotion boundary.
+        #[test]
+        fn release_sweep_matches_per_job_first_fit(
+            crossover in proptest::prop::sample::select(vec![0, 1, 2, 3, 5, usize::MAX]),
+            total in 1u32..24,
+            now in 0u64..50,
+            running in proptest::prop::collection::vec((1u32..24, 1u64..8), 0..6),
+            outage in (proptest::any::<bool>(), 1u64..8),
+            queue in proptest::prop::collection::vec((1u32..24, 1u64..8), 0..40),
+            from in proptest::prop::sample::select(vec![0usize, 1, 2, 5, 13, 39]),
+            never_carved in proptest::any::<bool>(),
+        ) {
+            let now = SimTime(now);
+            let procs: Vec<u32> = queue.iter().map(|&(p, _)| (p - 1) % total + 1).collect();
+            let walltime: Vec<Duration> = queue.iter().map(|&(_, d)| Duration(d * 25)).collect();
+            let from = from.min(queue.len());
+            let mut profile = Profile::flat_with_crossover(total, now, crossover);
+            match outage {
+                (true, until) => profile.reserve(now, Duration(until * 25), total),
+                (false, _) => {
+                    for &(p, d) in &running {
+                        let (p, d) = ((p - 1) % total + 1, Duration(d * 25));
+                        if profile.min_free(now, d) >= p {
+                            profile.reserve(now, d, p);
+                        }
+                    }
+                }
+            }
+            // Entry state of `schedule(.., from, ..)`: the prefix carved.
+            let mut reserved = vec![SimTime::MAX; queue.len()];
+            fcfs_per_job(
+                &mut profile,
+                QueueScan { procs: &procs[..from], walltime: &walltime[..from], reserved: &mut reserved[..from] },
+                0,
+                now,
+            );
+            if !never_carved {
+                reserved[from..].fill(now);
+            }
+            let _ = profile.take_probes();
+            let (mut swept, mut oracle) = (profile.clone(), profile);
+            let (mut swept_reserved, mut oracle_reserved) = (reserved.clone(), reserved);
+            FcfsScheduler.schedule(
+                &mut swept,
+                QueueScan { procs: &procs, walltime: &walltime, reserved: &mut swept_reserved },
+                from,
+                now,
+            );
+            fcfs_per_job(
+                &mut oracle,
+                QueueScan { procs: &procs, walltime: &walltime, reserved: &mut oracle_reserved },
+                from,
+                now,
+            );
+            proptest::prop_assert_eq!(&swept_reserved, &oracle_reserved);
+            proptest::prop_assert_eq!(swept.points(), oracle.points());
+            swept.assert_invariants();
+            FcfsScheduler.check_invariants(&swept_reserved);
+            proptest::prop_assert_eq!(swept.take_probes(), 0, "the sweep asks no first-fit");
+            proptest::prop_assert_eq!(swept.take_sweep_placements(), (queue.len() - from) as u64);
+            proptest::prop_assert_eq!(
+                FcfsScheduler.tail_floor(&swept_reserved, now),
+                swept_reserved.iter().copied().max().map_or(now, |last| last.max(now)),
+                "the O(1) tail floor is the latest start"
+            );
+        }
+    }
 
     proptest::proptest! {
         /// The batch first-fit floor never changes an answer: along one

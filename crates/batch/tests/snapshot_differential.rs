@@ -13,7 +13,7 @@
 //! whole availability profile, and quiet probe-only steps where the
 //! snapshot must be *reused*, not rebuilt.
 
-use grid_batch::{BatchPolicy, Cluster, ClusterSpec, JobId, JobSpec};
+use grid_batch::{BatchPolicy, Cluster, ClusterSpec, EctNoise, JobId, JobSpec};
 use grid_des::SimTime;
 use proptest::prelude::*;
 
@@ -60,6 +60,13 @@ fn check_probe(c: &mut Cluster, probe: &JobSpec, now: SimTime) -> Result<(), Tes
         reuses + 1,
         "snapshot was rebuilt instead of reused"
     );
+    // A batched column answers the same, in the middle of other jobs.
+    let column = c.estimate_new_batch([Some(probe), None, Some(probe)], now);
+    prop_assert_eq!(
+        column,
+        vec![mutable, None, mutable],
+        "batched column diverged"
+    );
     Ok(())
 }
 
@@ -67,7 +74,17 @@ fn check_probe(c: &mut Cluster, probe: &JobSpec, now: SimTime) -> Result<(), Tes
 /// every step. Completions are event-accurate: time only advances through
 /// the same (completion, reservation) event loop the grid driver uses.
 fn churn(policy: BatchPolicy, ops: Vec<RawOp>) -> Result<(), TestCaseError> {
+    churn_with_noise(policy, None, ops)
+}
+
+/// [`churn`] on a cluster with the ECT-noise hook installed.
+fn churn_with_noise(
+    policy: BatchPolicy,
+    noise: Option<EctNoise>,
+    ops: Vec<RawOp>,
+) -> Result<(), TestCaseError> {
     let mut c = Cluster::new(ClusterSpec::new("diff", TOTAL, 1.0), policy);
+    c.set_ect_noise(noise);
     let mut completions: Vec<(JobId, SimTime)> = Vec::new();
     let mut now = SimTime::ZERO;
     let mut next_id = 0u64;
@@ -165,11 +182,23 @@ fn churn(policy: BatchPolicy, ops: Vec<RawOp>) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// FCFS: the policy whose tail floor is an O(queue) max-scan — the
-    /// snapshot caches it, so this is where a stale floor would show.
+    /// FCFS: the snapshot caches the tail floor and answers from the
+    /// post-floor staircase instead of a first-fit — a stale floor or a
+    /// wrong step would show here.
     #[test]
     fn snapshot_matches_mutable_estimates_under_churn_fcfs(ops in ops_strategy(40)) {
         churn(BatchPolicy::Fcfs, ops)?;
+    }
+
+    /// The FCFS staircase under ECT noise: the perturbation applies to
+    /// the staircase's start exactly as to the first-fit's.
+    #[test]
+    fn staircase_matches_first_fit_under_churn_with_ect_noise(
+        ops in ops_strategy(40),
+        seed in 0u64..1_000,
+        sigma in prop::sample::select(vec![0.1, 0.5, 1.5]),
+    ) {
+        churn_with_noise(BatchPolicy::Fcfs, Some(EctNoise::new(seed, sigma)), ops)?;
     }
 
     /// Conservative backfilling: estimates descend through backfill

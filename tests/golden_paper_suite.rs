@@ -9,11 +9,12 @@
 //! current engine must reproduce them byte for byte.
 //!
 //! The checked-in artifacts cover the whole matrix at fraction 0.002
-//! (fast enough for `cargo test`); the `#[ignore]`d test additionally
-//! pins the 1% example-spec campaign by hash — CI runs it on every push
+//! (fast enough for `cargo test`); the `#[ignore]`d tests additionally
+//! pin the 1% example-spec campaign and the 28 reference runs at 5% by
+//! hash — CI runs them on every push
 //! (`cargo test --release --test golden_paper_suite -- --include-ignored`).
 
-use caniou_realloc::campaign::{aggregate, execute, CampaignSpec, ExecOptions};
+use caniou_realloc::campaign::{aggregate, execute, CampaignSpec, ExecOptions, RunKind, RunRecord};
 
 /// The paper's 364-run matrix at the given job-count fraction.
 fn spec_at(fraction: f64) -> CampaignSpec {
@@ -119,17 +120,56 @@ fn sha256_hex(bytes: &[u8]) -> String {
 #[ignore = "7-13 s wall in release on a 2-CPU host; CI runs it with --release -- --include-ignored"]
 fn paper_suite_at_one_percent_matches_pre_refactor_hashes() {
     let pinned = include_str!("golden/paper_suite_001.sha256");
-    let hash_of = |suffix: &str| {
-        pinned
-            .lines()
-            .find(|l| l.ends_with(suffix))
-            .and_then(|l| l.split_whitespace().next())
-            .unwrap_or_else(|| panic!("no pinned hash for {suffix}"))
-            .to_string()
-    };
     let (tables, csv) = run_reports(&spec_at(0.01));
-    assert_eq!(sha256_hex(tables.as_bytes()), hash_of("tables_001.txt"));
-    assert_eq!(sha256_hex(csv.as_bytes()), hash_of("csv_001.csv"));
+    assert_eq!(
+        sha256_hex(tables.as_bytes()),
+        pinned_hash(pinned, "tables_001.txt")
+    );
+    assert_eq!(
+        sha256_hex(csv.as_bytes()),
+        pinned_hash(pinned, "csv_001.csv")
+    );
+}
+
+/// Look a hash up in a `sha256sum`-style pin file by file-name suffix.
+fn pinned_hash(pinned: &str, suffix: &str) -> String {
+    pinned
+        .lines()
+        .find(|l| l.ends_with(suffix))
+        .and_then(|l| l.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no pinned hash for {suffix}"))
+        .to_string()
+}
+
+/// The paper matrix's 28 no-reallocation reference runs at 5%, pinned by
+/// the hash of their run records, which carry every job's submission,
+/// start and completion. A reference-only plan has no comparison rows,
+/// so its table report and CSV would pin nothing. At 5% the FCFS
+/// reference runs queue up to a thousand jobs deep on pwa-g5k: this pins
+/// the batch schedulers on deep queues the 1% suite does not reach.
+#[test]
+#[ignore = "1-2 s wall in release on a 2-CPU host; CI runs it with --release -- --include-ignored"]
+fn reference_runs_at_five_percent_match_pinned_hashes() {
+    let spec = spec_at(0.05);
+    let mut plan = spec.expand();
+    plan.units.retain(|u| u.kind == RunKind::Reference);
+    assert_eq!(plan.len(), 28, "the paper suite has 28 reference runs");
+    let (outcomes, summary) = execute(&plan.units, None, &ExecOptions::default());
+    assert!(summary.failures.is_empty(), "{:?}", summary.failures);
+    let records: String = plan
+        .units
+        .iter()
+        .zip(outcomes)
+        .map(|(unit, outcome)| RunRecord::new(unit, outcome.expect("no failures")).encode() + "\n")
+        .collect();
+    assert_eq!(
+        sha256_hex(records.as_bytes()),
+        pinned_hash(
+            include_str!("golden/reference_runs_005.sha256"),
+            "records_005.jsonl"
+        ),
+        "5% reference-run records diverged"
+    );
 }
 
 #[test]
