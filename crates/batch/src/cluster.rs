@@ -186,6 +186,13 @@ impl JobSlab {
         (self.jobs[slot as usize], self.scaled[slot as usize])
     }
 
+    /// Free every slot, keeping the backing storage.
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.scaled.clear();
+        self.free.clear();
+    }
+
     /// Slots currently holding a waiting job.
     fn live(&self) -> usize {
         self.jobs.len() - self.free.len()
@@ -699,6 +706,36 @@ impl Cluster {
         Some(job)
     }
 
+    /// Cancel every waiting job at once: empty the queue and return each
+    /// job, in queue order, with the current ECT it held — what
+    /// [`Cluster::current_ect`] answered for it just before (noise
+    /// included). One call instead of a `current_ect` and a
+    /// [`Cluster::cancel`] per job, each of which locates the job in the
+    /// queue; the schedule is left for a rebuild from the running jobs,
+    /// which answers exactly as releasing every reservation would.
+    pub fn drain_queue(&mut self, now: SimTime) -> Vec<(JobSpec, SimTime)> {
+        if self.q_slot.is_empty() {
+            return Vec::new();
+        }
+        self.ensure_schedule(now);
+        let drained: Vec<(JobSpec, SimTime)> = (0..self.q_slot.len())
+            .map(|idx| {
+                let job = self.slab.jobs[self.q_slot[idx] as usize];
+                let end = self.q_reserved[idx] + self.q_walltime[idx];
+                (job, self.noisy(job.id, now, end))
+            })
+            .collect();
+        self.q_slot.clear();
+        self.q_procs.clear();
+        self.q_walltime.clear();
+        self.q_reserved.clear();
+        self.q_enqueued.clear();
+        self.slab.clear();
+        self.stats.canceled += drained.len() as u64;
+        self.invalidate();
+        drained
+    }
+
     /// Estimated completion time of a *hypothetical* submission of `job`
     /// at `now` (dry run — nothing is mutated besides the schedule cache).
     /// `None` when the job cannot run here at all. Subject to the
@@ -798,6 +835,18 @@ impl Cluster {
         })
     }
 
+    /// The frozen post-floor free counts behind the current estimate
+    /// snapshot: `Some` after [`Cluster::prepare_estimates`] when the
+    /// scheduler returns a
+    /// [`tail_staircase`](crate::sched::LocalScheduler::tail_staircase)
+    /// (FCFS). A new tail job of width `procs` and scaled walltime `w`
+    /// then completes at `noisy(first_free(procs) + w)` — what
+    /// [`Cluster::estimate_new_at`] answers — so a caller can read a
+    /// whole column of estimates in one [`Staircase::walk`].
+    pub fn estimate_staircase(&self) -> Option<&Staircase> {
+        self.snapshot.as_ref()?.staircase.as_ref()
+    }
+
     /// Fill one ECT column in a single batched pass: estimate every
     /// `Some` entry of `jobs` against one frozen snapshot — on the
     /// staircase when the scheduler has one, otherwise threading a
@@ -866,8 +915,10 @@ impl Cluster {
         Some(self.noisy(job.id, now, start + scaled.walltime))
     }
 
-    /// Apply the ECT-noise hook to an estimate, if one is installed.
-    fn noisy(&self, id: JobId, now: SimTime, ect: SimTime) -> SimTime {
+    /// Apply the ECT-noise hook, if one is installed, to the completion
+    /// estimate `ect` of job `id` issued at `now` (what every estimation
+    /// query does to its answer).
+    pub fn noisy(&self, id: JobId, now: SimTime, ect: SimTime) -> SimTime {
         match &self.ect_noise {
             Some(noise) => {
                 self.obs.count("ect.noise_applied", 1);
@@ -1476,6 +1527,56 @@ pub(crate) mod tests {
             SimTime(100)
         );
         assert_eq!(c.stats().canceled, 1);
+    }
+
+    /// Draining a queue answers what a `current_ect` per waiting job and
+    /// then a `cancel` per job answered, and leaves a schedule that
+    /// places later jobs exactly where the per-job cancels left it, under
+    /// every policy, with and without ECT noise.
+    #[test]
+    fn drain_queue_matches_current_ects_then_a_cancel_per_job() {
+        for policy in [
+            BatchPolicy::Fcfs,
+            BatchPolicy::Cbf,
+            BatchPolicy::Easy,
+            BatchPolicy::EasySjf,
+        ] {
+            for noise in [None, Some(EctNoise::new(7, 0.5))] {
+                let mut per_job = cluster(8, policy);
+                per_job.set_ect_noise(noise);
+                per_job
+                    .submit(JobSpec::new(1, 0, 6, 300, 300), SimTime(0))
+                    .unwrap();
+                per_job.start_due(SimTime(0));
+                for (id, procs, walltime) in [(2, 4, 100), (3, 2, 500), (4, 8, 50), (5, 1, 80)] {
+                    let job = JobSpec::new(id, 0, procs, walltime, walltime);
+                    per_job.submit(job, SimTime(0)).unwrap();
+                }
+                let mut drained = per_job.clone();
+                let ids: Vec<JobId> = per_job.waiting_jobs().map(|q| q.job.id).collect();
+                let ects: Vec<SimTime> = ids
+                    .iter()
+                    .map(|&id| per_job.current_ect(id, SimTime(0)).unwrap())
+                    .collect();
+                let want: Vec<(JobSpec, SimTime)> = ids
+                    .iter()
+                    .map(|&id| per_job.cancel(id, SimTime(0)).unwrap())
+                    .zip(ects)
+                    .collect();
+                assert_eq!(drained.drain_queue(SimTime(0)), want, "{policy}");
+                assert_eq!(drained.waiting_count(), 0);
+                assert_eq!(drained.stats().canceled, per_job.stats().canceled);
+                assert!(drained.drain_queue(SimTime(0)).is_empty());
+                for (id, procs, walltime) in [(6, 8, 40), (7, 3, 900), (8, 2, 60)] {
+                    let job = JobSpec::new(id, 0, procs, walltime, walltime);
+                    assert_eq!(
+                        drained.submit(job, SimTime(0)),
+                        per_job.submit(job, SimTime(0)),
+                        "{policy}: job {id}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use gantt::{availability_lane, GanttChart, GanttEntry};
 pub use job::{JobId, JobSpec, ScaledJob};
 pub use platform::{ClusterSpec, Platform};
 pub use profile::{Profile, ProfileBreakpoints};
-pub use sched::{BatchPolicy, LocalScheduler, QueueDelta, QueueScan};
+pub use sched::{BatchPolicy, LocalScheduler, QueueDelta, QueueScan, Staircase, StaircaseWalk};

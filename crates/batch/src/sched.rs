@@ -79,8 +79,9 @@
 //! from first-fit probes ([`Profile::note_sweep_placements`]). The same
 //! rule serves ECT dry runs: [`Staircase`] holds the post-floor free
 //! counts of a frozen FCFS profile, so a tail estimate is a binary search
-//! over procs ([`LocalScheduler::tail_staircase`]). This module is the
-//! one place that relies on the rule.
+//! over procs ([`LocalScheduler::tail_staircase`]), and a whole column of
+//! estimates read in width order is one merge ([`Staircase::walk`]).
+//! This module is the one place that relies on the rule.
 //!
 //! ## Batch first-fit
 //!
@@ -256,7 +257,9 @@ pub trait LocalScheduler: std::fmt::Debug + Sync {
     /// of any other job earlier — with or without `EctNoise`, whose
     /// perturbation is monotone. The reallocation round's ECT cache
     /// relies on this: after a submit it keeps the cluster's old
-    /// estimates as lower bounds instead of discarding them.
+    /// estimates as lower bounds instead of discarding them (or, under a
+    /// [`tail_staircase`](Self::tail_staircase), re-reads only the widths
+    /// the new reservation can have moved).
     fn incremental_tail(&self) -> bool {
         false
     }
@@ -791,6 +794,37 @@ impl Staircase {
     pub fn first_free(&self, procs: u32) -> SimTime {
         self.0[self.0.partition_point(|&(_, free)| free < procs)].0
     }
+
+    /// The free count at instant `t`, at or after the floor.
+    pub fn free_at(&self, t: SimTime) -> u32 {
+        debug_assert!(t >= self.0[0].0, "instant before the staircase's floor");
+        self.0[self.0.partition_point(|&(at, _)| at <= t) - 1].1
+    }
+
+    /// A cursor answering [`first_free`](Self::first_free) for widths
+    /// asked in non-decreasing order, in one merge over the steps.
+    pub fn walk(&self) -> StaircaseWalk<'_> {
+        StaircaseWalk(&self.0)
+    }
+}
+
+/// A merge cursor over a [`Staircase`] ([`Staircase::walk`]): the steps
+/// not yet passed by the widths asked so far.
+#[derive(Debug, Clone)]
+pub struct StaircaseWalk<'a>(&'a [(SimTime, u32)]);
+
+impl StaircaseWalk<'_> {
+    /// [`Staircase::first_free`] of `procs`, which must be at least every
+    /// width this cursor answered before.
+    ///
+    /// # Panics
+    /// Panics if `procs` exceeds the cluster's total.
+    pub fn first_free(&mut self, procs: u32) -> SimTime {
+        while self.0[0].1 < procs {
+            self.0 = &self.0[1..];
+        }
+        self.0[0].0
+    }
 }
 
 /// Conservative back-filling.
@@ -1081,6 +1115,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A staircase's walk answers `first_free` for ascending widths in
+    /// one merge, and `free_at` reads the free count at any instant from
+    /// the floor on.
+    #[test]
+    fn staircase_walk_and_free_counts_read_the_steps() {
+        let mut profile = Profile::flat(8, SimTime(0));
+        profile.reserve(SimTime(0), Duration(100), 6);
+        profile.reserve(SimTime(0), Duration(300), 1);
+        // From the floor at 10: 1 free, 7 from 100, 8 from 300.
+        let stairs = Staircase::read(&profile, SimTime(10));
+        let mut walk = stairs.walk();
+        let starts: Vec<SimTime> = (1..=8).map(|procs| walk.first_free(procs)).collect();
+        let expected: Vec<SimTime> = (1..=8).map(|procs| stairs.first_free(procs)).collect();
+        assert_eq!(starts, expected);
+        assert_eq!(expected[..3], [SimTime(10), SimTime(100), SimTime(100)]);
+        assert_eq!(expected[7], SimTime(300));
+        let free: Vec<u32> = [10, 99, 100, 299, 300, 5_000]
+            .map(|t| stairs.free_at(SimTime(t)))
+            .to_vec();
+        assert_eq!(free, [1, 1, 7, 7, 8, 8]);
     }
 
     #[test]

@@ -6,21 +6,38 @@
 //! it concerns changed, and most changes can only push it *later*. The
 //! [`EctView`] therefore memoises per-(job, cluster) estimates in a flat
 //! matrix and knows, for every entry, whether it is still **exact**, only
-//! a **lower bound**, or **unknown**:
+//! a **lower bound**, or **unknown**. A column change is handled in one
+//! of three ways:
 //!
-//! * a submit to a cluster whose policy claims
+//! * **Closed columns are re-read.** Under a scheduler that returns a
+//!   [`tail_staircase`](grid_batch::LocalScheduler::tail_staircase)
+//!   (FCFS) an entry has a closed form: the first instant the job's
+//!   processors are free after the queue's tail, plus its scaled
+//!   walltime. Once the round's selection index exists, every change of
+//!   such a column — submit or cancel — re-reads the column for the
+//!   alive rows in one walk ([`Staircase::walk`]) over the rows sorted
+//!   by width, and every entry is exact again: FCFS entries are never
+//!   bounds. A tail submit on `[s, e)` with `p` processors moves no
+//!   width above the free count just before `e` plus `p` (free capacity
+//!   after the floor only rises, and starts rise with width), so that
+//!   walk stops at the first row wider than that;
+//! * **bracket columns keep bounds.** A submit to a cluster whose policy
+//!   claims
 //!   [`LocalScheduler::incremental_tail`](grid_batch::LocalScheduler::incremental_tail)
-//!   (FCFS, CBF) only carves one more reservation behind the queue, so no
-//!   estimate on that cluster can drop — ECT noise included, its
-//!   perturbation being monotone — and no reservation moves. The
-//!   column's entries become lower bounds ([`EctView::note_submit`]);
-//! * a cancel, or a submit under any other policy (the EASY family
-//!   re-examines the whole queue), resets the column: its entries become
-//!   unknown ([`EctView::note_cancel`]).
+//!   without a staircase (CBF) only carves one more reservation behind
+//!   the queue, so no estimate on that cluster can drop — ECT noise
+//!   included, its perturbation being monotone — and no reservation
+//!   moves. The column's entries become lower bounds
+//!   ([`EctView::note_submit`]);
+//! * **everything else resets.** A cancel, or a submit under any other
+//!   policy (the EASY family re-examines the whole queue), makes a
+//!   bracket column's entries unknown ([`EctView::note_cancel`]).
 //!
-//! Both are O(1) for the matrix: every entry records the logical clock of
-//! its probe, and every column the clocks of its last change and last
-//! reset.
+//! The matrix side is O(1) per change for a bracket column: every entry
+//! records the logical clock of its probe, and every column the clocks
+//! of its last change and last reset. A walk sets the column's change
+//! clock back to its reset clock, since every entry read since the
+//! reset is exact again.
 //!
 //! A job's best targets (its `depth` cheapest clusters) need no separate
 //! cache: they are known exactly whenever the row's smallest entries by
@@ -32,12 +49,24 @@
 //! jobs (`EctView::select`). Each job's key is its merit under the
 //! round's `TargetRank` — exact when its best targets are known, else the
 //! optimistic bound over its bracketed row — so the top key is the pick
-//! as soon as it is exact. A column change re-keys only the rows whose
-//! bracket it can move: the rows exact in that column (after a
-//! bound-keeping submit), every row with an estimate there (after a
-//! reset), and in `Queued` mode the rows queued on a reset cluster, whose
-//! current ECT may move. Probes only tighten brackets, so they never
-//! invalidate a key.
+//! as soon as it is exact. A change re-keys only the rows whose key it
+//! can move:
+//!
+//! * a walk re-keys a row only when the entry it changed crosses the
+//!   row's **pivot**, the `depth`-th smallest (estimate, cluster) pair at
+//!   its last exact keying: the row's `depth` smallest pairs move iff the
+//!   old pair was at most the pivot or the new one is below it;
+//! * a bracket column re-keys the rows exact in it (after a
+//!   bound-keeping submit) or every row with an estimate there (after a
+//!   reset);
+//! * in `Queued` mode a reset also re-keys the rows queued on the reset
+//!   cluster, whose current ECT may move;
+//! * under an **antitone** ranking (`TargetRank::antitone`: the merit
+//!   only falls when an ECT rises) a walk after a tail submit re-keys no
+//!   row at all — every stored key stays an upper bound — and `select`
+//!   re-checks the top row's key against its row before taking it.
+//!
+//! Probes only tighten brackets, so they never invalidate a key.
 //!
 //! A cold column (never filled this round) is answered in one *batched*
 //! pass ([`Cluster::estimate_new_batch`]): the cluster freezes its
@@ -48,8 +77,10 @@
 //! entries against the same snapshot, re-frozen only when a mutation came
 //! through the view since.
 
+#[cfg(doc)]
+use grid_batch::Staircase;
 use grid_batch::{Cluster, JobSpec};
-use grid_des::SimTime;
+use grid_des::{Duration, SimTime};
 use grid_obs::Obs;
 
 /// A waiting job captured at the start of a reallocation round.
@@ -96,6 +127,14 @@ pub(crate) trait TargetRank {
     /// `true` when the highest score wins, `false` when the lowest does.
     fn maximise(&self) -> bool;
 
+    /// `true` when the merit (the score, reversed when the lowest wins)
+    /// can only fall when a target ECT rises. A tail submit to a closed
+    /// column only pushes estimates later, so it leaves every stored key
+    /// an upper bound and the selection index re-keys no row for it.
+    fn antitone(&self) -> bool {
+        false
+    }
+
     /// Score of a job given its target ECT per cluster (`SimTime::MAX`:
     /// not a target). Only the `depth` smallest entries are exact; any
     /// other entry is merely known to be at least as late. For depth 1
@@ -112,6 +151,30 @@ pub(crate) trait TargetRank {
 /// Probe clock of entries that never change within a round: a job's own
 /// cluster in `Queued` mode, and clusters too small for the job.
 const STATIC: u32 = u32::MAX;
+
+/// The `depth`-th smallest `(estimate, cluster)` pair of a row, ordered
+/// by value then cluster — `(SimTime::MAX, usize::MAX)` when the row has
+/// fewer entries. A change of one entry moves the row's `depth` smallest
+/// pairs iff the old pair was at most this pivot or the new one is below
+/// it.
+type Pivot = (SimTime, usize);
+
+/// The pivot of `row` for `depth`.
+fn pivot_of(row: &[SimTime], depth: usize) -> Pivot {
+    let mut pivot = None;
+    for _ in 0..depth {
+        pivot = row
+            .iter()
+            .copied()
+            .zip(0..)
+            .filter(|&pair| pivot.is_none_or(|p| pair > p))
+            .min();
+        if pivot.is_none() {
+            break;
+        }
+    }
+    pivot.unwrap_or((SimTime::MAX, usize::MAX))
+}
 
 /// A score as a merit: higher is better either way (`!` reverses the
 /// order of every i128 without overflow).
@@ -162,13 +225,17 @@ impl Key {
 struct Index {
     /// The ranking the keys were computed for: its type and address.
     ranking: (&'static str, usize),
+    /// Whether that ranking is antitone (`TargetRank::antitone`).
+    antitone: bool,
     /// Inner node count; row `i`'s leaf is `inner + i`.
     inner: usize,
     /// `tree[node]`: the best key in the node's subtree. Node 0 is the
     /// root, and node `v`'s children are `4v + 1 ..= 4v + 4`.
     tree: Vec<Key>,
-    /// Whether each row's merit is its exact score (else an upper bound).
-    exact: Vec<bool>,
+    /// Per row: its pivot when its merit was keyed as its exact score,
+    /// `None` when the merit is an upper bound. Under an antitone
+    /// ranking an exact key may since have become an upper bound too.
+    pivot: Vec<Option<Pivot>>,
     /// Rows a column change may have re-keyed since the last selection
     /// (`marked` deduplicates them).
     stale: Vec<u32>,
@@ -177,7 +244,7 @@ struct Index {
 
 impl Index {
     /// An index over `n` rows, none of them keyed yet.
-    fn new(ranking: (&'static str, usize), n: usize) -> Index {
+    fn new(ranking: (&'static str, usize), antitone: bool, n: usize) -> Index {
         let mut leaves = 1;
         while leaves < n {
             leaves *= 4;
@@ -185,9 +252,10 @@ impl Index {
         let inner = (leaves - 1) / 3;
         Index {
             ranking,
+            antitone,
             inner,
             tree: vec![Key::NONE; inner + leaves],
-            exact: vec![false; n],
+            pivot: vec![None; n],
             stale: Vec::new(),
             marked: vec![false; n],
         }
@@ -229,8 +297,9 @@ impl Index {
         }
     }
 
-    fn set(&mut self, row: usize, merit: i128, exact: bool) {
-        self.exact[row] = exact;
+    /// Key `row` at `merit`, exact with `pivot` or a bound without.
+    fn set(&mut self, row: usize, merit: i128, pivot: Option<Pivot>) {
+        self.pivot[row] = pivot;
         let key = Key::new(merit, row);
         if self.tree[self.inner + row] != key {
             self.place(row, key);
@@ -253,9 +322,10 @@ impl Index {
 
 /// Per column, the rows whose key a change of the column can move.
 struct ColumnRows {
-    /// The rows probed in each column since its last change (its exact
-    /// entries) and since its last reset (its exact and bounded
+    /// The rows probed in each bracket column since its last change (its
+    /// exact entries) and since its last reset (its exact and bounded
     /// entries). A change of the column moves no other row's bracket.
+    /// Closed columns list no rows: their changes are walked.
     exact: Vec<Vec<u32>>,
     known: Vec<Vec<u32>>,
     /// Per cluster, in `Queued` mode: the rows queued there, whose
@@ -303,6 +373,14 @@ pub struct EctView<'a> {
     /// Per column: [`Cluster::prepare_estimates`] has run since the last
     /// change, so single probes can query the frozen snapshot directly.
     prepared: Vec<bool>,
+    /// Per column: closed, i.e. its cluster's scheduler answers from a
+    /// staircase (known from the column's first fill on).
+    closed: Vec<bool>,
+    /// The alive rows as (processors, row) pairs in ascending order, and
+    /// per closed column each row's scaled walltime there: the walk's
+    /// inputs, built by the first walk and by a column's first walk.
+    by_width: Vec<(u32, u32)>,
+    walltime: Vec<Vec<Duration>>,
     /// The selection index, built by the first [`EctView::select`].
     index: Option<Index>,
     /// Scratch for [`EctView::summarize`]: the row's known bounds.
@@ -387,6 +465,9 @@ impl<'a> EctView<'a> {
             rows: None,
             cold: vec![true; k],
             prepared: vec![false; k],
+            closed: vec![false; k],
+            by_width: Vec::new(),
+            walltime: vec![Vec::new(); k],
             index: None,
             lo: vec![SimTime::MAX; k.max(1)],
             hi: vec![SimTime::MAX; k.max(1)],
@@ -466,6 +547,7 @@ impl<'a> EctView<'a> {
             self.fill_column(c, i);
             self.cold[c] = false;
             self.prepared[c] = true;
+            self.closed[c] = self.clusters[c].estimate_staircase().is_some();
             return;
         }
         let cluster = &mut self.clusters[c];
@@ -483,11 +565,11 @@ impl<'a> EctView<'a> {
     }
 
     /// Record a fresh estimate of entry `(i, c)`, listing row `i` among
-    /// the column's exact rows, and among its known rows unless it
+    /// a bracket column's exact rows, and among its known rows unless it
     /// already was, once rows are tracked.
     fn store(&mut self, i: usize, c: usize, est: Option<SimTime>) {
         let at = i * self.k + c;
-        if let Some(rows) = &mut self.rows {
+        if let Some(rows) = self.rows.as_mut().filter(|_| !self.closed[c]) {
             if self.probed_at[at] < self.reset[c] {
                 rows.known[c].push(i as u32);
             }
@@ -539,48 +621,144 @@ impl<'a> EctView<'a> {
         }
     }
 
-    /// Record that a job was submitted to cluster `c`. Under a policy
-    /// whose tail submissions never move a reservation the column's
-    /// estimates stay valid lower bounds; otherwise it is reset.
-    pub fn note_submit(&mut self, c: usize) {
-        let keeps_bounds = self.clusters[c].policy().scheduler().incremental_tail();
-        self.note_change(c, !keeps_bounds);
+    /// Record that `job` was submitted to cluster `c` and reserved from
+    /// `start`. A closed column is re-read once the index exists; under
+    /// any other policy whose tail submissions never move a reservation
+    /// the column's estimates stay valid lower bounds; otherwise it is
+    /// reset.
+    pub fn note_submit(&mut self, c: usize, job: &JobSpec, start: SimTime) {
+        let cluster = &self.clusters[c];
+        let tail = cluster
+            .policy()
+            .scheduler()
+            .incremental_tail()
+            .then(|| (start + cluster.scale_job(job).walltime, job.procs));
+        self.note_change(c, tail);
     }
 
     /// Record that a waiting job was cancelled on cluster `c` (a hole
     /// opened: any estimate there may drop, so the column is reset).
     pub fn note_cancel(&mut self, c: usize) {
-        self.note_change(c, true);
+        self.note_change(c, None);
     }
 
-    /// Advance column `c`'s clocks, and mark for re-keying every row
-    /// whose bracket or current ECT the change can move: the rows exact
-    /// in `c` (their entry is now a bound), on a reset also the rows
-    /// bounded there (their entry is now unknown), and the rows queued
-    /// on a reset cluster. Any other row's key stands.
-    fn note_change(&mut self, c: usize, reset: bool) {
+    /// Advance column `c`'s clocks and mark for re-keying every row whose
+    /// key the change can move (see the module docs): a closed column is
+    /// walked; in a bracket column the rows exact in `c` (their entry is
+    /// now a bound), on a reset also the rows bounded there (their entry
+    /// is now unknown); on a reset, the rows queued on the cluster.
+    /// `tail` is the end and width of the reservation a bound-keeping
+    /// submit carved; `None` resets the column.
+    fn note_change(&mut self, c: usize, tail: Option<(SimTime, u32)>) {
+        let reset = tail.is_none();
         self.clock += 1;
         self.changed[c] = self.clock;
         self.prepared[c] = false;
         if reset {
             self.reset[c] = self.clock;
         }
-        if let Some(rows) = &mut self.rows {
-            let index = self.index.as_mut().expect("rows are tracked for an index");
-            let queued: &[u32] = if reset { &rows.queued[c] } else { &[] };
-            let moved = if reset {
-                &rows.known[c]
-            } else {
-                &rows.exact[c]
-            };
-            for &i in moved.iter().chain(queued) {
+        let Some(rows) = &mut self.rows else {
+            return;
+        };
+        let index = self.index.as_mut().expect("rows are tracked for an index");
+        if reset {
+            for &i in &rows.queued[c] {
                 index.mark(i);
             }
-            rows.exact[c].clear();
-            if reset {
-                rows.known[c].clear();
+        }
+        if self.closed[c] {
+            self.walk(c, tail);
+            return;
+        }
+        let moved = if reset {
+            &rows.known[c]
+        } else {
+            &rows.exact[c]
+        };
+        for &i in moved {
+            index.mark(i);
+        }
+        rows.exact[c].clear();
+        if reset {
+            rows.known[c].clear();
+        }
+    }
+
+    /// Re-read closed column `c` for the alive rows against its fresh
+    /// staircase, in one merge with the rows sorted by width, and mark
+    /// the rows whose `depth` smallest pairs the change moved — none
+    /// after a tail submit under an antitone ranking. After a tail submit
+    /// (`tail`: the reservation's end and width) the walk stops at the
+    /// first width it cannot have moved; after a reset it reads every
+    /// row. Afterwards every entry read since the column's last reset is
+    /// exact, so the column's change clock goes back to its reset clock.
+    fn walk(&mut self, c: usize, tail: Option<(SimTime, u32)>) {
+        let (k, jobs, now) = (self.k, self.jobs, self.now);
+        if self.by_width.is_empty() {
+            self.by_width = self
+                .alive_indices()
+                .map(|i| (jobs[i].spec.procs, i as u32))
+                .collect();
+            self.by_width.sort_unstable();
+        } else if self.by_width.len() > 2 * self.alive_count {
+            let alive = &self.alive;
+            self.by_width.retain(|&(_, i)| alive[i as usize]);
+        }
+        self.clusters[c].prepare_estimates(now);
+        self.prepared[c] = true;
+        let cluster = &self.clusters[c];
+        if self.walltime[c].is_empty() {
+            self.walltime[c] = jobs
+                .iter()
+                .map(|w| cluster.scale_job(&w.spec).walltime)
+                .collect();
+        }
+        let stairs = cluster
+            .estimate_staircase()
+            .expect("a closed column's scheduler has a staircase");
+        // Widths the free count never reached before the reservation's
+        // end started at or after it, where nothing changed.
+        let widest = tail.map_or(u32::MAX, |(end, procs)| {
+            stairs.free_at(end - Duration(1)) + procs
+        });
+        // A tail submit under an antitone ranking re-keys no row; before
+        // the index exists there is none to re-key.
+        let mut index = self
+            .index
+            .as_mut()
+            .filter(|x| tail.is_none() || !x.antitone);
+        let noisy = cluster.ect_noise().is_some();
+        let walltime = &self.walltime[c];
+        let mut steps = stairs.walk();
+        let mut walked = 0;
+        for &(procs, row) in &self.by_width {
+            if procs > widest {
+                break;
+            }
+            let (i, at) = (row as usize, row as usize * k + c);
+            if !self.alive[i] || self.probed_at[at] == STATIC {
+                continue;
+            }
+            walked += 1;
+            let end = steps.first_free(procs) + walltime[i];
+            let new = if noisy {
+                cluster.noisy(jobs[i].spec.id, now, end)
+            } else {
+                end
+            };
+            let old = std::mem::replace(&mut self.est[at], new);
+            if tail.is_none() {
+                // Every other row was read since the last reset already.
+                self.probed_at[at] = self.clock;
+            }
+            if let Some(index) = index.as_mut().filter(|_| new != old) {
+                if index.pivot[i].is_none_or(|p| (old, c) <= p || (new, c) < p) {
+                    index.mark(row);
+                }
             }
         }
+        self.obs.count("ect.walked", walked);
+        self.changed[c] = self.reset[c];
     }
 
     /// Mutable access to a cluster (for the migration itself).
@@ -600,19 +778,19 @@ impl<'a> EctView<'a> {
     /// Bracket job `i`'s row as it stands — `lo <= ect <= hi` per cluster
     /// (an exact entry has both ends equal; a lower bound leaves `hi`
     /// open at `SimTime::MAX`; an unknown entry is at least `now`) — into
-    /// `self.lo`/`self.hi`, and return how many brackets it wrote plus
-    /// whether the row's `d` smallest entries by (lower bound, cluster)
-    /// are all exact: `lo` then carries the job's exact best target ECTs,
-    /// since every entry left out is at least as late.
+    /// `self.lo`/`self.hi`, and return how many brackets it wrote plus,
+    /// when the row's `d` smallest entries by (lower bound, cluster) are
+    /// all exact, its pivot: `lo` then carries the job's exact best
+    /// target ECTs, since every entry left out is at least as late.
     ///
     /// For `d == 1` the row is collapsed to a single bracket around its
     /// minimum, which a score of the best target alone cannot tell apart
     /// from the full row.
-    fn summarize(&mut self, i: usize, d: usize) -> (usize, bool) {
+    fn summarize(&mut self, i: usize, d: usize) -> (usize, Option<Pivot>) {
         let row = i * self.k;
-        // The first entry in (lower bound, cluster) order, the smallest
-        // exact value, and the first inexact entry.
-        let mut first = (SimTime::MAX, true);
+        // The first entry in (lower bound, cluster) order and whether it
+        // is exact, the smallest exact value, and the first inexact entry.
+        let mut first = ((SimTime::MAX, 0), true);
         let mut best_exact = SimTime::MAX;
         let mut first_inexact: Option<(SimTime, usize)> = None;
         for c in 0..self.k {
@@ -623,8 +801,8 @@ impl<'a> EctView<'a> {
             } else {
                 self.now
             };
-            if lo < first.0 {
-                first = (lo, exact);
+            if lo < first.0 .0 {
+                first = ((lo, c), exact);
             }
             if exact {
                 best_exact = best_exact.min(est);
@@ -637,16 +815,16 @@ impl<'a> EctView<'a> {
             }
         }
         if d == 1 {
-            (self.lo[0], self.hi[0]) = (first.0, best_exact);
-            return (1, first.1);
+            (self.lo[0], self.hi[0]) = (first.0 .0, best_exact);
+            return (1, first.1.then_some(first.0));
         }
-        let Some(first_inexact) = first_inexact else {
-            return (self.k, true);
-        };
-        let ahead = (0..self.k)
-            .filter(|&c| self.lo[c] == self.hi[c] && (self.lo[c], c) < first_inexact)
-            .count();
-        (self.k, ahead >= d)
+        let known = first_inexact.is_none_or(|first_inexact| {
+            let ahead = (0..self.k)
+                .filter(|&c| self.lo[c] == self.hi[c] && (self.lo[c], c) < first_inexact)
+                .count();
+            ahead >= d
+        });
+        (self.k, known.then(|| pivot_of(&self.lo[..self.k], d)))
     }
 
     fn candidate(&mut self, i: usize) -> Candidate {
@@ -657,17 +835,17 @@ impl<'a> EctView<'a> {
         }
     }
 
-    /// Job `i`'s key under `rank` as its row stands: its merit, and
-    /// whether that is its exact score rather than an upper bound.
-    fn key<R: TargetRank + ?Sized>(&mut self, rank: &R, i: usize) -> (i128, bool) {
-        let (len, known) = self.summarize(i, rank.depth().max(1));
+    /// Job `i`'s key under `rank` as its row stands: its merit, and its
+    /// pivot when that is its exact score rather than an upper bound.
+    fn key<R: TargetRank + ?Sized>(&mut self, rank: &R, i: usize) -> (i128, Option<Pivot>) {
+        let (len, pivot) = self.summarize(i, rank.depth().max(1));
         let job = self.candidate(i);
         let (lo, hi) = (&self.lo[..len], &self.hi[..len]);
-        if known {
-            (merit(rank.maximise(), rank.score(&job, lo)), true)
-        } else {
-            (merit(rank.maximise(), rank.bound(&job, lo, hi)), false)
-        }
+        let score = match pivot {
+            Some(_) => rank.score(&job, lo),
+            None => rank.bound(&job, lo, hi),
+        };
+        (merit(rank.maximise(), score), pivot)
     }
 
     /// The alive job `rank` scores best — the earliest-submitted one on
@@ -679,8 +857,11 @@ impl<'a> EctView<'a> {
     /// changes marked. Then the top key decides: an exact key is the
     /// pick (every other key is at least its job's true merit, and the
     /// key order is the tie-break order), while a bound has its row
-    /// re-probed and goes back in at its exact score. The index serves
-    /// one ranking; a call with another rebuilds it.
+    /// re-probed and goes back in at its exact score. Under an antitone
+    /// ranking an exact key may have gone stale since — bound-keeping
+    /// changes re-key no row — so the top row is re-keyed first, and
+    /// taken only if its key stands. The index serves one ranking; a call
+    /// with another rebuilds it.
     pub(crate) fn select<R: TargetRank + ?Sized>(&mut self, rank: &R) -> Option<usize> {
         let ranking = (
             std::any::type_name::<R>(),
@@ -693,24 +874,43 @@ impl<'a> EctView<'a> {
             }
             _ => self.build_index(rank, ranking),
         };
+        let mut stale_tops = 0;
         let pick = loop {
             let Some(i) = index.top() else {
                 break None;
             };
-            if index.exact[i] {
-                break Some(i);
+            if index.pivot[i].is_some() {
+                if !index.antitone {
+                    break Some(i);
+                }
+                let (merit, pivot) = self.key(rank, i);
+                if pivot.is_some() {
+                    let stands = index.tree[index.inner + i] == Key::new(merit, i);
+                    index.set(i, merit, pivot);
+                    if stands {
+                        break Some(i);
+                    }
+                    stale_tops += 1;
+                    continue;
+                }
             }
             self.refresh_row(i);
             let job = self.candidate(i);
-            let score = rank.score(&job, &self.est[i * self.k..(i + 1) * self.k]);
-            index.set(i, merit(rank.maximise(), score), true);
+            let row = &self.est[i * self.k..(i + 1) * self.k];
+            let score = rank.score(&job, row);
+            let pivot = pivot_of(row, rank.depth().max(1));
+            index.set(i, merit(rank.maximise(), score), Some(pivot));
         };
+        if stale_tops > 0 {
+            self.obs.count("ect.rekeys", stale_tops);
+        }
         self.index = Some(index);
         pick
     }
 
     /// Re-key the alive rows the noted changes marked, counted as
-    /// `ect.rekeys`.
+    /// `ect.rekeys` (with the stale top rows `select` re-keys under an
+    /// antitone ranking).
     fn rekey_marked<R: TargetRank + ?Sized>(&mut self, rank: &R, index: &mut Index) {
         let mut stale = std::mem::take(&mut index.stale);
         let mut rekeys = 0;
@@ -718,8 +918,8 @@ impl<'a> EctView<'a> {
             let i = i as usize;
             index.marked[i] = false;
             if index.is_alive(i) {
-                let (merit, exact) = self.key(rank, i);
-                index.set(i, merit, exact);
+                let (merit, pivot) = self.key(rank, i);
+                index.set(i, merit, pivot);
                 rekeys += 1;
             }
         }
@@ -730,7 +930,8 @@ impl<'a> EctView<'a> {
         index.stale = stale;
     }
 
-    /// List the alive rows by what the matrix knows of them per column.
+    /// List the alive rows by what the matrix knows of them per bracket
+    /// column.
     fn column_rows(&self) -> ColumnRows {
         let k = self.k;
         let mut rows = ColumnRows {
@@ -742,7 +943,7 @@ impl<'a> EctView<'a> {
             if self.mode == ViewMode::Queued {
                 rows.queued[self.jobs[i].cluster].push(i as u32);
             }
-            for c in 0..k {
+            for c in (0..k).filter(|&c| !self.closed[c]) {
                 let probed = self.probed_at[i * k + c];
                 if probed != STATIC && probed >= self.reset[c] {
                     rows.known[c].push(i as u32);
@@ -762,27 +963,30 @@ impl<'a> EctView<'a> {
         ranking: (&'static str, usize),
     ) -> Index {
         // Fill every cold column a remaining job can run on first, so no
-        // key starts out bracketing an unknown entry.
+        // key starts out bracketing an unknown entry. A closed column
+        // changed before rows were tracked was never walked: re-read it
+        // whole.
         let (n, k) = (self.jobs.len(), self.k);
         for c in 0..k {
-            if !self.cold[c] {
-                continue;
-            }
-            let reader = self
-                .alive_indices()
-                .find(|&i| self.probed_at[i * k + c] != STATIC);
-            if let Some(i) = reader {
-                self.probe(i, c);
+            if self.cold[c] {
+                let reader = self
+                    .alive_indices()
+                    .find(|&i| self.probed_at[i * k + c] != STATIC);
+                if let Some(i) = reader {
+                    self.probe(i, c);
+                }
+            } else if self.closed[c] && self.rows.is_none() {
+                self.walk(c, None);
             }
         }
         if self.rows.is_none() {
             self.rows = Some(self.column_rows());
         }
-        let mut index = Index::new(ranking, n);
+        let mut index = Index::new(ranking, rank.antitone(), n);
         for i in self.first_alive..n {
             if self.alive[i] {
-                let (merit, exact) = self.key(rank, i);
-                index.exact[i] = exact;
+                let (merit, pivot) = self.key(rank, i);
+                index.pivot[i] = pivot;
                 index.tree[index.inner + i] = Key::new(merit, i);
             }
         }
@@ -855,6 +1059,13 @@ mod tests {
             }
         }
 
+        /// Submit `job` to cluster `c` at the round's instant and note it.
+        fn submit(&mut self, c: usize, job: JobSpec) {
+            let now = self.now;
+            let start = self.cluster_mut(c).submit(job, now).unwrap();
+            self.note_submit(c, &job, start);
+        }
+
         /// The rows the noted changes marked for re-keying, ascending.
         fn marked_rows(&self) -> Vec<u32> {
             let mut rows = self
@@ -925,14 +1136,13 @@ mod tests {
         let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
         assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
         // Mutate cluster 1 behind the cache's back.
-        v.cluster_mut(1)
-            .submit(JobSpec::new(200, 0, 4, 500, 500), SimTime(0))
-            .unwrap();
+        let blocker = JobSpec::new(200, 0, 4, 500, 500);
+        let start = v.cluster_mut(1).submit(blocker, SimTime(0)).unwrap();
         // Cached value still served (this is the memoisation contract).
         assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
         // Once the submit is noted the entry is only a lower bound, and
         // an exact query re-probes it.
-        v.note_submit(1);
+        v.note_submit(1, &blocker, start);
         assert_eq!(v.entry(0, 1), Entry::Bound(SimTime(100)));
         assert_eq!(v.new_ect(0, 1), Some(SimTime(600)));
         assert_eq!(v.entry(0, 1), Entry::Exact(SimTime(600)));
@@ -953,10 +1163,7 @@ mod tests {
         clusters[1].set_obs(obs.clone(), 1);
         let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
         assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
-        v.cluster_mut(1)
-            .submit(JobSpec::new(200, 0, 4, 500, 500), SimTime(0))
-            .unwrap();
-        v.note_submit(1);
+        v.submit(1, JobSpec::new(200, 0, 4, 500, 500));
         assert_eq!(v.new_ect(0, 1), Some(SimTime(600)));
         v.cluster_mut(1).cancel(grid_batch::JobId(200), SimTime(0));
         v.note_cancel(1);
@@ -983,10 +1190,7 @@ mod tests {
         }];
         let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
         assert_eq!(v.new_ect(0, 1), Some(SimTime(100)));
-        v.cluster_mut(1)
-            .submit(JobSpec::new(200, 0, 4, 500, 500), SimTime(0))
-            .unwrap();
-        v.note_submit(1);
+        v.submit(1, JobSpec::new(200, 0, 4, 500, 500));
         assert_eq!(v.entry(0, 1), Entry::Unknown);
         assert_eq!(v.new_ect(0, 1), Some(SimTime(600)));
     }
@@ -1013,24 +1217,18 @@ mod tests {
         let mut v = EctView::cancelled(&mut clusters, &jobs, vec![SimTime(1_000)], SimTime(0));
         assert_eq!(v.best_target(0), Some((0, SimTime(100))));
         // Cluster 2 grows: the best target (cluster 0) stands.
-        v.cluster_mut(2)
-            .submit(JobSpec::new(102, 0, 4, 500, 500), SimTime(0))
-            .unwrap();
-        v.note_submit(2);
-        assert_eq!(v.summarize(0, 1), (1, true));
+        v.submit(2, JobSpec::new(102, 0, 4, 500, 500));
+        assert_eq!(v.summarize(0, 1), (1, Some((SimTime(100), 0))));
         assert_eq!((v.lo[0], v.hi[0]), (SimTime(100), SimTime(100)));
-        assert_eq!(v.summarize(0, 2), (3, true));
+        assert_eq!(v.summarize(0, 2), (3, Some((SimTime(150), 1))));
         assert_eq!(v.lo, [SimTime(100), SimTime(150), SimTime(180)]);
         assert_eq!(v.hi, [SimTime(100), SimTime(150), SimTime::MAX]);
         // Cluster 0 fills up: only a bound remains for it, so the best
         // target ECT lies between it and cluster 1's exact estimate.
-        v.cluster_mut(0)
-            .submit(JobSpec::new(103, 0, 4, 1_000, 1_000), SimTime(0))
-            .unwrap();
-        v.note_submit(0);
-        assert_eq!(v.summarize(0, 1), (1, false), "the stale cluster 0 leads");
+        v.submit(0, JobSpec::new(103, 0, 4, 1_000, 1_000));
+        assert_eq!(v.summarize(0, 1), (1, None), "the stale cluster 0 leads");
         assert_eq!((v.lo[0], v.hi[0]), (SimTime(100), SimTime(150)));
-        assert_eq!(v.summarize(0, 2), (3, false));
+        assert_eq!(v.summarize(0, 2), (3, None));
         assert_eq!(v.lo, [SimTime(100), SimTime(150), SimTime(180)]);
         assert_eq!(v.hi, [SimTime::MAX, SimTime(150), SimTime::MAX]);
         assert_eq!(v.best_target(0), Some((1, SimTime(150))));
@@ -1150,11 +1348,11 @@ mod tests {
         assert!(v.alive_indices().next().is_none());
     }
 
-    /// Three idle 4-proc FCFS sites and three 1-proc jobs: every
-    /// estimate ties, so each job's best target is site 0.
-    fn idle_grid() -> (Vec<Cluster>, Vec<WaitingJob>) {
+    /// Three idle 4-proc sites under `policy` and three 1-proc jobs:
+    /// every estimate ties, so each job's best target is site 0.
+    fn idle_grid(policy: BatchPolicy) -> (Vec<Cluster>, Vec<WaitingJob>) {
         let clusters = (0..3)
-            .map(|c| Cluster::new(ClusterSpec::new(format!("c{c}"), 4, 1.0), BatchPolicy::Fcfs))
+            .map(|c| Cluster::new(ClusterSpec::new(format!("c{c}"), 4, 1.0), policy))
             .collect();
         let jobs = (0..3)
             .map(|i| WaitingJob {
@@ -1165,19 +1363,18 @@ mod tests {
         (clusters, jobs)
     }
 
-    /// A bound-keeping submit re-keys only the rows exact in its column:
-    /// a row already bounded there keeps its bracket, and with it its
-    /// key. A cancel re-keys every row with an estimate in the column.
+    /// In a bracket (CBF) column a bound-keeping submit re-keys only the
+    /// rows exact in the column: a row already bounded there keeps its
+    /// bracket, and with it its key. A cancel re-keys every row with an
+    /// estimate in the column.
     #[test]
     fn submits_rekey_rows_exact_in_the_column_and_cancels_every_row_targeting_it() {
-        let (mut clusters, jobs) = idle_grid();
+        let (mut clusters, jobs) = idle_grid(BatchPolicy::Cbf);
         let obs = grid_obs::Obs::enabled();
         clusters[0].set_obs(obs.clone(), 0);
         let mut v = EctView::cancelled(&mut clusters, &jobs, vec![SimTime(1_000); 3], SimTime(0));
         assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(0));
-        let blocker = JobSpec::new(100, 0, 4, 500, 500);
-        v.cluster_mut(1).submit(blocker, SimTime(0)).unwrap();
-        v.note_submit(1);
+        v.submit(1, JobSpec::new(100, 0, 4, 500, 500));
         assert_eq!(v.marked_rows(), [0, 1, 2], "the fill left every row exact");
         // Site 1 was nobody's best target: the re-keys keep every key
         // exact, so the next pick needs no probe.
@@ -1186,10 +1383,7 @@ mod tests {
         assert_eq!(v.entry(1, 1), Entry::Bound(SimTime(200)));
         // Only row 2 is exact on site 1 again when it next grows.
         assert_eq!(v.new_ect(2, 1), Some(SimTime(800)));
-        v.cluster_mut(1)
-            .submit(JobSpec::new(101, 0, 4, 500, 500), SimTime(0))
-            .unwrap();
-        v.note_submit(1);
+        v.submit(1, JobSpec::new(101, 0, 4, 500, 500));
         assert_eq!(v.marked_rows(), [2]);
         v.cluster_mut(1).cancel(grid_batch::JobId(101), SimTime(0));
         v.note_cancel(1);
@@ -1207,7 +1401,7 @@ mod tests {
     /// leaves them alone (it never moves a reservation).
     #[test]
     fn resets_rekey_the_rows_queued_on_the_cluster() {
-        let (mut clusters, mut jobs) = idle_grid();
+        let (mut clusters, mut jobs) = idle_grid(BatchPolicy::Cbf);
         for w in &mut jobs[..2] {
             clusters[0].submit(w.spec, SimTime(0)).unwrap();
         }
@@ -1215,13 +1409,155 @@ mod tests {
         clusters[1].submit(jobs[2].spec, SimTime(0)).unwrap();
         let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
         assert!(v.select(&crate::heuristics::MinMinOrder).is_some());
-        v.note_submit(1);
+        v.submit(1, JobSpec::new(100, 0, 1, 100, 100));
         assert_eq!(
             v.marked_rows(),
             [0, 1],
             "row 2 has no estimate on its own site"
         );
+        v.cluster_mut(1).cancel(grid_batch::JobId(100), SimTime(0));
         v.note_cancel(1);
         assert_eq!(v.marked_rows(), [0, 1, 2]);
+    }
+
+    /// Two 8-proc FCFS sites at `t = 0`, each running one job — site 0
+    /// all its processors until `busy.0`, site 1 four of them until
+    /// `busy.1`, none for 0 — and the given waiting jobs queued on
+    /// site 1 behind it.
+    fn fcfs_pair(busy: (u64, u64), queued: &[JobSpec]) -> Vec<Cluster> {
+        let mut clusters: Vec<Cluster> = (0..2)
+            .map(|c| Cluster::new(ClusterSpec::new(format!("c{c}"), 8, 1.0), BatchPolicy::Fcfs))
+            .collect();
+        let busy = [(8, busy.0), (4, busy.1)];
+        for (c, (procs, until)) in busy.into_iter().enumerate().filter(|b| b.1 .1 > 0) {
+            let running = JobSpec::new(100 + c as u64, 0, procs, until, until);
+            clusters[c].submit(running, SimTime(0)).unwrap();
+            clusters[c].start_due(SimTime(0));
+        }
+        for &job in queued {
+            clusters[1].submit(job, SimTime(0)).unwrap();
+        }
+        clusters
+    }
+
+    /// Cancelled-mode rows of the given `(procs, walltime)` shapes.
+    fn rows(shapes: &[(u32, u64)]) -> Vec<WaitingJob> {
+        (0..)
+            .zip(shapes)
+            .map(|(i, &(procs, walltime))| WaitingJob {
+                spec: JobSpec::new(i, 0, procs, walltime, walltime),
+                cluster: 0,
+            })
+            .collect()
+    }
+
+    /// A tail submit on a closed (FCFS) column re-reads it in one walk
+    /// that stops at the first width the submit cannot have moved, keeps
+    /// every entry exact, and re-keys only the rows whose pivot the
+    /// changed entry crosses.
+    #[test]
+    fn tail_submits_walk_closed_columns_up_to_the_widths_they_can_move() {
+        // Site 1: 4 procs busy until 1000, a 2-proc job queued on
+        // [0, 200): free 2 from 0, 4 from 200, 8 from 1000.
+        let mut clusters = fcfs_pair((550, 1_000), &[JobSpec::new(102, 0, 2, 200, 200)]);
+        let obs = grid_obs::Obs::enabled();
+        for (c, cluster) in clusters.iter_mut().enumerate() {
+            cluster.set_obs(obs.clone(), c as u32);
+        }
+        let jobs = rows(&[(1, 100), (4, 100), (8, 100)]);
+        let pre = vec![SimTime(5_000); 3];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        let maxmin = crate::heuristics::MaxMinOrder;
+        // Best ECTs 100 and 300 on site 1, 650 on site 0.
+        assert_eq!(v.select(&maxmin), Some(2));
+        assert_eq!(v.index.as_ref().unwrap().pivot[1], Some((SimTime(300), 1)));
+        // A 1-proc job on [0, 300): free 1 from 0, 3 from 200, 4 from
+        // 300. Widths above 3 + 1 started at or after 300 and stay put.
+        v.submit(1, JobSpec::new(103, 0, 1, 300, 300));
+        assert_eq!(obs.with(|r| r.counter("ect.walked")), Some(2));
+        assert_eq!(v.entry(0, 1), Entry::Exact(SimTime(100)), "unmoved");
+        assert_eq!(v.entry(1, 1), Entry::Exact(SimTime(400)), "its pivot");
+        assert_eq!(v.entry(2, 1), Entry::Exact(SimTime(1_100)), "not walked");
+        assert_eq!(v.marked_rows(), [1]);
+        assert_eq!(v.select(&maxmin), Some(2));
+        assert_eq!(v.index.as_ref().unwrap().pivot[1], Some((SimTime(400), 1)));
+        assert_eq!(obs.with(|r| r.counter("ect.stale_refreshes")), Some(0));
+    }
+
+    /// A reset walks every row of a closed column, and a changed entry
+    /// re-keys its row when it falls below the row's pivot, not when it
+    /// stays above it.
+    #[test]
+    fn resets_walk_every_row_and_rekey_rows_whose_pivot_they_cross() {
+        // Site 1: 4 procs busy until 100, an 8-proc job queued on
+        // [100, 1100).
+        let mut clusters = fcfs_pair((50, 100), &[JobSpec::new(102, 0, 8, 1_000, 1_000)]);
+        let jobs = rows(&[(1, 100), (8, 2_000)]);
+        let pre = vec![SimTime(5_000); 2];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        let maxmin = crate::heuristics::MaxMinOrder;
+        assert_eq!(v.select(&maxmin), Some(1));
+        assert_eq!(v.entry(0, 1), Entry::Exact(SimTime(1_200)));
+        assert_eq!(v.entry(1, 1), Entry::Exact(SimTime(3_100)));
+        v.cluster_mut(1).cancel(grid_batch::JobId(102), SimTime(0));
+        v.note_cancel(1);
+        // Row 0: 1200 -> 100, below its pivot (150 on site 0). Row 1:
+        // 3100 -> 2100, still above its pivot (2050 on site 0).
+        assert_eq!(v.entry(0, 1), Entry::Exact(SimTime(100)));
+        assert_eq!(v.entry(1, 1), Entry::Exact(SimTime(2_100)));
+        assert_eq!(v.marked_rows(), [0]);
+        assert_eq!(v.select(&maxmin), Some(1));
+    }
+
+    /// Under an antitone ranking a tail submit on a closed column
+    /// re-keys no row; the stale top row is re-checked and placed again,
+    /// so the pick is still the exact one.
+    #[test]
+    fn antitone_rankings_rekey_no_row_on_tail_submits_and_recheck_the_top() {
+        let mut clusters = fcfs_pair((0, 0), &[]);
+        let obs = grid_obs::Obs::enabled();
+        clusters[0].set_obs(obs.clone(), 0);
+        let jobs = rows(&[(1, 100), (8, 200), (1, 300)]);
+        let pre = vec![SimTime(5_000); 3];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        let minmin = crate::heuristics::MinMinOrder;
+        assert_eq!(v.select(&minmin), Some(0));
+        v.remove(0);
+        // A 1-proc job on [0, 1000) on each site pushes row 1 (8 procs)
+        // to 1200 everywhere; row 2 (1 proc) keeps 300.
+        for c in 0..2 {
+            v.submit(c, JobSpec::new(200 + c as u64, 0, 1, 1_000, 1_000));
+        }
+        assert_eq!(v.entry(1, 0), Entry::Exact(SimTime(1_200)));
+        assert_eq!(v.entry(2, 1), Entry::Exact(SimTime(300)));
+        assert_eq!(v.marked_rows(), [] as [u32; 0]);
+        assert_eq!(
+            v.select(&minmin),
+            Some(2),
+            "row 1's stale key is re-checked"
+        );
+        assert_eq!(obs.with(|r| r.counter("ect.rekeys")), Some(1));
+        // MaxMin is not antitone: the same change re-keys the row.
+        let maxmin = crate::heuristics::MaxMinOrder;
+        assert_eq!(v.select(&maxmin), Some(1));
+        v.submit(0, JobSpec::new(202, 0, 8, 10, 10));
+        assert_eq!(v.marked_rows(), [1, 2]);
+    }
+
+    /// A closed column changed before the index exists was never walked;
+    /// the index build re-reads it whole, so no key starts from a stale
+    /// entry.
+    #[test]
+    fn the_index_build_rereads_closed_columns_changed_before_it() {
+        let mut clusters = fcfs_pair((0, 0), &[]);
+        let jobs = rows(&[(1, 100), (8, 200)]);
+        let pre = vec![SimTime(5_000); 2];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        assert_eq!(v.best_target(1), Some((0, SimTime(200))));
+        v.submit(0, JobSpec::new(200, 0, 8, 1_000, 1_000));
+        assert_eq!(v.entry(1, 0), Entry::Bound(SimTime(200)));
+        assert_eq!(v.select(&crate::heuristics::MaxMinOrder), Some(1));
+        assert_eq!(v.entry(0, 0), Entry::Exact(SimTime(1_100)));
+        assert_eq!(v.entry(1, 0), Entry::Exact(SimTime(1_200)));
     }
 }

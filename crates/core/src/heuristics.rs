@@ -24,8 +24,17 @@
 //! estimates move (and, under FCFS/CBF, only upwards), so
 //! `EctView::select` keeps every job's score — or its bound — in a
 //! per-round priority index, re-keys only the jobs the placement can
-//! move, and re-probes only the jobs whose bound tops the index. The
-//! pick — the earliest-submitted job on ties — is exactly the
+//! move, and re-probes only the jobs whose bound tops the index.
+//!
+//! MinMin, MaxGain and MaxRelGain are **antitone**
+//! (`TargetRank::antitone`): a job's merit can only fall when one of its
+//! ECTs rises. A placement on an FCFS site only pushes that site's
+//! estimates later, so it re-keys no job at all — every stored key is
+//! still an upper bound — and the index re-checks only the job that
+//! reaches its top. MaxMin favours late completions and Sufferage wide
+//! spreads, so under either a rising ECT can raise a merit.
+//!
+//! The pick — the earliest-submitted job on ties — is exactly the
 //! exhaustive re-ranking's (a test-only oracle pins this on random
 //! grids).
 //!
@@ -298,10 +307,16 @@ fn secs(t: SimTime) -> i128 {
 /// A ranking by a score monotone in the job's best target ECT alone —
 /// MinMin, MaxMin, MaxGain and MaxRelGain. Monotonicity is what makes
 /// the bound cheap: the score's extremes over a bracketed best target
-/// sit at the bracket's ends.
+/// sit at the bracket's ends. Its direction decides whether the ranking
+/// is antitone: the merit falls as an ECT rises when the score rises
+/// with the best target and the lowest wins (MinMin), or falls with it
+/// and the highest wins (MaxGain, MaxRelGain), but not for MaxMin.
 trait ByBestTarget {
     /// `true` when the highest score wins.
     fn maximise(&self) -> bool;
+    /// `true` when the score rises with the best target ECT (a job's
+    /// best ECT), `false` when it falls (a gain).
+    fn rises(&self) -> bool;
     /// Score given the best target ECT (`SimTime::MAX`: no target).
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128;
 }
@@ -313,6 +328,9 @@ fn min_ect(ects: &[SimTime]) -> SimTime {
 impl<T: ByBestTarget> TargetRank for T {
     fn maximise(&self) -> bool {
         ByBestTarget::maximise(self)
+    }
+    fn antitone(&self) -> bool {
+        ByBestTarget::maximise(self) != self.rises()
     }
     fn score(&self, job: &Candidate, ects: &[SimTime]) -> i128 {
         self.score_best(job, min_ect(ects))
@@ -438,6 +456,9 @@ impl ByBestTarget for MinMinOrder {
     fn maximise(&self) -> bool {
         false
     }
+    fn rises(&self) -> bool {
+        true
+    }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
         best_ect(job, best)
     }
@@ -458,6 +479,9 @@ pub struct MaxMinOrder;
 
 impl ByBestTarget for MaxMinOrder {
     fn maximise(&self) -> bool {
+        true
+    }
+    fn rises(&self) -> bool {
         true
     }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
@@ -482,6 +506,9 @@ impl ByBestTarget for MaxGainOrder {
     fn maximise(&self) -> bool {
         true
     }
+    fn rises(&self) -> bool {
+        false
+    }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
         gain(job, best)
     }
@@ -503,6 +530,9 @@ pub struct MaxRelGainOrder;
 impl ByBestTarget for MaxRelGainOrder {
     fn maximise(&self) -> bool {
         true
+    }
+    fn rises(&self) -> bool {
+        false
     }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
         let g = gain(job, best);
@@ -757,6 +787,17 @@ mod tests {
         for h in Heuristic::ALL {
             assert_eq!(h.select(&mut v), None, "{h}");
         }
+    }
+
+    /// The rankings whose merit only falls as an ECT rises: the ones
+    /// ranking by a best ECT to minimise or a gain to maximise.
+    #[test]
+    fn antitone_rankings_are_minmin_and_the_gains() {
+        assert!(MinMinOrder.antitone());
+        assert!(MaxGainOrder.antitone());
+        assert!(MaxRelGainOrder.antitone());
+        assert!(!MaxMinOrder.antitone());
+        assert!(!SufferageOrder::CLASSIC.antitone());
     }
 
     #[test]

@@ -395,3 +395,72 @@ fn pruned_selection_matches_exhaustive_oracle_on_wide_grids() {
     assert!(tally.migrations > 1_000, "{tally:?}");
     assert!(tally.completed * 2 > tally.ticks, "{tally:?}");
 }
+
+/// An all-FCFS grid at `NOW`: three to nine sites, each running one to
+/// three jobs of random width until random horizons past `NOW` — so its
+/// free counts climb in several steps — with 40 to 120 waiting jobs of
+/// five shapes queued at `NOW` over the sites (half on site 0). Every column of a
+/// round on it is closed, so every change is walked. With `noisy`, every
+/// site perturbs its estimates.
+fn fcfs_grid(seed: u64, noisy: bool) -> Vec<Cluster> {
+    const SHAPES: [(u32, u64); 5] = [(1, 600), (2, 600), (4, 1_200), (8, 600), (16, 1_200)];
+    let mut rng = SimRng::seed_from_u64(seed);
+    let sites = rng.gen_range(3..=9usize);
+    let mut clusters: Vec<Cluster> = (0..sites)
+        .map(|s| {
+            let procs = 16 << rng.gen_range(0..3u32);
+            let speed = 1.0 + 0.25 * rng.gen_range(0..2u32) as f64;
+            let spec = ClusterSpec::new(format!("s{s}"), procs, speed);
+            let mut c = Cluster::new(spec, BatchPolicy::Fcfs);
+            if noisy {
+                c.set_ect_noise(Some(EctNoise::new(seed ^ s as u64, 0.4)));
+            }
+            let mut free = procs;
+            for r in 0..rng.gen_range(1..=3u64) {
+                let width = rng.gen_range(1..=free);
+                let horizon = rng.gen_range(1..3_000u64) + 2 * NOW.as_secs();
+                let id = 1_000 + 10 * s as u64 + r;
+                c.submit(JobSpec::new(id, 0, width, horizon, horizon), SimTime(0))
+                    .unwrap();
+                free -= width;
+                if free == 0 {
+                    break;
+                }
+            }
+            c.start_due(SimTime(0));
+            c
+        })
+        .collect();
+    for id in 0..rng.gen_range(40..=120u64) {
+        let (procs, walltime) = SHAPES[rng.gen_range(0..SHAPES.len())];
+        let site = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(0..sites)
+        };
+        // Queued at `NOW`, so no reservation starts before the tick.
+        clusters[site]
+            .submit(JobSpec::new(id, id * 3, procs, walltime, walltime), NOW)
+            .unwrap();
+    }
+    clusters
+}
+
+/// The differential on all-FCFS grids, where every column change is a
+/// walk: its early stop, the pivot rule and the antitone top check all
+/// decide picks here.
+#[test]
+fn pruned_selection_matches_exhaustive_oracle_on_fcfs_grids() {
+    let pairs = logged_pairs();
+    let mut tally = Tally::default();
+    for seed in 0..24u64 {
+        let grid = fcfs_grid(seed, seed % 2 == 1);
+        assert_matches_oracle(&grid, &format!("FCFS seed {seed}"), &pairs, &mut tally);
+    }
+    eprintln!("{tally:?}");
+    assert_eq!(
+        tally.completed, tally.ticks,
+        "FCFS estimates keep contracts"
+    );
+    assert!(tally.migrations > 1_000, "{tally:?}");
+}

@@ -510,7 +510,7 @@ pub(crate) fn run_no_cancel(
                     .expect("target estimated, so the job must fit");
                 check_contract(report, view.cluster_mut(target), &w.spec, start, ect);
                 view.note_cancel(w.cluster);
-                view.note_submit(target);
+                view.note_submit(target, &w.spec, start);
                 report.migrations.push(Migration {
                     job: w.spec.id,
                     from: w.cluster,
@@ -530,20 +530,24 @@ fn run_cancel_all(
     now: SimTime,
     report: &mut TickReport,
 ) {
-    // Record every job's current ECT (MaxGain/MaxRelGain reference), then
-    // cancel them all.
-    let mut pre_ects = Vec::with_capacity(jobs.len());
-    for w in jobs {
-        let ect = clusters[w.cluster]
-            .current_ect(w.spec.id, now)
-            .expect("waiting job must have a reservation");
-        pre_ects.push(ect);
-    }
-    for w in jobs {
-        clusters[w.cluster]
-            .cancel(w.spec.id, now)
-            .expect("waiting job must be cancellable");
-    }
+    // Cancel every job, recording its current ECT (the MaxGain and
+    // MaxRelGain reference): one drain per queue.
+    let mut drained: Vec<(JobId, SimTime)> = clusters
+        .iter_mut()
+        .flat_map(|c| c.drain_queue(now))
+        .map(|(job, ect)| (job.id, ect))
+        .collect();
+    assert_eq!(drained.len(), jobs.len(), "every waiting job drained");
+    drained.sort_unstable_by_key(|&(id, _)| id);
+    let pre_ects = jobs
+        .iter()
+        .map(|w| {
+            let at = drained
+                .binary_search_by_key(&w.spec.id, |&(id, _)| id)
+                .expect("waiting job must have a reservation");
+            drained[at].1
+        })
+        .collect();
     let mut view = EctView::cancelled(clusters, jobs, pre_ects, now);
     while let Some(i) = select(&mut view, cfg.heuristic) {
         let _commit = view.obs().span("realloc.commit");
@@ -557,7 +561,7 @@ fn run_cancel_all(
             .submit(w.spec, now)
             .expect("estimated target must accept the job");
         check_contract(report, view.cluster_mut(target), &w.spec, start, ect);
-        view.note_submit(target);
+        view.note_submit(target, &w.spec, start);
         if target != w.cluster {
             report.migrations.push(Migration {
                 job: w.spec.id,
