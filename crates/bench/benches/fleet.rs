@@ -20,26 +20,23 @@
 //! answers are equal. The contract: the 4-runner dynamic drain is at
 //! least **2×** faster than the static 4-shard drain.
 //!
-//! Timings are the minimum over the measured passes. `BENCH_FLEET_QUICK=1`
-//! shrinks the workload and skips the speed-up assertion (byte-identity
-//! still enforced); the assertion is also skipped on hosts with fewer
-//! than four CPUs, where a wall-clock speed-up is physically impossible
-//! — the JSON records `cpus` and `speedup_asserted` so a gate can tell
-//! the difference. Results land in `BENCH_fleet.json` (override with
-//! `BENCH_FLEET_JSON`).
+//! Timings are the minimum over the measured passes
+//! ([`grid_bench::min_of`]). `BENCH_QUICK=1` shrinks the workload and
+//! skips the speed-up assertion (byte-identity still enforced); the
+//! assertion is also skipped on hosts with fewer than four CPUs, where a
+//! wall-clock speed-up is physically impossible — the ledger records
+//! `cpus` and `speedup_asserted` so a gate can tell the difference.
+//! Results land in `BENCH_fleet.json`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
 
 use grid_batch::BatchPolicy;
-use grid_campaign::{execute, run_fleet, CampaignSpec, ExecOptions, FleetOptions, ResultCache};
+use grid_campaign::{
+    execute, run_fleet, CampaignPlan, CampaignSpec, ExecOptions, FleetOptions, ResultCache,
+};
 use grid_realloc::{Heuristic, ReallocAlgorithm};
 use grid_workload::Scenario;
-
-fn quick() -> bool {
-    std::env::var("BENCH_FLEET_QUICK").is_ok_and(|v| v == "1")
-}
 
 /// The cost-skewed campaign: one June reference plus a 2 algorithms ×
 /// 2 heuristics × 4 periods reallocation block. The period axis cycles
@@ -72,7 +69,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Record files by name — leases and sidecars excluded.
-fn cache_bytes(dir: &PathBuf) -> BTreeMap<String, Vec<u8>> {
+fn cache_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).expect("cache dir exists") {
         let path = entry.unwrap().path();
@@ -100,16 +97,8 @@ fn digest(bytes: &BTreeMap<String, Vec<u8>>) -> u64 {
 }
 
 /// Static round-robin drain: `workers` threads, worker `i` executing
-/// plan units `i, i + workers, ...` single-threaded. Returns wall ms.
-fn drain_static(
-    spec: &CampaignSpec,
-    workers: usize,
-    tag: &str,
-) -> (f64, BTreeMap<String, Vec<u8>>) {
-    let plan = spec.expand();
-    let dir = scratch(tag);
-    let cache = ResultCache::open(&dir).unwrap();
-    let t0 = Instant::now();
+/// plan units `i, i + workers, ...` single-threaded.
+fn drain_static(plan: &CampaignPlan, cache: &ResultCache, workers: usize) {
     std::thread::scope(|scope| {
         for index in 0..workers {
             let units: Vec<_> = plan
@@ -119,7 +108,6 @@ fn drain_static(
                 .step_by(workers)
                 .cloned()
                 .collect();
-            let cache = &cache;
             scope.spawn(move || {
                 let (_, summary) = execute(
                     &units,
@@ -134,26 +122,13 @@ fn drain_static(
             });
         }
     });
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    (ms, cache_bytes(&dir))
 }
 
 /// Dynamic lease-claiming drain: `runners` fleet workers over one
-/// shared cache. Returns wall ms.
-fn drain_dynamic(
-    spec: &CampaignSpec,
-    runners: usize,
-    tag: &str,
-) -> (f64, BTreeMap<String, Vec<u8>>) {
-    let plan = spec.expand();
-    let dir = scratch(tag);
-    let cache = ResultCache::open(&dir).unwrap();
-    let t0 = Instant::now();
+/// shared cache.
+fn drain_dynamic(spec: &CampaignSpec, plan: &CampaignPlan, cache: &ResultCache, runners: usize) {
     std::thread::scope(|scope| {
         for i in 0..runners {
-            let spec = &spec;
-            let plan = &plan;
-            let cache = &cache;
             scope.spawn(move || {
                 let summary = run_fleet(
                     spec,
@@ -171,33 +146,38 @@ fn drain_dynamic(
             });
         }
     });
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    (ms, cache_bytes(&dir))
 }
 
-/// Best-of-`passes` for one drain strategy; identity checked each pass.
-fn measure<F>(passes: usize, golden: &BTreeMap<String, Vec<u8>>, mut drain: F) -> f64
-where
-    F: FnMut(usize) -> (f64, BTreeMap<String, Vec<u8>>),
-{
-    let mut best = f64::INFINITY;
-    for pass in 0..passes.max(1) {
-        let (ms, bytes) = drain(pass);
-        assert_eq!(
-            digest(golden),
-            digest(&bytes),
-            "drain changed the campaign's bytes"
-        );
-        best = best.min(ms);
-    }
-    best
+/// Best-of-`passes` wall time of `drain` into a fresh cache; every
+/// pass's record bytes must hash to `golden`.
+fn measure(passes: usize, tag: &str, golden: u64, drain: impl Fn(&ResultCache)) -> f64 {
+    grid_bench::min_of(
+        passes,
+        || {
+            let dir = scratch(tag);
+            let cache = ResultCache::open(&dir).unwrap();
+            (dir, cache)
+        },
+        |(dir, cache)| {
+            drain(&cache);
+            dir
+        },
+        |dir| {
+            assert_eq!(
+                golden,
+                digest(&cache_bytes(&dir)),
+                "drain changed the campaign's bytes"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        },
+    )
 }
 
 fn main() {
-    let quick = quick();
+    let quick = grid_bench::quick();
     let passes = if quick { 1 } else { 2 };
     let fraction = if quick { 0.005 } else { 0.1 };
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpus = grid_bench::cpus();
     let spec = skewed_spec(fraction);
     let plan = spec.expand();
     println!(
@@ -207,19 +187,20 @@ fn main() {
     );
 
     // Golden: a plain single-runner drain.
-    let (_, golden) = drain_dynamic(&spec, 1, "golden");
+    let dir = scratch("golden");
+    drain_dynamic(&spec, &plan, &ResultCache::open(&dir).unwrap(), 1);
+    let golden = cache_bytes(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(golden.len(), plan.len());
+    let golden = digest(&golden);
 
     let mut json = grid_ser::Value::object();
-    json.insert("schema", "bench-fleet/1");
-    json.insert("quick", quick);
-    json.insert("cpus", cpus as u64);
     json.insert("runs", plan.len() as u64);
     json.insert("fraction", fraction);
-    json.insert("digest", format!("{:016x}", digest(&golden)));
+    json.insert("digest", format!("{golden:016x}"));
 
-    let static_ms = measure(passes, &golden, |p| {
-        drain_static(&spec, 4, &format!("static4-{p}"))
+    let static_ms = measure(passes, "static4", golden, |cache| {
+        drain_static(&plan, cache, 4)
     });
     println!("bench: fleet/static  4 shards  {static_ms:>9.1} ms");
     json.insert("static_4shard_ms", static_ms);
@@ -227,8 +208,8 @@ fn main() {
     let mut dynamic_json = grid_ser::Value::object();
     let mut dyn4_ms = f64::INFINITY;
     for runners in [1usize, 2, 4] {
-        let ms = measure(passes, &golden, |p| {
-            drain_dynamic(&spec, runners, &format!("dyn{runners}-{p}"))
+        let ms = measure(passes, &format!("dyn{runners}"), golden, |cache| {
+            drain_dynamic(&spec, &plan, cache, runners)
         });
         let runs_per_s = plan.len() as f64 / (ms / 1e3);
         println!("bench: fleet/dynamic {runners} runner(s) {ms:>9.1} ms ({runs_per_s:.1} runs/s)");
@@ -263,7 +244,5 @@ fn main() {
         );
     }
 
-    let path = std::env::var("BENCH_FLEET_JSON").unwrap_or_else(|_| "BENCH_fleet.json".to_string());
-    std::fs::write(&path, json.encode()).expect("write BENCH_fleet.json");
-    println!("bench: wrote {path}");
+    grid_bench::write("fleet", json);
 }

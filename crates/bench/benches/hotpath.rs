@@ -17,13 +17,9 @@
 //! binary. End-to-end speed is gated by the campaign ledger
 //! (`perfbench/`), not here.
 //!
-//! Timings are the *minimum* of the measured passes (co-tenant noise on
-//! a shared runner only ever slows a pass down). `BENCH_HOTPATH_QUICK=1`
-//! shrinks the grid workload (50k jobs, one pass); the digests are
-//! enforced either way. Results land in `BENCH_hotpath.json` (override
-//! with `BENCH_HOTPATH_JSON`).
-
-use std::time::Instant;
+//! Timings are the minimum of the measured passes ([`grid_bench::min_of`]).
+//! `BENCH_QUICK=1` shrinks the grid workload (50k jobs, one pass); the
+//! digests are enforced either way. Results land in `BENCH_hotpath.json`.
 
 use grid_batch::{BatchPolicy, ClusterSpec, JobSpec, Platform};
 use grid_metrics::RunOutcome;
@@ -35,10 +31,6 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("grid", 50_000, 0x9ac632e8dba853b3),
     ("deep", 1_000, 0x451903d17480e4b5),
 ];
-
-fn quick() -> bool {
-    std::env::var("BENCH_HOTPATH_QUICK").is_ok_and(|v| v == "1")
-}
 
 /// FNV-1a over every field of every job record, in id order — the
 /// byte-identity digest pinned in [`PINNED`].
@@ -117,19 +109,8 @@ fn deep_workload(jobs: usize) -> (Platform, Vec<JobSpec>) {
     (platform, specs)
 }
 
-/// Run one workload; wall time and digest.
-fn run_once(platform: &Platform, specs: &[JobSpec]) -> (f64, u64) {
-    let config = GridConfig::new(platform.clone(), BatchPolicy::Cbf).with_seed(42);
-    let t0 = Instant::now();
-    let out = GridSim::new(config, specs.to_vec())
-        .run()
-        .expect("bench workload is schedulable");
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    (ms, outcome_digest(&out))
-}
-
-/// Best-of-`passes` wall time for one scenario, after checking every
-/// pass's digest against [`PINNED`].
+/// Best-of-`passes` wall time for one scenario, checking every pass's
+/// digest against [`PINNED`].
 fn measure(
     scenario: &str,
     platform: &Platform,
@@ -142,15 +123,22 @@ fn measure(
         .find(|&&(s, n, _)| (s, n) == (scenario, jobs))
         .map(|&(_, _, d)| d)
         .expect("every scenario size has a pinned digest");
-    let mut best = f64::INFINITY;
-    for _ in 0..passes {
-        let (ms, digest) = run_once(platform, specs);
-        assert_eq!(
-            digest, pinned,
-            "engine changed the answer on the {scenario} workload ({jobs} jobs)"
-        );
-        best = best.min(ms);
-    }
+    let best = grid_bench::min_of(
+        passes,
+        || GridConfig::new(platform.clone(), BatchPolicy::Cbf).with_seed(42),
+        |config| {
+            GridSim::new(config, specs.to_vec())
+                .run()
+                .expect("bench workload is schedulable")
+        },
+        |out| {
+            assert_eq!(
+                outcome_digest(&out),
+                pinned,
+                "engine changed the answer on the {scenario} workload ({jobs} jobs)"
+            )
+        },
+    );
     println!("bench: hotpath/{scenario} {jobs:>7} jobs {best:>9.1} ms");
     let mut json = grid_ser::Value::object();
     json.insert("jobs", jobs as u64);
@@ -160,21 +148,14 @@ fn measure(
 }
 
 fn main() {
-    let quick = quick();
+    let quick = grid_bench::quick();
     let passes = if quick { 1 } else { 2 };
     let grid_jobs = if quick { 50_000 } else { 1_000_000 };
 
     let mut json = grid_ser::Value::object();
-    json.insert("schema", "bench-hotpath/2");
-    json.insert("quick", quick);
-
     let (platform, specs) = grid_workload(grid_jobs);
     json.insert("grid", measure("grid", &platform, &specs, passes));
     let (platform, specs) = deep_workload(1_000);
     json.insert("deep", measure("deep", &platform, &specs, 3));
-
-    let path =
-        std::env::var("BENCH_HOTPATH_JSON").unwrap_or_else(|_| "BENCH_hotpath.json".to_string());
-    std::fs::write(&path, json.encode()).expect("write BENCH_hotpath.json");
-    println!("bench: wrote {path}");
+    grid_bench::write("hotpath", json);
 }

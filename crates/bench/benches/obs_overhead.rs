@@ -22,21 +22,15 @@
 //! produce identical outcomes — tracing that changed the answer would
 //! be worse than slow tracing.
 //!
-//! Results go to `BENCH_obs.json` (override with `BENCH_OBS_JSON`);
-//! `BENCH_OBS_QUICK=1` shrinks the pass count for CI smoke runs without
-//! weakening the assertion.
+//! Results go to `BENCH_obs.json`; `BENCH_QUICK=1` shrinks the pass
+//! count for CI smoke runs without weakening the assertion.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use grid_obs::Obs;
 use grid_realloc::experiments::{run_one, run_one_observed, SuiteConfig};
 use grid_realloc::{Heuristic, ReallocAlgorithm, ReallocConfig};
 use grid_workload::Scenario;
-
-fn quick() -> bool {
-    std::env::var("BENCH_OBS_QUICK").is_ok_and(|v| v == "1")
-}
 
 fn suite() -> SuiteConfig {
     SuiteConfig {
@@ -56,11 +50,13 @@ fn config() -> ReallocConfig {
     ReallocConfig::new(ReallocAlgorithm::CancelAll, Heuristic::Mct)
 }
 
-/// One timed simulation of the selected variant; returns (ns, outcome).
-fn run_variant(variant: &str) -> (u64, grid_metrics::RunOutcome) {
+/// The three variants, in the order every pass runs them.
+const VARIANTS: [&str; 3] = ["baseline", "disabled", "enabled"];
+
+/// One simulation of the selected variant.
+fn run_variant(variant: &str) -> grid_metrics::RunOutcome {
     let suite = suite();
-    let t0 = Instant::now();
-    let outcome = match variant {
+    match variant {
         "baseline" => run_one(
             Scenario::Jun,
             false,
@@ -93,29 +89,34 @@ fn run_variant(variant: &str) -> (u64, grid_metrics::RunOutcome) {
             .0
         }
         other => unreachable!("unknown variant {other}"),
-    };
-    (t0.elapsed().as_nanos() as u64, black_box(outcome))
+    }
 }
 
-/// Min-of-`passes` wall time per variant, interleaved so a co-tenant
-/// CPU spike on a shared runner hits all variants alike.
-fn measure(passes: usize) -> (u64, u64, u64) {
-    let (mut base, mut disabled, mut enabled) = (u64::MAX, u64::MAX, u64::MAX);
+/// Min-of-`passes` wall time in ms per variant (in [`VARIANTS`] order),
+/// interleaved so a co-tenant CPU spike on a shared runner hits all
+/// variants alike.
+fn measure(passes: usize) -> [f64; 3] {
+    let mut best = [f64::INFINITY; 3];
     for _ in 0..passes {
-        base = base.min(run_variant("baseline").0);
-        disabled = disabled.min(run_variant("disabled").0);
-        enabled = enabled.min(run_variant("enabled").0);
+        for (ms, variant) in best.iter_mut().zip(VARIANTS) {
+            *ms = ms.min(grid_bench::min_of(
+                1,
+                || (),
+                |()| run_variant(variant),
+                |outcome| drop(black_box(outcome)),
+            ));
+        }
     }
-    (base, disabled, enabled)
+    best
 }
 
 fn main() {
-    let passes = if quick() { 3 } else { 5 };
+    let passes = if grid_bench::quick() { 3 } else { 5 };
 
     // Correctness first: all three paths must agree exactly.
-    let (_, baseline_outcome) = run_variant("baseline");
+    let baseline_outcome = run_variant("baseline");
     for variant in ["disabled", "enabled"] {
-        let (_, outcome) = run_variant(variant);
+        let outcome = run_variant(variant);
         assert_eq!(
             outcome.records, baseline_outcome.records,
             "{variant} path changed the outcome"
@@ -127,47 +128,39 @@ fn main() {
     }
 
     // Then the overhead gate, re-measured before a failure is believed.
-    let (mut base, mut disabled, mut enabled) = measure(passes);
+    let [mut base, mut disabled, mut enabled] = measure(passes);
     const GATE: f64 = 0.02;
     for _ in 0..2 {
-        if disabled as f64 <= base as f64 * (1.0 + GATE) {
+        if disabled <= base * (1.0 + GATE) {
             break;
         }
-        let (b, d, e) = measure(passes);
+        let [b, d, e] = measure(passes);
         base = base.min(b);
         disabled = disabled.min(d);
         enabled = enabled.min(e);
     }
-    let overhead = |ns: u64| ns as f64 / base as f64 - 1.0;
+    let overhead = |ms: f64| ms / base - 1.0;
     println!(
-        "bench: obs-overhead baseline {:.1} ms | disabled {:.1} ms ({:+.2}%) | enabled {:.1} ms \
-         ({:+.2}%)",
-        base as f64 / 1e6,
-        disabled as f64 / 1e6,
+        "bench: obs-overhead baseline {base:.1} ms | disabled {disabled:.1} ms ({:+.2}%) | \
+         enabled {enabled:.1} ms ({:+.2}%)",
         overhead(disabled) * 100.0,
-        enabled as f64 / 1e6,
         overhead(enabled) * 100.0,
     );
     assert!(
-        disabled as f64 <= base as f64 * (1.0 + GATE),
+        disabled <= base * (1.0 + GATE),
         "disabled instrumentation must cost < {:.0}% over the uninstrumented baseline \
-         ({:.1} vs {:.1} ms)",
+         ({disabled:.1} vs {base:.1} ms)",
         GATE * 100.0,
-        disabled as f64 / 1e6,
-        base as f64 / 1e6,
     );
 
     let mut json = grid_ser::Value::object();
-    json.insert("schema", "bench-obs/1");
     json.insert("scenario", "jun/hom/CBF/cancel-all+MCT @ 0.05");
     json.insert("passes", passes as u64);
-    json.insert("baseline_ns", base);
-    json.insert("disabled_ns", disabled);
-    json.insert("enabled_ns", enabled);
+    json.insert("baseline_ms", base);
+    json.insert("disabled_ms", disabled);
+    json.insert("enabled_ms", enabled);
     json.insert("disabled_overhead", overhead(disabled));
     json.insert("enabled_overhead", overhead(enabled));
     json.insert("gate", GATE);
-    let path = std::env::var("BENCH_OBS_JSON").unwrap_or_else(|_| "BENCH_obs.json".to_string());
-    std::fs::write(&path, json.encode()).expect("write BENCH_obs.json");
-    println!("bench: wrote {path}");
+    grid_bench::write("obs", json);
 }

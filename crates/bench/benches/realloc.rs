@@ -10,13 +10,14 @@
 //! ([`PINNED`]), so every optimisation of the tick stays byte-identical
 //! without keeping the engine it replaced alive in this binary.
 //!
-//! Timings are the *minimum* of the measured passes (co-tenant noise on
-//! a shared runner only ever slows a pass down). `BENCH_REALLOC_QUICK=1`
-//! shrinks the workload (depths 128/512, one pass); byte-identity is
-//! enforced at every layer that runs. Results land in
-//! `BENCH_realloc.json` (override with `BENCH_REALLOC_JSON`).
-
-use std::time::Instant;
+//! Each layer's row also records what the tick cost in the batch layer
+//! beneath it: first-fit probes, ECT column refills, snapshot reuses,
+//! full recomputes and suffix repairs, counted during the tick.
+//!
+//! Timings are the minimum of the measured passes ([`grid_bench::min_of`]).
+//! `BENCH_QUICK=1` shrinks the workload (depths 128/512, one pass);
+//! byte-identity is enforced at every layer that runs. Results land in
+//! `BENCH_realloc.json`.
 
 use grid_batch::{BatchPolicy, Cluster, ClusterSpec, JobSpec};
 use grid_des::SimTime;
@@ -76,10 +77,6 @@ const PINNED: &[(usize, usize, &str, u64)] = &[
 /// Every grid is frozen (all sites fully busy) until well past this
 /// instant, so no reservation can be missed when the tick fires.
 const NOW: SimTime = SimTime(3_000);
-
-fn quick() -> bool {
-    std::env::var("BENCH_REALLOC_QUICK").is_ok_and(|v| v == "1")
-}
 
 /// Deterministic LCG stream (same constants as the repo's other
 /// hand-rolled bench generators).
@@ -184,34 +181,37 @@ fn state_digest(clusters: &mut [Cluster], report: &TickReport, now: SimTime) -> 
     h
 }
 
-/// Best-of-`passes` wall time for one tick, plus the outcome digest.
-fn measure(grid: &[Cluster], cfg: &ReallocConfig, passes: usize) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut digest = 0u64;
-    for _ in 0..passes.max(1) {
-        let mut g = grid.to_vec();
-        let t0 = Instant::now();
-        let report = run_tick(&mut g, cfg, NOW);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        best = best.min(ms);
-        if std::env::var("BENCH_REALLOC_DEBUG").is_ok() {
-            let probes: u64 = g.iter().map(|c| c.stats().first_fit_probes).sum();
-            let refills: u64 = g.iter().map(|c| c.stats().ect_column_refills).sum();
-            let reuses: u64 = g.iter().map(|c| c.stats().ect_snapshot_reuses).sum();
-            let recomputes: u64 = g.iter().map(|c| c.stats().recomputes).sum();
-            let repairs: u64 = g.iter().map(|c| c.stats().suffix_repairs).sum();
-            eprintln!(
-                "    probes {probes} refills {refills} reuses {reuses} \
-                 recomputes {recomputes} repairs {repairs}"
-            );
+/// The batch-layer counters a layer's row records, summed over the grid:
+/// first-fit probes, ECT column refills, snapshot reuses, recomputes and
+/// suffix repairs.
+const COUNTERS: [&str; 5] = [
+    "first_fit_probes",
+    "ect_column_refills",
+    "ect_snapshot_reuses",
+    "recomputes",
+    "suffix_repairs",
+];
+
+fn counters(clusters: &[Cluster]) -> [u64; 5] {
+    let mut sums = [0; 5];
+    for c in clusters {
+        let s = c.stats();
+        let row = [
+            s.first_fit_probes,
+            s.ect_column_refills,
+            s.ect_snapshot_reuses,
+            s.recomputes,
+            s.suffix_repairs,
+        ];
+        for (sum, v) in sums.iter_mut().zip(row) {
+            *sum += v;
         }
-        digest = state_digest(&mut g, &report, NOW);
     }
-    (best, digest)
+    sums
 }
 
 fn main() {
-    let quick = quick();
+    let quick = grid_bench::quick();
     let passes = if quick { 1 } else { 3 };
     let depths: &[usize] = if quick {
         &[128, 512]
@@ -243,24 +243,40 @@ fn main() {
     ];
 
     let mut json = grid_ser::Value::object();
-    json.insert("schema", "bench-realloc/2");
-    json.insert("quick", quick);
     let mut layers = Vec::new();
     let mut totals: std::collections::BTreeMap<usize, f64> = Default::default();
 
     for &depth in depths {
         for &s in sites {
             let g = grid(s, depth);
+            let before = counters(&g);
             for (name, cfg) in &configs {
-                let (ms, digest) = measure(&g, cfg, passes);
                 let pinned = PINNED
                     .iter()
                     .find(|&&(ps, pd, pc, _)| (ps, pd, pc) == (s, depth, *name))
                     .map(|&(_, _, _, d)| d)
                     .expect("every layer has a pinned digest");
-                assert_eq!(
-                    digest, pinned,
-                    "tick changed the answer: {s} sites, {depth} jobs, {name}"
+                let mut during = [0; 5];
+                let ms = grid_bench::min_of(
+                    passes,
+                    || g.clone(),
+                    |mut g| {
+                        let report = run_tick(&mut g, cfg, NOW);
+                        (g, report)
+                    },
+                    |(mut g, report)| {
+                        // Read before the digest, whose schedule queries
+                        // count too.
+                        let after = counters(&g);
+                        for ((d, a), b) in during.iter_mut().zip(after).zip(before) {
+                            *d = a - b;
+                        }
+                        assert_eq!(
+                            state_digest(&mut g, &report, NOW),
+                            pinned,
+                            "tick changed the answer: {s} sites, {depth} jobs, {name}"
+                        );
+                    },
                 );
                 println!("bench: realloc {s} sites x {depth:>4} jobs {name:<20} {ms:>8.2} ms");
                 *totals.entry(depth).or_insert(0.0) += ms;
@@ -269,7 +285,10 @@ fn main() {
                 layer.insert("depth", depth as u64);
                 layer.insert("config", *name);
                 layer.insert("tick_ms", ms);
-                layer.insert("digest", format!("{digest:016x}"));
+                layer.insert("digest", format!("{pinned:016x}"));
+                for (key, v) in COUNTERS.iter().zip(during) {
+                    layer.insert(*key, v);
+                }
                 layers.push(layer);
             }
         }
@@ -282,9 +301,5 @@ fn main() {
         total.insert(format!("depth_{depth}"), ms);
     }
     json.insert("totals_ms", total);
-
-    let path =
-        std::env::var("BENCH_REALLOC_JSON").unwrap_or_else(|_| "BENCH_realloc.json".to_string());
-    std::fs::write(&path, json.encode()).expect("write BENCH_realloc.json");
-    println!("bench: wrote {path}");
+    grid_bench::write("realloc", json);
 }

@@ -3,33 +3,32 @@
 //! Three layers, each with assertions that turn a regression into a
 //! bench failure:
 //!
-//! 1. **Cluster churn** (criterion): warm-profile schedule maintenance vs
-//!    the historical full-rebuild baseline for FCFS/CBF at 1k/10k/50k-job
+//! 1. **Cluster churn**: warm-profile schedule maintenance vs the
+//!    historical full-rebuild baseline for FCFS/CBF at 1k/10k/50k-job
 //!    queues — the reallocation hot path ("cancel a waiting job, re-read
 //!    the schedule"). The warm path must perform strictly fewer full
 //!    recomputes over the identical op sequence.
-//! 2. **EASY repair** (criterion): the protected-head-aware suffix repair
-//!    the availability engine opened to the aggressive family. EASY must
+//! 2. **EASY repair**: the protected-head-aware suffix repair the
+//!    availability engine opened to the aggressive family. EASY must
 //!    perform strictly fewer full rebuilds than the forced-rebuild
 //!    baseline while repairing at least once.
-//! 3. **Profile backend** (manual timing): the tree backend vs a profile
-//!    that never leaves its flat sorted-Vec backend (the differential
-//!    oracle) on a release/first-fit/reserve churn over
-//!    1k/10k/50k-reservation timelines. The tree must beat the Vec at 10k
-//!    and 50k and scale sub-linearly from 1k→10k→50k.
+//! 3. **Profile backend**: the tree backend vs a profile that never
+//!    leaves its flat sorted-Vec backend (the differential oracle) on a
+//!    release/first-fit/reserve churn over 1k/10k/50k-reservation
+//!    timelines. The tree must beat the Vec at 10k and 50k and scale
+//!    sub-linearly from 1k→10k→50k.
 //!
-//! The layer-3 numbers (plus the layer-1/2 counters) are written as
-//! machine-readable JSON to `BENCH_sched.json` (override with
-//! `BENCH_SCHED_JSON`) so the perf trajectory is tracked across PRs; CI
-//! uploads it as an artifact. `BENCH_SCHED_QUICK=1` shrinks the timing
-//! budgets and skips the (minutes-long) 50k cluster-churn layer for
-//! smoke runs without weakening any assertion.
+//! Every churn is timed as the minimum of its passes
+//! ([`grid_bench::min_of`]) on fresh clones. Layers 1–2 record
+//! `warm_ms`/`rebuild_ms` per churn next to their recompute counters,
+//! layer 3 its ns per profile op; all land in `BENCH_sched.json`.
+//! `BENCH_QUICK=1` shrinks the pass counts and skips the (minutes-long)
+//! 50k cluster-churn layer for smoke runs without weakening any
+//! assertion.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grid_batch::{BatchPolicy, Cluster, ClusterSpec, ClusterStats, JobId, JobSpec, Profile};
 use grid_des::{Duration, SimTime};
 use std::hint::black_box;
-use std::time::Instant;
 
 const PROCS: u32 = 640;
 /// The EASY runners over-estimate: reserved to 50_000, actually end here.
@@ -39,10 +38,6 @@ const RUNNER_END: u64 = 40_000;
 /// (cancels run at `depth + k`), well before its reserved walltime.
 fn blocker_end(depth: usize) -> u64 {
     depth as u64 + 10_000
-}
-
-fn quick() -> bool {
-    std::env::var("BENCH_SCHED_QUICK").is_ok_and(|v| v == "1")
 }
 
 // ---------------------------------------------------------------------
@@ -99,12 +94,27 @@ fn churn(cluster: &mut Cluster, depth: usize, cancels: usize) -> Option<SimTime>
     cluster.next_reservation(end)
 }
 
-/// Run the churn once and return the final counters.
-fn stats_after_churn(policy: BatchPolicy, depth: usize, incremental: bool) -> ClusterStats {
-    let mut c = deep_cluster(policy, depth);
-    c.set_incremental(incremental);
-    churn(&mut c, depth, 32);
-    *c.stats()
+/// Best-of-`passes` wall time of `churn` on fresh clones of `base`, and
+/// the counters it leaves behind (identical on every pass).
+fn time_churn(base: &Cluster, passes: usize, churn: impl Fn(&mut Cluster)) -> (f64, ClusterStats) {
+    let mut stats = ClusterStats::default();
+    let ms = grid_bench::min_of(
+        passes,
+        || base.clone(),
+        |mut c| {
+            churn(&mut c);
+            c
+        },
+        |c| stats = *c.stats(),
+    );
+    (ms, stats)
+}
+
+/// Passes per cluster churn: as many as fit a budget of queued jobs, so
+/// the deepest (seconds-long) rebuilds run once or twice.
+fn churn_passes(quick: bool, depth: usize) -> usize {
+    let budget = if quick { 30_000 } else { 100_000 };
+    (budget / depth).clamp(1, 10)
 }
 
 // ---------------------------------------------------------------------
@@ -156,12 +166,6 @@ fn easy_churn(c: &mut Cluster, depth: usize, cancels: usize) {
     }
 }
 
-fn easy_stats(depth: usize, incremental: bool) -> ClusterStats {
-    let mut c = easy_cluster(depth, incremental);
-    easy_churn(&mut c, depth, 32);
-    *c.stats()
-}
-
 // ---------------------------------------------------------------------
 // Layer 3: profile backends head to head (tree vs legacy Vec)
 // ---------------------------------------------------------------------
@@ -210,45 +214,34 @@ fn backend_churn(p: &mut Profile, ledger: &mut [(SimTime, Duration, u32)]) {
     }
 }
 
-/// ns per profile op, taken as the *fastest* of `iters` churn passes on
-/// fresh clones — the minimum is the standard noise-robust estimator
-/// for a deterministic workload: co-tenant CPU spikes on a shared
-/// runner can only slow a pass down, never speed it up.
+/// ns per profile op, taken as the fastest of `iters` churn passes on
+/// fresh clones after one untimed warm-up pass.
 fn backend_ns_per_op(crossover: usize, depth: usize, iters: usize) -> f64 {
     let (p, ledger) = seed(crossover, depth);
-    // Warm-up pass (untimed).
-    {
-        let mut wp = p.clone();
-        let mut wl = ledger.clone();
-        backend_churn(&mut wp, &mut wl);
-    }
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..iters.max(2) {
-        let mut cp = p.clone();
-        let mut cl = ledger.clone();
-        let t0 = Instant::now();
-        backend_churn(&mut cp, &mut cl);
-        best = best.min(t0.elapsed());
-        black_box(cp.first_fit(SimTime(0), Duration(1), 1));
-    }
-    best.as_nanos() as f64 / (CHURN_ROUNDS * 3) as f64
+    backend_churn(&mut p.clone(), &mut ledger.clone());
+    let ms = grid_bench::min_of(
+        iters.max(2),
+        || (p.clone(), ledger.clone()),
+        |(mut p, mut ledger)| {
+            backend_churn(&mut p, &mut ledger);
+            (p, ledger)
+        },
+        |(p, _)| {
+            black_box(p.first_fit(SimTime(0), Duration(1), 1));
+        },
+    );
+    ms * 1e6 / (CHURN_ROUNDS * 3) as f64
 }
 
 // ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
 
-fn scheduling_incremental(c: &mut Criterion) {
-    let quick = quick();
-    let (warm_ms, meas_ms) = if quick { (50, 200) } else { (300, 1200) };
+fn main() {
+    let quick = grid_bench::quick();
     let mut json = grid_ser::Value::object();
-    json.insert("schema", "bench-sched/1");
 
     // ---- Layer 1: cluster churn -------------------------------------
-    let mut g = c.benchmark_group("scheduling-incremental");
-    g.warm_up_time(std::time::Duration::from_millis(warm_ms));
-    g.measurement_time(std::time::Duration::from_millis(meas_ms));
-    g.sample_size(10);
     let mut churn_json = grid_ser::Value::object();
     // Quick (CI smoke) mode skips the 50k cluster-churn layer: a single
     // CBF rebuild pass over a 50k queue runs tens of seconds, which is a
@@ -262,26 +255,17 @@ fn scheduling_incremental(c: &mut Criterion) {
     for policy in [BatchPolicy::Fcfs, BatchPolicy::Cbf] {
         let mut policy_json = grid_ser::Value::object();
         for &depth in churn_depths {
-            let base = deep_cluster(policy, depth);
-            for (mode, incremental) in [("warm-profile", true), ("full-rebuild", false)] {
-                g.bench_function(BenchmarkId::new(format!("{mode}/{policy}"), depth), |b| {
-                    b.iter_batched(
-                        || {
-                            let mut cl = base.clone();
-                            cl.set_incremental(incremental);
-                            cl
-                        },
-                        |mut cl| black_box(churn(&mut cl, depth, 32)),
-                        criterion::BatchSize::SmallInput,
-                    )
-                });
-            }
             // Recompute accounting over the identical op sequence.
-            let warm = stats_after_churn(policy, depth, true);
-            let full = stats_after_churn(policy, depth, false);
-            eprintln!(
-                "[recomputes {policy}/{depth}] warm-profile: {} full rebuilds + {} suffix \
-                 repairs | full-rebuild baseline: {} full rebuilds",
+            let [(warm_ms, warm), (rebuild_ms, full)] = [true, false].map(|incremental| {
+                let mut base = deep_cluster(policy, depth);
+                base.set_incremental(incremental);
+                time_churn(&base, churn_passes(quick, depth), |c| {
+                    black_box(churn(c, depth, 32));
+                })
+            });
+            println!(
+                "bench: churn {policy}/{depth:<6} warm {warm_ms:>9.2} ms ({} full rebuilds + {} \
+                 suffix repairs) | rebuild {rebuild_ms:>9.2} ms ({} full rebuilds)",
                 warm.recomputes, warm.suffix_repairs, full.recomputes
             );
             assert!(
@@ -293,6 +277,8 @@ fn scheduling_incremental(c: &mut Criterion) {
             );
             assert!(warm.suffix_repairs > 0, "warm path never repaired");
             let mut cell = grid_ser::Value::object();
+            cell.insert("warm_ms", warm_ms);
+            cell.insert("rebuild_ms", rebuild_ms);
             cell.insert("warm_recomputes", warm.recomputes);
             cell.insert("warm_suffix_repairs", warm.suffix_repairs);
             cell.insert("full_recomputes", full.recomputes);
@@ -300,36 +286,20 @@ fn scheduling_incremental(c: &mut Criterion) {
         }
         churn_json.insert(policy.to_string(), policy_json);
     }
-    g.finish();
     json.insert("cluster_churn", churn_json);
 
     // ---- Layer 2: EASY protected-head repair ------------------------
     let easy_depth = 96;
-    {
-        let mut g = c.benchmark_group("easy-repair");
-        g.warm_up_time(std::time::Duration::from_millis(warm_ms));
-        g.measurement_time(std::time::Duration::from_millis(meas_ms));
-        g.sample_size(10);
-        for (mode, incremental) in [("warm-profile", true), ("full-rebuild", false)] {
+    let [(easy_warm_ms, easy_warm), (easy_rebuild_ms, easy_full)] =
+        [true, false].map(|incremental| {
             let base = easy_cluster(easy_depth, incremental);
-            g.bench_function(BenchmarkId::new(mode, easy_depth), |b| {
-                b.iter_batched(
-                    || base.clone(),
-                    |mut cl| {
-                        easy_churn(&mut cl, easy_depth, 32);
-                        black_box(cl.stats().suffix_repairs)
-                    },
-                    criterion::BatchSize::SmallInput,
-                )
-            });
-        }
-        g.finish();
-    }
-    let easy_warm = easy_stats(easy_depth, true);
-    let easy_full = easy_stats(easy_depth, false);
-    eprintln!(
-        "[recomputes EASY/{easy_depth}] warm-profile: {} full rebuilds + {} suffix repairs | \
-         full-rebuild baseline: {} full rebuilds",
+            time_churn(&base, churn_passes(quick, easy_depth), |c| {
+                easy_churn(c, easy_depth, 32)
+            })
+        });
+    println!(
+        "bench: churn EASY/{easy_depth:<6} warm {easy_warm_ms:>9.2} ms ({} full rebuilds + {} \
+         suffix repairs) | rebuild {easy_rebuild_ms:>9.2} ms ({} full rebuilds)",
         easy_warm.recomputes, easy_warm.suffix_repairs, easy_full.recomputes
     );
     assert!(
@@ -349,6 +319,8 @@ fn scheduling_incremental(c: &mut Criterion) {
     );
     let mut easy_json = grid_ser::Value::object();
     easy_json.insert("depth", easy_depth as u64);
+    easy_json.insert("warm_ms", easy_warm_ms);
+    easy_json.insert("rebuild_ms", easy_rebuild_ms);
     easy_json.insert("warm_recomputes", easy_warm.recomputes);
     easy_json.insert("warm_suffix_repairs", easy_warm.suffix_repairs);
     easy_json.insert("full_recomputes", easy_full.recomputes);
@@ -419,11 +391,5 @@ fn scheduling_incremental(c: &mut Criterion) {
     backend_json.insert("vec", vec_json);
     json.insert("profile_backend_ns_per_op", backend_json);
 
-    // ---- Machine-readable trajectory --------------------------------
-    let path = std::env::var("BENCH_SCHED_JSON").unwrap_or_else(|_| "BENCH_sched.json".to_string());
-    std::fs::write(&path, json.encode()).expect("write BENCH_sched.json");
-    println!("bench: wrote {path}");
+    grid_bench::write("sched", json);
 }
-
-criterion_group!(benches, scheduling_incremental);
-criterion_main!(benches);

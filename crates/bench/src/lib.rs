@@ -1,41 +1,84 @@
-//! Shared helpers for the grid-bench benchmarks and binaries.
+//! The bench ledger: every grid-bench bench records its numbers through
+//! this module, in one schema.
+//!
+//! A bench builds its body as a JSON object and hands it to [`write()`],
+//! which wraps it in the `bench/1` envelope
+//! `{"schema":"bench/1","bench":<name>,"quick":…,"cpus":…, …body}` and
+//! writes `BENCH_<name>.json` at the workspace root. `BENCH_QUICK=1`
+//! ([`quick`]) is the one knob: it shrinks a bench's workload, never its
+//! assertions. [`min_of`] is the shared timer.
 
-use grid_batch::{BatchPolicy, Cluster, ClusterSpec, JobSpec};
-use grid_des::SimTime;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
-/// Build a cluster pre-loaded with `queue_depth` waiting jobs behind a
-/// long-running full-width job — the canonical state a reallocation event
-/// observes.
-pub fn loaded_cluster(procs: u32, policy: BatchPolicy, queue_depth: usize) -> Cluster {
-    let mut c = Cluster::new(ClusterSpec::new("bench", procs, 1.0), policy);
-    c.submit(
-        JobSpec::new(1_000_000, 0, procs, 50_000, 50_000),
-        SimTime(0),
-    )
-    .expect("blocker fits");
-    c.start_due(SimTime(0));
-    for i in 0..queue_depth {
-        // Mixed shapes: sizes 1..procs/4, walltimes 10-70 min.
-        let p = (i as u32 % (procs / 4).max(1)) + 1;
-        let wt = 600 + (i as u64 % 7) * 600;
-        c.submit(
-            JobSpec::new(i as u64, i as u64, p, wt - 60, wt),
-            SimTime(i as u64),
-        )
-        .expect("bench job fits");
-    }
-    c
+use grid_ser::Value;
+
+/// The envelope schema every committed `BENCH_*.json` carries.
+const SCHEMA: &str = "bench/1";
+
+/// Whether `BENCH_QUICK=1` asks for the smoke-sized workload.
+pub fn quick() -> bool {
+    quick_from(std::env::var("BENCH_QUICK").ok().as_deref())
 }
 
-/// A deterministic mixed job list for micro benches.
-pub fn bench_jobs(n: usize, max_procs: u32) -> Vec<JobSpec> {
-    (0..n)
-        .map(|i| {
-            let p = (i as u32 * 7 % max_procs.max(1)) + 1;
-            let rt = 300 + (i as u64 * 131) % 7_000;
-            JobSpec::new(i as u64, (i as u64) * 13, p.min(max_procs), rt, rt + 600)
-        })
-        .collect()
+fn quick_from(value: Option<&str>) -> bool {
+    value == Some("1")
+}
+
+/// Fastest wall time, in ms, of `passes` runs of `run` (at least one).
+///
+/// Each pass takes a fresh input from `setup` and hands its output to
+/// `check`; neither is timed. The minimum is the noise-robust estimator
+/// for a deterministic workload: co-tenant load on a shared host only
+/// ever slows a pass down.
+pub fn min_of<I, O>(
+    passes: usize,
+    mut setup: impl FnMut() -> I,
+    mut run: impl FnMut(I) -> O,
+    mut check: impl FnMut(O),
+) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..passes.max(1) {
+        let input = setup();
+        let t0 = Instant::now();
+        let output = run(input);
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        check(output);
+    }
+    best
+}
+
+/// The CPUs this host offers the bench; a ledger records it because a
+/// parallel result means nothing without it.
+pub fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// `body` (an object) inside the `bench/1` envelope.
+fn envelope(bench: &str, quick: bool, body: Value) -> Value {
+    let mut ledger = body;
+    ledger.insert("schema", SCHEMA);
+    ledger.insert("bench", bench);
+    ledger.insert("quick", quick);
+    ledger.insert("cpus", cpus());
+    ledger
+}
+
+/// Write `body` as `BENCH_<bench>.json` at the workspace root.
+pub fn write(bench: &str, body: Value) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("the bench crate sits two levels below the workspace root");
+    let path = write_in(root, bench, quick(), body);
+    println!("bench: wrote {}", path.display());
+}
+
+fn write_in(dir: &Path, bench: &str, quick: bool, body: Value) -> PathBuf {
+    let path = dir.join(format!("BENCH_{bench}.json"));
+    let bytes = envelope(bench, quick, body).encode();
+    std::fs::write(&path, bytes).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
 }
 
 #[cfg(test)]
@@ -43,17 +86,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn loaded_cluster_has_requested_depth() {
-        let c = loaded_cluster(64, BatchPolicy::Fcfs, 50);
-        assert_eq!(c.waiting_count(), 50);
-        assert_eq!(c.running_count(), 1);
+    fn envelope_carries_schema_bench_quick_and_cpus() {
+        let mut body = Value::object();
+        body.insert("ms", 1.5);
+        let ledger = envelope("demo", true, body);
+        assert_eq!(ledger.get("schema").and_then(Value::as_str), Some(SCHEMA));
+        assert_eq!(ledger.get("bench").and_then(Value::as_str), Some("demo"));
+        assert_eq!(ledger.get("quick").and_then(Value::as_bool), Some(true));
+        assert!(ledger.get("cpus").and_then(Value::as_u64) >= Some(1));
+        assert_eq!(ledger.get("ms").and_then(Value::as_f64), Some(1.5));
     }
 
     #[test]
-    fn bench_jobs_fit() {
-        for j in bench_jobs(100, 16) {
-            assert!(j.procs >= 1 && j.procs <= 16);
-            assert!(j.walltime_ref > j.runtime_ref);
+    fn written_ledger_decodes_and_reencodes_identically() {
+        let dir = std::env::temp_dir().join(format!("grid-bench-ledger-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut row = Value::object();
+        row.insert("tick_ms", 0.050696);
+        row.insert("digest", "d42ec608496ab103");
+        let mut body = Value::object();
+        body.insert("layers", vec![row]);
+        body.insert("total_ms", 3745.0);
+        let path = write_in(&dir, "demo", false, body);
+        assert_eq!(path, dir.join("BENCH_demo.json"));
+        let bytes = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let decoded = Value::parse(&bytes).unwrap();
+        assert_eq!(decoded.encode(), bytes);
+        assert!(bytes.contains(r#""schema":"bench/1""#));
+        assert!(bytes.contains(r#""bench":"demo""#));
+    }
+
+    #[test]
+    fn quick_is_set_only_by_the_value_one() {
+        assert!(quick_from(Some("1")));
+        for other in [
+            None,
+            Some(""),
+            Some("0"),
+            Some("true"),
+            Some("yes"),
+            Some(" 1"),
+        ] {
+            assert!(!quick_from(other), "{other:?}");
         }
     }
 }
