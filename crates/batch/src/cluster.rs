@@ -643,16 +643,34 @@ impl Cluster {
         if self.find_queued(job.id).is_some() || self.find_running(job.id).is_some() {
             return Err(SubmitError::Duplicate(job.id));
         }
+        let scaled = self.scale_job(&job);
+        // A staircase frozen at `now` (FCFS) answers the tail start in one
+        // lookup: no mutation came through since the freeze.
+        let frozen = self
+            .snapshot
+            .as_ref()
+            .filter(|f| f.now == now)
+            .and_then(|f| f.staircase.as_ref())
+            .map(|stairs| stairs.first_free(scaled.procs));
         // A real mutation: the frozen dry-run view (if any) is stale, and
         // dropping it first keeps the profile's backing store unique so
         // the reservation below mutates in place instead of copying.
         self.invalidate_snapshot();
-        let scaled = self.scale_job(&job);
         let start = if self.policy.scheduler().incremental_tail() {
             // A tail job never disturbs existing reservations under these
             // policies, so the warm profile absorbs it directly.
             self.ensure_schedule(now);
-            let start = self.place_at_tail(scaled.procs, scaled.walltime, now);
+            let start = match frozen {
+                Some(start) => {
+                    debug_assert_eq!(
+                        start,
+                        self.place_at_tail(scaled.procs, scaled.walltime, now),
+                        "the frozen staircase disagrees with the profile"
+                    );
+                    start
+                }
+                None => self.place_at_tail(scaled.procs, scaled.walltime, now),
+            };
             self.profile
                 .as_mut()
                 .expect("schedule just ensured")

@@ -22,37 +22,14 @@
 //! digests are enforced either way. Results land in `BENCH_hotpath.json`.
 
 use grid_batch::{BatchPolicy, ClusterSpec, JobSpec, Platform};
-use grid_metrics::RunOutcome;
 use grid_realloc::{GridConfig, GridSim};
 
-/// Outcome digest per `(scenario, jobs)`.
+/// Outcome digest ([`grid_bench::outcome_digest`]) per `(scenario, jobs)`.
 const PINNED: &[(&str, usize, u64)] = &[
     ("grid", 1_000_000, 0xeede0dc039694a35),
     ("grid", 50_000, 0x9ac632e8dba853b3),
     ("deep", 1_000, 0x451903d17480e4b5),
 ];
-
-/// FNV-1a over every field of every job record, in id order — the
-/// byte-identity digest pinned in [`PINNED`].
-fn outcome_digest(out: &RunOutcome) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    for r in out.records.values() {
-        mix(r.id.0);
-        mix(r.submit.as_secs());
-        mix(r.start.as_secs());
-        mix(r.completion.as_secs());
-        mix(r.cluster as u64);
-        mix(u64::from(r.reallocations));
-    }
-    mix(out.makespan.as_secs());
-    h
-}
 
 /// Deterministic LCG stream (same constants as the repo's other
 /// hand-rolled bench generators).
@@ -133,7 +110,7 @@ fn measure(
         },
         |out| {
             assert_eq!(
-                outcome_digest(&out),
+                grid_bench::outcome_digest(&out),
                 pinned,
                 "engine changed the answer on the {scenario} workload ({jobs} jobs)"
             )

@@ -32,12 +32,16 @@ use grid_realloc::experiments::{run_one, run_one_observed, SuiteConfig};
 use grid_realloc::{Heuristic, ReallocAlgorithm, ReallocConfig};
 use grid_workload::Scenario;
 
+/// The workload, as `BENCH_obs.json` names it.
+const SCENARIO: &str = "pwa-g5k/hom/FCFS/cancel-all+MCT @ 0.01";
+
 fn suite() -> SuiteConfig {
     SuiteConfig {
         seed: 42,
-        // Large enough that one run is tens of milliseconds — a 2% gate
-        // on a sub-millisecond run would be gating on timer noise.
-        fraction: 0.05,
+        // One run takes about 85 ms on a 2-CPU host: a 2% gate then has
+        // about 1.7 ms of margin. On a run of about a millisecond it
+        // would gate on timer noise.
+        fraction: 0.01,
         period: grid_des::Duration::hours(1),
         threshold: grid_des::Duration::secs(60),
         fault: grid_fault::Fault::NONE,
@@ -58,17 +62,17 @@ fn run_variant(variant: &str) -> grid_metrics::RunOutcome {
     let suite = suite();
     match variant {
         "baseline" => run_one(
-            Scenario::Jun,
+            Scenario::PwaG5k,
             false,
-            grid_batch::BatchPolicy::Cbf,
+            grid_batch::BatchPolicy::Fcfs,
             Some(config()),
             &suite,
         ),
         "disabled" => {
             run_one_observed(
-                Scenario::Jun,
+                Scenario::PwaG5k,
                 false,
-                grid_batch::BatchPolicy::Cbf,
+                grid_batch::BatchPolicy::Fcfs,
                 Some(config()),
                 &suite,
                 &Obs::disabled(),
@@ -79,9 +83,9 @@ fn run_variant(variant: &str) -> grid_metrics::RunOutcome {
             // A fresh recorder per pass, like the executor attaches one
             // per traced run.
             run_one_observed(
-                Scenario::Jun,
+                Scenario::PwaG5k,
                 false,
-                grid_batch::BatchPolicy::Cbf,
+                grid_batch::BatchPolicy::Fcfs,
                 Some(config()),
                 &suite,
                 &Obs::enabled(),
@@ -154,7 +158,7 @@ fn main() {
     );
 
     let mut json = grid_ser::Value::object();
-    json.insert("scenario", "jun/hom/CBF/cancel-all+MCT @ 0.05");
+    json.insert("scenario", SCENARIO);
     json.insert("passes", passes as u64);
     json.insert("baseline_ms", base);
     json.insert("disabled_ms", disabled);

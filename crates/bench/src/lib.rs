@@ -11,6 +11,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use grid_metrics::RunOutcome;
 use grid_ser::Value;
 
 /// The envelope schema every committed `BENCH_*.json` carries.
@@ -46,6 +47,28 @@ pub fn min_of<I, O>(
         check(output);
     }
     best
+}
+
+/// FNV-1a over every field of every job record, in id order, then the
+/// makespan: the byte-identity digest the benches pin their runs to.
+pub fn outcome_digest(out: &RunOutcome) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    };
+    for r in out.records.values() {
+        mix(r.id.0);
+        mix(r.submit.as_secs());
+        mix(r.start.as_secs());
+        mix(r.completion.as_secs());
+        mix(r.cluster as u64);
+        mix(u64::from(r.reallocations));
+    }
+    mix(out.makespan.as_secs());
+    h
 }
 
 /// The CPUs this host offers the bench; a ledger records it because a

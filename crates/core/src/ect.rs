@@ -4,40 +4,42 @@
 //! each decision. Semantically each ranking asks the clusters for fresh
 //! estimates; operationally an estimate can only change when the cluster
 //! it concerns changed, and most changes can only push it *later*. The
-//! [`EctView`] therefore memoises per-(job, cluster) estimates in a flat
-//! matrix and knows, for every entry, whether it is still **exact**, only
-//! a **lower bound**, or **unknown**. A column change is handled in one
-//! of three ways:
+//! [`EctView`] therefore memoises estimates per column (cluster), and
+//! keeps them in one of two shapes:
 //!
-//! * **Closed columns are re-read.** Under a scheduler that returns a
+//! * **Closed columns hold one start per width class.** Under a
+//!   scheduler that returns a
 //!   [`tail_staircase`](grid_batch::LocalScheduler::tail_staircase)
-//!   (FCFS) an entry has a closed form: the first instant the job's
-//!   processors are free after the queue's tail, plus its scaled
-//!   walltime. Once the round's selection index exists, every change of
-//!   such a column — submit or cancel — re-reads the column for the
-//!   alive rows in one walk ([`Staircase::walk`]) over the rows sorted
-//!   by width, and every entry is exact again: FCFS entries are never
-//!   bounds. A tail submit on `[s, e)` with `p` processors moves no
-//!   width above the free count just before `e` plus `p` (free capacity
-//!   after the floor only rises, and starts rise with width), so that
-//!   walk stops at the first row wider than that;
-//! * **bracket columns keep bounds.** A submit to a cluster whose policy
-//!   claims
+//!   (FCFS), and without ECT noise, an entry has a closed form: the first
+//!   instant the job's processors are free after the queue's tail, plus
+//!   its scaled walltime. Every job of one width starts at the same
+//!   instant, so the round groups its jobs into **width classes** (its
+//!   distinct processor counts) and a closed column stores one start per
+//!   class; a job's entry is read as its class's start plus its scaled
+//!   walltime there, and is always exact. Once the round's selection
+//!   index exists, every change of such a column — submit or cancel —
+//!   re-reads the starts of the classes in one walk
+//!   ([`Staircase::walk`]) over the widths in ascending order. A tail
+//!   submit on `[s, e)` with `p` processors moves no width above the free
+//!   count just before `e` plus `p` (free capacity after the floor only
+//!   rises, and starts rise with width), so that walk stops at the first
+//!   class wider than that;
+//! * **bracket columns keep a matrix entry per job.** A submit to a
+//!   cluster whose policy claims
 //!   [`LocalScheduler::incremental_tail`](grid_batch::LocalScheduler::incremental_tail)
-//!   without a staircase (CBF) only carves one more reservation behind
-//!   the queue, so no estimate on that cluster can drop — ECT noise
-//!   included, its perturbation being monotone — and no reservation
-//!   moves. The column's entries become lower bounds
-//!   ([`EctView::note_submit`]);
-//! * **everything else resets.** A cancel, or a submit under any other
-//!   policy (the EASY family re-examines the whole queue), makes a
-//!   bracket column's entries unknown ([`EctView::note_cancel`]).
+//!   without a clean staircase (CBF, and FCFS under ECT noise) only
+//!   carves one more reservation behind the queue, so no estimate on that
+//!   cluster can drop — ECT noise included, its perturbation being
+//!   monotone — and no reservation moves. The column's entries become
+//!   lower bounds ([`EctView::note_submit`]). A cancel, or a submit
+//!   under any other policy (the EASY family re-examines the whole
+//!   queue), makes them unknown ([`EctView::note_cancel`]).
 //!
-//! The matrix side is O(1) per change for a bracket column: every entry
+//! The bookkeeping is O(1) per change for a bracket column: every entry
 //! records the logical clock of its probe, and every column the clocks
-//! of its last change and last reset. A walk sets the column's change
-//! clock back to its reset clock, since every entry read since the
-//! reset is exact again.
+//! of its last change and last reset. Every class start records the clock
+//! of its read; a walk sets the column's change clock back to its reset
+//! clock, since every start read since the reset is exact again.
 //!
 //! A job's best targets (its `depth` cheapest clusters) need no separate
 //! cache: they are known exactly whenever the row's smallest entries by
@@ -45,37 +47,47 @@
 //! stays valid while its column is fresh, because every other entry
 //! could only have risen.
 //!
-//! Selection runs on a per-round **priority index** over the remaining
-//! jobs (`EctView::select`). Each job's key is its merit under the
-//! round's `TargetRank` — exact when its best targets are known, else the
-//! optimistic bound over its bracketed row — so the top key is the pick
-//! as soon as it is exact. A change re-keys only the rows whose key it
-//! can move:
+//! Selection runs on a per-round **priority index** (`EctView::select`),
+//! keyed one of two ways:
 //!
-//! * a walk re-keys a row only when the entry it changed crosses the
-//!   row's **pivot**, the `depth`-th smallest (estimate, cluster) pair at
-//!   its last exact keying: the row's `depth` smallest pairs move iff the
-//!   old pair was at most the pivot or the new one is below it;
-//! * a bracket column re-keys the rows exact in it (after a
-//!   bound-keeping submit) or every row with an estimate there (after a
-//!   reset);
-//! * in `Queued` mode a reset also re-keys the rows queued on the reset
-//!   cluster, whose current ECT may move;
-//! * under an **antitone** ranking (`TargetRank::antitone`: the merit
-//!   only falls when an ECT rises) a walk after a tail submit re-keys no
-//!   row at all — every stored key stays an upper bound — and `select`
-//!   re-checks the top row's key against its row before taking it.
+//! * **by class.** In `Cancelled` mode over closed columns only, under a
+//!   ranking whose score reads nothing but the best target ECT
+//!   (`TargetRank::by_walltime`: MinMin, MaxMin), a job's merit within
+//!   its class moves one way with its walltime. The index then holds one
+//!   key per class: the merit of its longest (MaxMin) or shortest
+//!   (MinMin) job, and among the jobs of equal merit — the whole run,
+//!   since rounding under heterogeneous speeds can tie distinct
+//!   walltimes — the earliest submitted. A class is re-keyed when a
+//!   walk moves its start across the pivot of that extreme job, of the
+//!   pick, or of the nearest job outside the run (the only ones whose
+//!   merits decide the key), or when its pick leaves the round;
+//! * **by job** otherwise. Each job's key is its merit under the round's
+//!   `TargetRank` — exact when its best targets are known, else the
+//!   optimistic bound over its bracketed row. A walk re-keys a job of a
+//!   class whose start moved only when its entry crosses the job's
+//!   **pivot**, the `depth`-th smallest (estimate, cluster) pair at its
+//!   last exact keying: the row's `depth` smallest pairs move iff the
+//!   old pair was at most the pivot or the new one is below it. A
+//!   bracket column re-keys the jobs exact in it (after a bound-keeping
+//!   submit) or every job with an estimate there (after a reset); in
+//!   `Queued` mode a reset also re-keys the jobs queued on the reset
+//!   cluster, whose current ECT may move.
 //!
-//! Probes only tighten brackets, so they never invalidate a key.
+//! The top key is the pick as soon as it is exact. Under an
+//! **antitone** ranking (`TargetRank::antitone`: the merit only falls
+//! when an ECT rises) a walk after a tail submit re-keys nothing — every
+//! stored key stays an upper bound — and `select` re-checks the top key
+//! before taking it. Probes only tighten brackets, so they never
+//! invalidate a key.
 //!
-//! A cold column (never filled this round) is answered in one *batched*
-//! pass ([`Cluster::estimate_new_batch`]): the cluster freezes its
-//! availability profile behind a copy-on-write snapshot, every alive job
-//! estimates against that frozen store, and a shared dominance frontier
-//! lets later (wider/longer) jobs resume their placement descent from
-//! floors earlier jobs proved unreachable. Later misses re-probe single
-//! entries against the same snapshot, re-frozen only when a mutation came
-//! through the view since.
+//! A cold bracket column (never filled this round) is answered in one
+//! *batched* pass ([`Cluster::estimate_new_batch`]): the cluster freezes
+//! its availability profile behind a copy-on-write snapshot, every alive
+//! job estimates against that frozen store, and a shared dominance
+//! frontier lets later (wider/longer) jobs resume their placement descent
+//! from floors earlier jobs proved unreachable. Later misses re-probe
+//! single entries against the same snapshot, re-frozen only when a
+//! mutation came through the view since.
 
 #[cfg(doc)]
 use grid_batch::Staircase;
@@ -130,8 +142,25 @@ pub(crate) trait TargetRank {
     /// `true` when the merit (the score, reversed when the lowest wins)
     /// can only fall when a target ECT rises. A tail submit to a closed
     /// column only pushes estimates later, so it leaves every stored key
-    /// an upper bound and the selection index re-keys no row for it.
+    /// an upper bound and the selection index re-keys nothing for it.
     fn antitone(&self) -> bool {
+        false
+    }
+
+    /// In `Cancelled` mode, when the score reads nothing but the target
+    /// ECTs' minimum: whether the merit rises (`Some(true)`) or falls
+    /// (`Some(false)`) as the minimum rises. Jobs of one width then rank
+    /// by their walltime alone on closed columns, where every target ECT
+    /// is the width's start plus the job's scaled walltime.
+    fn by_walltime(&self) -> Option<bool> {
+        None
+    }
+
+    /// In `Cancelled` mode: whether the score stays the same when every
+    /// target ECT shifts by the same amount. Where every job's scaled
+    /// walltime is the same on every closed column, jobs of one width
+    /// then share their score.
+    fn shift_invariant(&self) -> bool {
         false
     }
 
@@ -176,6 +205,12 @@ fn pivot_of(row: &[SimTime], depth: usize) -> Pivot {
     pivot.unwrap_or((SimTime::MAX, usize::MAX))
 }
 
+/// Whether moving entry `c` of a row from `old` to `new` moves the row's
+/// pairs up to `pivot`.
+fn crosses(pivot: Pivot, c: usize, old: SimTime, new: SimTime) -> bool {
+    (old, c) <= pivot || (new, c) < pivot
+}
+
 /// A score as a merit: higher is better either way (`!` reverses the
 /// order of every i128 without overflow).
 fn merit(maximise: bool, score: i128) -> i128 {
@@ -215,36 +250,47 @@ impl Key {
     }
 }
 
-/// The round's selection index: a four-way winner tree over the
-/// round's rows. Leaves sit at fixed row slots and every inner node
-/// holds the best key below it, so re-keying or removing a row replays
-/// only the matches on its path to the root, and stops where a winner
-/// stands. A popped bound won every match on its path and replays all
-/// of it, so each node holds four children — half a binary tree's path
-/// length, with a match's four keys side by side in memory.
+/// The round's selection index: a four-way winner tree over slots — one
+/// per row, or one per width class when keyed by class ([`Heads`]).
+/// Leaves sit at fixed slots and every inner node holds the best key
+/// below it, so re-keying or removing a slot replays only the matches on
+/// its path to the root, and stops where a winner stands. A popped bound
+/// won every match on its path and replays all of it, so each node holds
+/// four children — half a binary tree's path length, with a match's four
+/// keys side by side in memory.
 struct Index {
     /// The ranking the keys were computed for: its type and address.
     ranking: (&'static str, usize),
     /// Whether that ranking is antitone (`TargetRank::antitone`).
     antitone: bool,
-    /// Inner node count; row `i`'s leaf is `inner + i`.
+    /// Inner node count; slot `s`'s leaf is `inner + s`.
     inner: usize,
     /// `tree[node]`: the best key in the node's subtree. Node 0 is the
     /// root, and node `v`'s children are `4v + 1 ..= 4v + 4`.
     tree: Vec<Key>,
-    /// Per row: its pivot when its merit was keyed as its exact score,
+    /// Per slot: its pivot when its merit was keyed as its exact score,
     /// `None` when the merit is an upper bound. Under an antitone
     /// ranking an exact key may since have become an upper bound too.
     pivot: Vec<Option<Pivot>>,
-    /// Rows a column change may have re-keyed since the last selection
+    /// Slots a change may have re-keyed since the last selection
     /// (`marked` deduplicates them).
     stale: Vec<u32>,
     marked: Vec<bool>,
+    /// The alive rows by width class: the slots' heads when they are
+    /// classes (`by_class`), else what a walk re-checks per moved class.
+    classes: Heads,
+    by_class: bool,
 }
 
 impl Index {
-    /// An index over `n` rows, none of them keyed yet.
-    fn new(ranking: (&'static str, usize), antitone: bool, n: usize) -> Index {
+    /// An index over `n` slots, none of them keyed yet.
+    fn new(
+        ranking: (&'static str, usize),
+        antitone: bool,
+        n: usize,
+        classes: Heads,
+        by_class: bool,
+    ) -> Index {
         let mut leaves = 1;
         while leaves < n {
             leaves *= 4;
@@ -258,10 +304,12 @@ impl Index {
             pivot: vec![None; n],
             stale: Vec::new(),
             marked: vec![false; n],
+            classes,
+            by_class,
         }
     }
 
-    /// Play every match, once each row is keyed.
+    /// Play every match, once each slot is keyed.
     fn play_all(&mut self) {
         for node in (0..self.inner).rev() {
             self.tree[node] = self.winner(node);
@@ -279,13 +327,13 @@ impl Index {
         (top != Key::NONE).then(|| top.row())
     }
 
-    fn is_alive(&self, row: usize) -> bool {
-        self.tree[self.inner + row] != Key::NONE
+    fn is_alive(&self, slot: usize) -> bool {
+        self.tree[self.inner + slot] != Key::NONE
     }
 
-    /// Put `key` in `row`'s leaf and replay the matches above it.
-    fn place(&mut self, row: usize, key: Key) {
-        let mut node = self.inner + row;
+    /// Put `key` in `slot`'s leaf and replay the matches above it.
+    fn place(&mut self, slot: usize, key: Key) {
+        let mut node = self.inner + slot;
         self.tree[node] = key;
         while node > 0 {
             node = (node - 1) / 4;
@@ -297,25 +345,124 @@ impl Index {
         }
     }
 
-    /// Key `row` at `merit`, exact with `pivot` or a bound without.
-    fn set(&mut self, row: usize, merit: i128, pivot: Option<Pivot>) {
-        self.pivot[row] = pivot;
-        let key = Key::new(merit, row);
-        if self.tree[self.inner + row] != key {
-            self.place(row, key);
+    /// Key `slot` at `merit` for `row`, exact with `pivot` or a bound
+    /// without; `None` empties it. Returns whether its key stood.
+    fn set(&mut self, slot: usize, key: Option<(i128, usize, Option<Pivot>)>) -> bool {
+        let (key, pivot) = key.map_or((Key::NONE, None), |(merit, row, pivot)| {
+            (Key::new(merit, row), pivot)
+        });
+        self.pivot[slot] = pivot;
+        let stands = self.tree[self.inner + slot] == key;
+        if !stands {
+            self.place(slot, key);
+        }
+        stands
+    }
+
+    /// Queue `slot` for re-keying, unless it already left the index.
+    fn mark(&mut self, slot: u32) {
+        let s = slot as usize;
+        if self.is_alive(s) && !self.marked[s] {
+            self.marked[s] = true;
+            self.stale.push(slot);
+        }
+    }
+}
+
+/// How the merits of one width class's rows order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Rising with the walltime: the head is the longest row.
+    Rising,
+    /// Falling with the walltime: the head is the shortest row.
+    Falling,
+    /// Equal across the class.
+    Flat,
+}
+
+/// An [`Index`]'s rows by width class: its slots' heads when it is keyed
+/// by class, else (flat) the rows a walk re-checks per moved class. Each
+/// class's alive rows form groups of equal merit — by walltime (equal
+/// entries everywhere), or the whole class when [`Order::Flat`] — each
+/// listed in ascending row order, so a group's earliest-submitted alive
+/// row is its first alive member.
+struct Heads {
+    order: Order,
+    /// The alive rows at the build, by class, then group, then row.
+    members: Vec<u32>,
+    /// Per group: the end of its members, and its first member that may
+    /// still be alive.
+    end: Vec<u32>,
+    first: Vec<u32>,
+    /// Per class: its groups `lo..hi`, narrowed past dead groups at the
+    /// head's end.
+    groups: Vec<(u32, u32)>,
+    /// Per class: the (row, pivot) pairs a start change must not cross
+    /// for its key to stand — its head's, its pick's and that of the
+    /// first group past the pick's run of equal merit. A flat class is
+    /// one group: its rows' entries differ by one shift on every column,
+    /// so its pick's pivot decides for all of them.
+    watch: Vec<[(u32, Pivot); 3]>,
+}
+
+impl Heads {
+    /// The heads of `order` over the `alive` rows of `jobs` in their
+    /// width classes (`class`, `classes` of them), grouped by reference
+    /// walltime within each class unless flat.
+    fn new(
+        order: Order,
+        jobs: &[WaitingJob],
+        class: &[u32],
+        classes: usize,
+        alive: &[bool],
+    ) -> Heads {
+        let group = |i: u32| {
+            let walltime = match order {
+                Order::Flat => Duration::ZERO,
+                _ => jobs[i as usize].spec.walltime_ref,
+            };
+            (class[i as usize], walltime)
+        };
+        let mut members: Vec<u32> = (0..jobs.len() as u32)
+            .filter(|&i| alive[i as usize])
+            .collect();
+        members.sort_unstable_by_key(|&i| (group(i), i));
+        let mut first = Vec::new();
+        let mut groups = vec![(0, 0); classes];
+        for at in 0..members.len() {
+            let (w, walltime) = group(members[at]);
+            let prev = at.checked_sub(1).map(|p| group(members[p]));
+            if prev != Some((w, walltime)) {
+                if prev.map(|(pw, _)| pw) != Some(w) {
+                    groups[w as usize].0 = first.len() as u32;
+                }
+                first.push(at as u32);
+                groups[w as usize].1 = first.len() as u32;
+            }
+        }
+        let end = first
+            .iter()
+            .skip(1)
+            .copied()
+            .chain([members.len() as u32])
+            .collect();
+        Heads {
+            order,
+            members,
+            end,
+            first,
+            groups,
+            watch: vec![[(0, (SimTime::MAX, usize::MAX)); 3]; classes],
         }
     }
 
-    fn remove(&mut self, row: usize) {
-        self.place(row, Key::NONE);
-    }
-
-    /// Queue `row` for re-keying, unless it already left the index.
-    fn mark(&mut self, row: u32) {
-        let r = row as usize;
-        if self.is_alive(r) && !self.marked[r] {
-            self.marked[r] = true;
-            self.stale.push(row);
+    /// Where class `w`'s rows, dead ones included, sit in `members`.
+    fn span(&self, w: usize) -> std::ops::Range<usize> {
+        match self.groups[w] {
+            (lo, hi) if lo < hi => {
+                self.first[lo as usize] as usize..self.end[hi as usize - 1] as usize
+            }
+            _ => 0..0,
         }
     }
 }
@@ -333,8 +480,8 @@ struct ColumnRows {
     queued: Vec<Vec<u32>>,
 }
 
-/// Lazily filled, flat n×k ECT matrix over the remaining jobs of one
-/// round, with the round's selection index.
+/// Lazily filled ECT columns over the remaining jobs of one round, with
+/// the round's selection index.
 pub struct EctView<'a> {
     clusters: &'a mut [Cluster],
     jobs: &'a [WaitingJob],
@@ -352,10 +499,11 @@ pub struct EctView<'a> {
     cur_at: Vec<u32>,
     /// Column count.
     k: usize,
-    /// `est[i * k + c]`: last dry-run estimate of job `i` on cluster
-    /// `c`; `SimTime::MAX` means "cannot run there".
+    /// `est[i * k + c]`: last dry-run estimate of job `i` on bracket
+    /// column `c`; `SimTime::MAX` means "cannot run there".
     est: Vec<SimTime>,
-    /// Clock at which each entry was probed (0: never, [`STATIC`]: fixed).
+    /// Clock at which each bracket entry was probed (0: never), and
+    /// [`STATIC`] in any column for an entry fixed for the round.
     probed_at: Vec<u32>,
     /// Per column: clock of its last change, and of its last reset.
     changed: Vec<u32>,
@@ -365,27 +513,39 @@ pub struct EctView<'a> {
     /// The rows each column change can re-key, tracked from the first
     /// index build on.
     rows: Option<ColumnRows>,
-    /// Per column: never batch-filled this round. Every ranking reads a
-    /// cold column in full at least once, so its first miss — or the
-    /// index build, for every column — fills it in one batched pass;
-    /// later misses re-probe single entries.
+    /// Per column: never opened this round. Every ranking reads a cold
+    /// column in full at least once, so its first read — or the index
+    /// build, for every column — opens it: a bracket column is filled in
+    /// one batched pass, later misses re-probe single entries.
     cold: Vec<bool>,
     /// Per column: [`Cluster::prepare_estimates`] has run since the last
     /// change, so single probes can query the frozen snapshot directly.
     prepared: Vec<bool>,
-    /// Per column: closed, i.e. its cluster's scheduler answers from a
-    /// staircase (known from the column's first fill on).
+    /// Per column: closed, i.e. its cluster answers from a staircase
+    /// without noise (known once the column is opened).
     closed: Vec<bool>,
-    /// The alive rows as (processors, row) pairs in ascending order, and
-    /// per closed column each row's scaled walltime there: the walk's
-    /// inputs, built by the first walk and by a column's first walk.
-    by_width: Vec<(u32, u32)>,
-    walltime: Vec<Vec<Duration>>,
+    /// The round's distinct job widths, ascending, and each row's class
+    /// (its width's position there).
+    widths: Vec<u32>,
+    class: Vec<u32>,
+    /// Per class: its alive rows; and the classes that have any, in
+    /// ascending order.
+    class_alive: Vec<u32>,
+    live: Vec<u32>,
+    /// `start[w * k + c]`: the start of class `w` on closed column `c`,
+    /// and the clock it was read at.
+    start: Vec<SimTime>,
+    start_at: Vec<u32>,
+    /// `walltime[i * k + c]`: job `i`'s scaled walltime on closed column
+    /// `c` (rows stay contiguous, like `est`).
+    walltime: Vec<Duration>,
     /// The selection index, built by the first [`EctView::select`].
     index: Option<Index>,
-    /// Scratch for [`EctView::summarize`]: the row's known bounds.
+    /// Scratch: the row [`EctView::summarize`] brackets, and the classes
+    /// a walk moved with their old and new starts.
     lo: Vec<SimTime>,
     hi: Vec<SimTime>,
+    moved: Vec<(u32, SimTime, SimTime)>,
     /// Where the round's telemetry goes: its clusters' recorder.
     obs: Obs,
 }
@@ -442,6 +602,17 @@ impl<'a> EctView<'a> {
                 }
             }
         }
+        let mut widths: Vec<u32> = jobs.iter().map(|w| w.spec.procs).collect();
+        widths.sort_unstable();
+        widths.dedup();
+        let class: Vec<u32> = jobs
+            .iter()
+            .map(|w| widths.partition_point(|&p| p < w.spec.procs) as u32)
+            .collect();
+        let mut class_alive = vec![0; widths.len()];
+        for &w in &class {
+            class_alive[w as usize] += 1;
+        }
         let obs = clusters
             .first()
             .map(|c| c.obs().clone())
@@ -466,11 +637,17 @@ impl<'a> EctView<'a> {
             cold: vec![true; k],
             prepared: vec![false; k],
             closed: vec![false; k],
-            by_width: Vec::new(),
-            walltime: vec![Vec::new(); k],
+            start: vec![SimTime::MAX; k * widths.len()],
+            start_at: vec![0; k * widths.len()],
+            live: (0..widths.len() as u32).collect(),
+            widths,
+            class,
+            class_alive,
+            walltime: vec![Duration::ZERO; n * k],
             index: None,
             lo: vec![SimTime::MAX; k.max(1)],
             hi: vec![SimTime::MAX; k.max(1)],
+            moved: Vec::new(),
             obs,
         }
     }
@@ -498,11 +675,23 @@ impl<'a> EctView<'a> {
             "job removed twice"
         );
         self.alive_count -= 1;
+        let w = self.class[i] as usize;
+        self.class_alive[w] -= 1;
+        if self.class_alive[w] == 0 {
+            // Walks skip the class from now on; a read would find its
+            // starts stale.
+            self.live.retain(|&x| x as usize != w);
+            self.start_at[w * self.k..(w + 1) * self.k].fill(0);
+        }
         while self.alive.get(self.first_alive) == Some(&false) {
             self.first_alive += 1;
         }
         if let Some(index) = &mut self.index {
-            index.remove(i);
+            if index.by_class {
+                index.mark(self.class[i]);
+            } else {
+                index.set(i, None);
+            }
         }
     }
 
@@ -531,25 +720,84 @@ impl<'a> EctView<'a> {
     /// cannot run there (or, in `Queued` mode, when `c` is its own
     /// cluster — its own cluster is not a migration target).
     pub fn new_ect(&mut self, i: usize, c: usize) -> Option<SimTime> {
-        let at = i * self.k + c;
-        if self.probed_at[at] < self.changed[c] {
-            self.probe(i, c);
-        }
-        let v = self.est[at];
+        let v = self.read(i, c);
         (v != SimTime::MAX).then_some(v)
     }
 
-    /// Make entry `(i, c)` exact: a cold column is filled in one batched
-    /// pass, anything else re-probes this one entry against the frozen
+    /// Entry `(i, c)`, made exact first (`SimTime::MAX`: not a target).
+    fn read(&mut self, i: usize, c: usize) -> SimTime {
+        let at = i * self.k + c;
+        if self.probed_at[at] == STATIC {
+            return SimTime::MAX;
+        }
+        if self.cold[c] {
+            self.open(c, i);
+        }
+        if self.closed[c] {
+            return self.class_start(c, self.class[i] as usize) + self.walltime[at];
+        }
+        if self.probed_at[at] < self.changed[c] {
+            self.probe(i, c);
+        }
+        self.est[at]
+    }
+
+    /// Open cold column `c`, read by row `want`: a clean staircase closes
+    /// it (its class starts are read on demand); anything else is a
+    /// bracket column, filled in one batched pass.
+    fn open(&mut self, c: usize, want: usize) {
+        self.cold[c] = false;
+        self.prepared[c] = true;
+        let cluster = &mut self.clusters[c];
+        if cluster.ect_noise().is_none() {
+            cluster.prepare_estimates(self.now);
+            if cluster.estimate_staircase().is_some() {
+                self.closed[c] = true;
+                for (i, w) in self.jobs.iter().enumerate() {
+                    self.walltime[i * self.k + c] = cluster.scale_job(&w.spec).walltime;
+                }
+                return;
+            }
+        }
+        self.fill_column(c, want);
+    }
+
+    /// The start of class `w` on closed column `c`, read off the frozen
+    /// staircase when the column changed since.
+    fn class_start(&mut self, c: usize, w: usize) -> SimTime {
+        let at = w * self.k + c;
+        if self.start_at[at] < self.changed[c] {
+            let cluster = &mut self.clusters[c];
+            if self.prepared[c] {
+                cluster.note_snapshot_reuse();
+            } else {
+                cluster.prepare_estimates(self.now);
+                self.prepared[c] = true;
+            }
+            let stairs = cluster
+                .estimate_staircase()
+                .expect("a closed column's scheduler has a staircase");
+            self.start[at] = stairs.first_free(self.widths[w]);
+            self.start_at[at] = self.clock;
+        }
+        self.start[at]
+    }
+
+    /// Entry `(i, c)` of a closed column (or of one no alive row fits),
+    /// read off a fresh class start: once rows are tracked, every change
+    /// of a closed column is walked, so every live start is fresh.
+    fn closed_entry(&self, i: usize, c: usize) -> SimTime {
+        if self.probed_at[i * self.k + c] == STATIC {
+            return SimTime::MAX;
+        }
+        let at = self.class[i] as usize * self.k + c;
+        debug_assert!(self.start_at[at] >= self.changed[c], "stale class start");
+        self.start[at] + self.walltime[i * self.k + c]
+    }
+
+    /// Make bracket entry `(i, c)` exact: re-probe it against the frozen
     /// snapshot (re-freezing only after a change came through the view).
     fn probe(&mut self, i: usize, c: usize) {
-        if self.cold[c] {
-            self.fill_column(c, i);
-            self.cold[c] = false;
-            self.prepared[c] = true;
-            self.closed[c] = self.clusters[c].estimate_staircase().is_some();
-            return;
-        }
         let cluster = &mut self.clusters[c];
         if self.prepared[c] {
             cluster.note_snapshot_reuse();
@@ -564,12 +812,12 @@ impl<'a> EctView<'a> {
         self.store(i, c, est);
     }
 
-    /// Record a fresh estimate of entry `(i, c)`, listing row `i` among
-    /// a bracket column's exact rows, and among its known rows unless it
+    /// Record a fresh estimate of bracket entry `(i, c)`, listing row `i`
+    /// among the column's exact rows, and among its known rows unless it
     /// already was, once rows are tracked.
     fn store(&mut self, i: usize, c: usize, est: Option<SimTime>) {
         let at = i * self.k + c;
-        if let Some(rows) = self.rows.as_mut().filter(|_| !self.closed[c]) {
+        if let Some(rows) = &mut self.rows {
             if self.probed_at[at] < self.reset[c] {
                 rows.known[c].push(i as u32);
             }
@@ -579,12 +827,13 @@ impl<'a> EctView<'a> {
         self.probed_at[at] = self.clock;
     }
 
-    /// Fill every inexact entry of column `c` among the alive jobs (plus
-    /// the queried row `want`) in one batched snapshot pass. Estimates
-    /// are bit-identical to per-entry [`Cluster::estimate_new_at`] calls:
-    /// every query in the pass shares the same frozen profile and the
-    /// same tail-floor base, so the threaded dominance frontier only
-    /// skips descent work, never changes an answer.
+    /// Fill every inexact entry of bracket column `c` among the alive
+    /// jobs (plus the queried row `want`) in one batched snapshot pass.
+    /// Estimates are bit-identical to per-entry
+    /// [`Cluster::estimate_new_at`] calls: every query in the pass shares
+    /// the same frozen profile and the same tail-floor base, so the
+    /// threaded dominance frontier only skips descent work, never changes
+    /// an answer.
     fn fill_column(&mut self, c: usize, want: usize) {
         let (k, jobs) = (self.k, self.jobs);
         let mut wanted: Vec<Option<&JobSpec>> = vec![None; jobs.len()];
@@ -604,21 +853,25 @@ impl<'a> EctView<'a> {
     /// Best migration target for job `i`: `(cluster, ect)` minimising the
     /// estimate (lowest index on ties).
     pub fn best_target(&mut self, i: usize) -> Option<(usize, SimTime)> {
-        self.refresh_row(i);
-        let row = &self.est[i * self.k..(i + 1) * self.k];
-        let (c, &e) = row.iter().enumerate().min_by_key(|&(_, e)| e)?;
-        (e != SimTime::MAX).then_some((c, e))
-    }
-
-    /// Make every entry of job `i`'s row exact. Each re-probe answers a
-    /// change noted since the entry's last probe, so a round never
-    /// probes more than re-reading every invalidated entry would.
-    fn refresh_row(&mut self, i: usize) {
+        let mut best = None;
         for c in 0..self.k {
-            if self.probed_at[i * self.k + c] < self.changed[c] {
-                self.probe(i, c);
+            let e = self.read(i, c);
+            if e != SimTime::MAX && best.is_none_or(|(_, b)| e < b) {
+                best = Some((c, e));
             }
         }
+        best
+    }
+
+    /// Make every entry of job `i`'s row exact, into `self.lo`. Each
+    /// re-probe answers a change noted since the entry's last probe, so
+    /// a round never probes more than re-reading every invalidated entry
+    /// would.
+    fn read_row(&mut self, i: usize) -> &[SimTime] {
+        for c in 0..self.k {
+            self.lo[c] = self.read(i, c);
+        }
+        &self.lo[..self.k]
     }
 
     /// Record that `job` was submitted to cluster `c` and reserved from
@@ -642,13 +895,13 @@ impl<'a> EctView<'a> {
         self.note_change(c, None);
     }
 
-    /// Advance column `c`'s clocks and mark for re-keying every row whose
-    /// key the change can move (see the module docs): a closed column is
-    /// walked; in a bracket column the rows exact in `c` (their entry is
-    /// now a bound), on a reset also the rows bounded there (their entry
-    /// is now unknown); on a reset, the rows queued on the cluster.
-    /// `tail` is the end and width of the reservation a bound-keeping
-    /// submit carved; `None` resets the column.
+    /// Advance column `c`'s clocks and mark for re-keying every slot
+    /// whose key the change can move (see the module docs): a closed
+    /// column is walked; in a bracket column the rows exact in `c` (their
+    /// entry is now a bound), on a reset also the rows bounded there
+    /// (their entry is now unknown); on a reset, the rows queued on the
+    /// cluster. `tail` is the end and width of the reservation a
+    /// bound-keeping submit carved; `None` resets the column.
     fn note_change(&mut self, c: usize, tail: Option<(SimTime, u32)>) {
         let reset = tail.is_none();
         self.clock += 1;
@@ -662,6 +915,7 @@ impl<'a> EctView<'a> {
         };
         let index = self.index.as_mut().expect("rows are tracked for an index");
         if reset {
+            // Only `Queued` mode lists queued rows, and it keys rows.
             for &i in &rows.queued[c] {
                 index.mark(i);
             }
@@ -684,81 +938,90 @@ impl<'a> EctView<'a> {
         }
     }
 
-    /// Re-read closed column `c` for the alive rows against its fresh
-    /// staircase, in one merge with the rows sorted by width, and mark
-    /// the rows whose `depth` smallest pairs the change moved — none
-    /// after a tail submit under an antitone ranking. After a tail submit
-    /// (`tail`: the reservation's end and width) the walk stops at the
-    /// first width it cannot have moved; after a reset it reads every
-    /// row. Afterwards every entry read since the column's last reset is
-    /// exact, so the column's change clock goes back to its reset clock.
+    /// Re-read the class starts of closed column `c` off its fresh
+    /// staircase, in one merge over the widths, and mark the slots whose
+    /// keys the moved starts can move — none after a tail submit under an
+    /// antitone ranking. After a tail submit (`tail`: the reservation's
+    /// end and width) the walk stops at the first width it cannot have
+    /// moved; after a reset it reads every class. Afterwards every start
+    /// read since the column's last reset is exact, so the column's
+    /// change clock goes back to its reset clock.
     fn walk(&mut self, c: usize, tail: Option<(SimTime, u32)>) {
-        let (k, jobs, now) = (self.k, self.jobs, self.now);
-        if self.by_width.is_empty() {
-            self.by_width = self
-                .alive_indices()
-                .map(|i| (jobs[i].spec.procs, i as u32))
-                .collect();
-            self.by_width.sort_unstable();
-        } else if self.by_width.len() > 2 * self.alive_count {
-            let alive = &self.alive;
-            self.by_width.retain(|&(_, i)| alive[i as usize]);
-        }
-        self.clusters[c].prepare_estimates(now);
+        let k = self.k;
+        self.clusters[c].prepare_estimates(self.now);
         self.prepared[c] = true;
         let cluster = &self.clusters[c];
-        if self.walltime[c].is_empty() {
-            self.walltime[c] = jobs
-                .iter()
-                .map(|w| cluster.scale_job(&w.spec).walltime)
-                .collect();
-        }
         let stairs = cluster
             .estimate_staircase()
             .expect("a closed column's scheduler has a staircase");
         // Widths the free count never reached before the reservation's
         // end started at or after it, where nothing changed.
-        let widest = tail.map_or(u32::MAX, |(end, procs)| {
-            stairs.free_at(end - Duration(1)) + procs
-        });
-        // A tail submit under an antitone ranking re-keys no row; before
-        // the index exists there is none to re-key.
-        let mut index = self
-            .index
-            .as_mut()
-            .filter(|x| tail.is_none() || !x.antitone);
-        let noisy = cluster.ect_noise().is_some();
-        let walltime = &self.walltime[c];
+        let widest = tail
+            .map_or(u32::MAX, |(end, procs)| {
+                stairs.free_at(end - Duration(1)) + procs
+            })
+            .min(cluster.spec().procs);
         let mut steps = stairs.walk();
+        let mut moved = std::mem::take(&mut self.moved);
+        moved.clear();
         let mut walked = 0;
-        for &(procs, row) in &self.by_width {
-            if procs > widest {
+        for &w in &self.live {
+            let width = self.widths[w as usize];
+            if width > widest {
                 break;
             }
-            let (i, at) = (row as usize, row as usize * k + c);
-            if !self.alive[i] || self.probed_at[at] == STATIC {
-                continue;
-            }
+            let at = w as usize * k + c;
+            let new = steps.first_free(width);
+            let old = std::mem::replace(&mut self.start[at], new);
+            self.start_at[at] = self.clock;
             walked += 1;
-            let end = steps.first_free(procs) + walltime[i];
-            let new = if noisy {
-                cluster.noisy(jobs[i].spec.id, now, end)
-            } else {
-                end
-            };
-            let old = std::mem::replace(&mut self.est[at], new);
-            if tail.is_none() {
-                // Every other row was read since the last reset already.
-                self.probed_at[at] = self.clock;
+            if new != old {
+                moved.push((w, old, new));
             }
-            if let Some(index) = index.as_mut().filter(|_| new != old) {
-                if index.pivot[i].is_none_or(|p| (old, c) <= p || (new, c) < p) {
-                    index.mark(row);
+        }
+        // (class, column) entries: one per class read.
+        self.obs.count("ect.walked", walked);
+        self.changed[c] = self.reset[c];
+        // A tail submit under an antitone ranking re-keys nothing; before
+        // the index exists there is nothing to re-key.
+        if let Some(index) = self
+            .index
+            .as_mut()
+            .filter(|x| tail.is_none() || !x.antitone)
+        {
+            let walltime = |i: u32| self.walltime[i as usize * k + c];
+            if index.by_class {
+                for &(w, old, new) in &moved {
+                    let watched = index.classes.watch[w as usize].iter().any(|&(row, pivot)| {
+                        let wt = walltime(row);
+                        crosses(pivot, c, old + wt, new + wt)
+                    });
+                    if watched {
+                        index.mark(w);
+                    }
+                }
+            } else {
+                if index.classes.members.len() > 2 * self.alive_count {
+                    let nw = self.widths.len();
+                    index.classes =
+                        Heads::new(Order::Flat, self.jobs, &self.class, nw, &self.alive);
+                }
+                for &(w, old, new) in &moved {
+                    for at in index.classes.span(w as usize) {
+                        let row = index.classes.members[at];
+                        let i = row as usize;
+                        if !self.alive[i] || self.probed_at[i * self.k + c] == STATIC {
+                            continue;
+                        }
+                        let wt = walltime(row);
+                        if index.pivot[i].is_none_or(|p| crosses(p, c, old + wt, new + wt)) {
+                            index.mark(row);
+                        }
+                    }
                 }
             }
         }
-        self.obs.count("ect.walked", walked);
-        self.changed[c] = self.reset[c];
+        self.moved = moved;
     }
 
     /// Mutable access to a cluster (for the migration itself).
@@ -770,7 +1033,9 @@ impl<'a> EctView<'a> {
     pub fn now(&self) -> SimTime {
         self.now
     }
+}
 
+impl EctView<'_> {
     // -----------------------------------------------------------------
     // Best targets and indexed selection
     // -----------------------------------------------------------------
@@ -794,24 +1059,25 @@ impl<'a> EctView<'a> {
         let mut best_exact = SimTime::MAX;
         let mut first_inexact: Option<(SimTime, usize)> = None;
         for c in 0..self.k {
-            let (probed, est) = (self.probed_at[row + c], self.est[row + c]);
-            let exact = probed >= self.changed[c];
-            let lo = if exact || probed >= self.reset[c] {
-                est
+            let (lo, exact) = if self.closed[c] {
+                (self.closed_entry(i, c), true)
             } else {
-                self.now
+                let (probed, est) = (self.probed_at[row + c], self.est[row + c]);
+                let exact = probed >= self.changed[c];
+                let known = exact || probed >= self.reset[c];
+                (if known { est } else { self.now }, exact)
             };
             if lo < first.0 .0 {
                 first = ((lo, c), exact);
             }
             if exact {
-                best_exact = best_exact.min(est);
+                best_exact = best_exact.min(lo);
             } else if d > 1 && first_inexact.is_none_or(|(v, _)| lo < v) {
                 first_inexact = Some((lo, c));
             }
             if d > 1 {
                 self.lo[c] = lo;
-                self.hi[c] = if exact { est } else { SimTime::MAX };
+                self.hi[c] = if exact { lo } else { SimTime::MAX };
             }
         }
         if d == 1 {
@@ -848,18 +1114,112 @@ impl<'a> EctView<'a> {
         (merit(rank.maximise(), score), pivot)
     }
 
+    /// The exact merit and pivot under `rank` of row `rep` of class `w`,
+    /// read off the class's starts: every column is closed and walked.
+    fn class_merit<R: TargetRank + ?Sized>(
+        &mut self,
+        rank: &R,
+        w: usize,
+        rep: usize,
+    ) -> (i128, Pivot) {
+        let k = self.k;
+        for c in 0..k {
+            self.lo[c] = self.closed_entry(rep, c);
+        }
+        let job = Candidate {
+            cur: self.cur[rep],
+            procs: self.widths[w],
+            mode: self.mode,
+        };
+        let row = &self.lo[..k];
+        let score = rank.score(&job, row);
+        (
+            merit(rank.maximise(), score),
+            pivot_of(row, rank.depth().max(1)),
+        )
+    }
+
+    /// Class `w`'s key under `rank`: the best merit among its alive rows,
+    /// and the earliest-submitted row holding it, found from the head's
+    /// end of its groups; `None` when no row of the class is left. Also
+    /// records the rows the key's standing hinges on (`Heads::watch`).
+    fn class_key<R: TargetRank + ?Sized>(
+        &mut self,
+        rank: &R,
+        heads: &mut Heads,
+        w: usize,
+    ) -> Option<(i128, usize, Option<Pivot>)> {
+        let (mut lo, mut hi) = heads.groups[w];
+        let rising = heads.order == Order::Rising;
+        let mut best: Option<(i128, u32)> = None;
+        let mut watch = [(0, (SimTime::MAX, usize::MAX)); 3];
+        while lo < hi {
+            let g = if rising { hi - 1 } else { lo } as usize;
+            let end = heads.end[g];
+            let first = &mut heads.first[g];
+            while *first < end && !self.alive[heads.members[*first as usize] as usize] {
+                *first += 1;
+            }
+            if *first == end {
+                // A dead group; one at the head's end is dropped for good.
+                if best.is_none() {
+                    heads.groups[w] = if rising { (lo, hi - 1) } else { (lo + 1, hi) };
+                }
+            } else {
+                // The group's earliest alive row; its entries stand for
+                // every row of the group.
+                let row = heads.members[*first as usize];
+                let (m, pivot) = self.class_merit(rank, w, row as usize);
+                match best {
+                    None => {
+                        best = Some((m, row));
+                        watch = [(row, pivot); 3];
+                    }
+                    Some((top, pick)) if m == top => {
+                        if row < pick {
+                            best = Some((m, row));
+                            watch[1] = (row, pivot);
+                        }
+                    }
+                    Some(_) => {
+                        watch[2] = (row, pivot);
+                        break;
+                    }
+                }
+            }
+            if rising {
+                hi -= 1;
+            } else {
+                lo += 1;
+            }
+        }
+        heads.watch[w] = watch;
+        best.map(|(m, row)| (m, row as usize, Some(watch[0].1)))
+    }
+
+    /// Re-key `slot` under `rank` and return whether its key stood.
+    fn rekey<R: TargetRank + ?Sized>(&mut self, rank: &R, index: &mut Index, slot: usize) -> bool {
+        if index.by_class {
+            let key = self.class_key(rank, &mut index.classes, slot);
+            index.set(slot, key)
+        } else {
+            let (merit, pivot) = self.key(rank, slot);
+            index.set(slot, Some((merit, slot, pivot)))
+        }
+    }
+
     /// The alive job `rank` scores best — the earliest-submitted one on
     /// ties — or `None` when the round is over.
     ///
     /// Exactly the job an exhaustive re-ranking over exact estimates
     /// picks, read off the round's priority index. The first call keys
-    /// every alive job; later calls first re-key the jobs the noted
-    /// changes marked. Then the top key decides: an exact key is the
-    /// pick (every other key is at least its job's true merit, and the
-    /// key order is the tie-break order), while a bound has its row
+    /// every alive job (or class); later calls first re-key the slots the
+    /// noted changes marked. Then the top key decides: an exact key is
+    /// the pick (every other key is at least its slot's true merit, and
+    /// the key order is the tie-break order), while a bound has its row
     /// re-probed and goes back in at its exact score. Under an antitone
     /// ranking an exact key may have gone stale since — bound-keeping
-    /// changes re-key no row — so the top row is re-keyed first, and
+    /// changes re-key nothing — so the top slot is re-keyed first, and
     /// taken only if its key stands. The index serves one ranking; a call
     /// with another rebuilds it.
     pub(crate) fn select<R: TargetRank + ?Sized>(&mut self, rank: &R) -> Option<usize> {
@@ -879,27 +1239,30 @@ impl<'a> EctView<'a> {
             let Some(i) = index.top() else {
                 break None;
             };
-            if index.pivot[i].is_some() {
-                if !index.antitone {
+            let slot = if index.by_class {
+                self.class[i] as usize
+            } else {
+                i
+            };
+            if index.pivot[slot].is_some() {
+                if !index.antitone || self.rekey(rank, &mut index, slot) {
                     break Some(i);
                 }
-                let (merit, pivot) = self.key(rank, i);
-                if pivot.is_some() {
-                    let stands = index.tree[index.inner + i] == Key::new(merit, i);
-                    index.set(i, merit, pivot);
-                    if stands {
-                        break Some(i);
-                    }
-                    stale_tops += 1;
+                stale_tops += 1;
+                if index.pivot[slot].is_some() {
                     continue;
                 }
             }
-            self.refresh_row(i);
+            // A bound (only ever a row's): re-probe the row, key it exact.
             let job = self.candidate(i);
-            let row = &self.est[i * self.k..(i + 1) * self.k];
-            let score = rank.score(&job, row);
-            let pivot = pivot_of(row, rank.depth().max(1));
-            index.set(i, merit(rank.maximise(), score), Some(pivot));
+            let depth = rank.depth().max(1);
+            let row = self.read_row(i);
+            let key = (
+                merit(rank.maximise(), rank.score(&job, row)),
+                i,
+                Some(pivot_of(row, depth)),
+            );
+            index.set(i, Some(key));
         };
         if stale_tops > 0 {
             self.obs.count("ect.rekeys", stale_tops);
@@ -908,18 +1271,17 @@ impl<'a> EctView<'a> {
         pick
     }
 
-    /// Re-key the alive rows the noted changes marked, counted as
-    /// `ect.rekeys` (with the stale top rows `select` re-keys under an
+    /// Re-key the alive slots the noted changes marked, counted as
+    /// `ect.rekeys` (with the stale top slots `select` re-keys under an
     /// antitone ranking).
     fn rekey_marked<R: TargetRank + ?Sized>(&mut self, rank: &R, index: &mut Index) {
         let mut stale = std::mem::take(&mut index.stale);
         let mut rekeys = 0;
-        for &i in &stale {
-            let i = i as usize;
-            index.marked[i] = false;
-            if index.is_alive(i) {
-                let (merit, pivot) = self.key(rank, i);
-                index.set(i, merit, pivot);
+        for &slot in &stale {
+            let slot = slot as usize;
+            index.marked[slot] = false;
+            if index.is_alive(slot) {
+                self.rekey(rank, index, slot);
                 rekeys += 1;
             }
         }
@@ -956,42 +1318,78 @@ impl<'a> EctView<'a> {
         rows
     }
 
-    /// Key every alive job under `rank` into a fresh index.
+    /// Key every alive job — or, by class, every width class — under
+    /// `rank` into a fresh index.
     fn build_index<R: TargetRank + ?Sized>(
         &mut self,
         rank: &R,
         ranking: (&'static str, usize),
     ) -> Index {
-        // Fill every cold column a remaining job can run on first, so no
-        // key starts out bracketing an unknown entry. A closed column
-        // changed before rows were tracked was never walked: re-read it
-        // whole.
+        // Open every cold column a remaining job can run on first, so no
+        // key starts out bracketing an unknown entry. The first build
+        // reads every closed column's class starts afresh.
         let (n, k) = (self.jobs.len(), self.k);
         for c in 0..k {
-            if self.cold[c] {
-                let reader = self
-                    .alive_indices()
-                    .find(|&i| self.probed_at[i * k + c] != STATIC);
-                if let Some(i) = reader {
-                    self.probe(i, c);
-                }
-            } else if self.closed[c] && self.rows.is_none() {
-                self.walk(c, None);
+            let reader = self
+                .alive_indices()
+                .find(|&i| self.probed_at[i * k + c] != STATIC);
+            if let Some(i) = reader.filter(|_| self.cold[c]) {
+                self.open(c, i);
             }
         }
         if self.rows.is_none() {
+            for c in 0..k {
+                if self.closed[c] {
+                    self.walk(c, None);
+                }
+            }
             self.rows = Some(self.column_rows());
         }
-        let mut index = Index::new(ranking, rank.antitone(), n);
-        for i in self.first_alive..n {
-            if self.alive[i] {
-                let (merit, pivot) = self.key(rank, i);
-                index.pivot[i] = pivot;
-                index.tree[index.inner + i] = Key::new(merit, i);
+        let nw = self.widths.len();
+        let Some(order) = self.class_order(rank) else {
+            let rows = Heads::new(Order::Flat, self.jobs, &self.class, nw, &self.alive);
+            let mut index = Index::new(ranking, rank.antitone(), n, rows, false);
+            for i in self.first_alive..n {
+                if self.alive[i] {
+                    let (merit, pivot) = self.key(rank, i);
+                    index.pivot[i] = pivot;
+                    index.tree[index.inner + i] = Key::new(merit, i);
+                }
+            }
+            index.play_all();
+            return index;
+        };
+        let heads = Heads::new(order, self.jobs, &self.class, nw, &self.alive);
+        let mut index = Index::new(ranking, rank.antitone(), nw, heads, true);
+        for w in 0..nw {
+            if let Some((merit, row, pivot)) = self.class_key(rank, &mut index.classes, w) {
+                index.pivot[w] = pivot;
+                index.tree[index.inner + w] = Key::new(merit, row);
             }
         }
         index.play_all();
         index
+    }
+
+    /// How `rank` orders the rows of a width class, when the index can
+    /// key it by class: in `Cancelled` mode over closed columns only (a
+    /// column no alive row fits stays cold), by walltime when the score
+    /// reads the best target alone, flat when it is shift-invariant and
+    /// every row's scaled walltime is the same on every column.
+    fn class_order<R: TargetRank + ?Sized>(&self, rank: &R) -> Option<Order> {
+        let closed = (0..self.k).all(|c| self.closed[c] || self.cold[c]);
+        if self.mode != ViewMode::Cancelled || !closed {
+            return None;
+        }
+        if let Some(rises) = rank.by_walltime() {
+            return Some(if rises { Order::Rising } else { Order::Falling });
+        }
+        let closed: Vec<usize> = (0..self.k).filter(|&c| self.closed[c]).collect();
+        let equal = self
+            .walltime
+            .chunks(self.k.max(1))
+            .all(|row| closed.iter().all(|&c| row[c] == row[closed[0]]));
+        (rank.shift_invariant() && equal).then_some(Order::Flat)
     }
 
     // -----------------------------------------------------------------
@@ -1050,6 +1448,16 @@ mod tests {
         fn entry(&self, i: usize, c: usize) -> Entry {
             let at = i * self.k + c;
             let probed = self.probed_at[at];
+            if self.closed[c] && probed != STATIC {
+                // A closed entry is its class's start plus its walltime,
+                // exact while the start is fresh, else re-read on demand.
+                let w = self.class[i] as usize * self.k + c;
+                return if self.start_at[w] >= self.changed[c] {
+                    Entry::Exact(self.start[w] + self.walltime[at])
+                } else {
+                    Entry::Unknown
+                };
+            }
             if probed >= self.changed[c] {
                 Entry::Exact(self.est[at])
             } else if probed >= self.reset[c] {
@@ -1066,8 +1474,9 @@ mod tests {
             self.note_submit(c, &job, start);
         }
 
-        /// The rows the noted changes marked for re-keying, ascending.
-        fn marked_rows(&self) -> Vec<u32> {
+        /// The slots the noted changes marked for re-keying, ascending:
+        /// rows, or width classes when the index is keyed by class.
+        fn marked(&self) -> Vec<u32> {
             let mut rows = self
                 .index
                 .as_ref()
@@ -1079,10 +1488,11 @@ mod tests {
         }
     }
 
-    /// Two 4-proc clusters; cluster 0 busy for 1000 s, cluster 1 free.
+    /// Two 4-proc clusters; cluster 0 (FCFS) busy for 1000 s, cluster 1
+    /// (CBF, a bracket column) free.
     fn setup() -> (Vec<Cluster>, Vec<WaitingJob>) {
         let mut c0 = Cluster::new(ClusterSpec::new("c0", 4, 1.0), BatchPolicy::Fcfs);
-        let c1 = Cluster::new(ClusterSpec::new("c1", 4, 1.0), BatchPolicy::Fcfs);
+        let c1 = Cluster::new(ClusterSpec::new("c1", 4, 1.0), BatchPolicy::Cbf);
         c0.submit(JobSpec::new(100, 0, 4, 1000, 1000), SimTime(0))
             .unwrap();
         c0.start_due(SimTime(0));
@@ -1195,13 +1605,13 @@ mod tests {
         assert_eq!(v.new_ect(0, 1), Some(SimTime(600)));
     }
 
-    /// A best target survives changes to other columns; when its own
-    /// column moves, it is bracketed from the row and re-probed only
-    /// where it could still lead.
+    /// A best target survives changes to other (bracket) columns; when
+    /// its own column moves, it is bracketed from the row and re-probed
+    /// only where it could still lead.
     #[test]
     fn best_targets_follow_their_columns() {
         let mut clusters: Vec<Cluster> = (0..3)
-            .map(|c| Cluster::new(ClusterSpec::new(format!("c{c}"), 4, 1.0), BatchPolicy::Fcfs))
+            .map(|c| Cluster::new(ClusterSpec::new(format!("c{c}"), 4, 1.0), BatchPolicy::Cbf))
             .collect();
         clusters[1]
             .submit(JobSpec::new(100, 0, 4, 50, 50), SimTime(0))
@@ -1319,10 +1729,12 @@ mod tests {
         }
         assert_eq!(batched, expected);
         for c in &batched_clusters[1..] {
+            // A closed (FCFS) column reads class starts, not a fill.
+            let fills = u64::from(c.policy() != BatchPolicy::Fcfs);
             assert_eq!(
                 c.stats().ect_column_refills,
-                1,
-                "{}: one batched fill per column",
+                fills,
+                "{}: one batched fill per bracket column",
                 c.spec().name
             );
         }
@@ -1375,7 +1787,7 @@ mod tests {
         let mut v = EctView::cancelled(&mut clusters, &jobs, vec![SimTime(1_000); 3], SimTime(0));
         assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(0));
         v.submit(1, JobSpec::new(100, 0, 4, 500, 500));
-        assert_eq!(v.marked_rows(), [0, 1, 2], "the fill left every row exact");
+        assert_eq!(v.marked(), [0, 1, 2], "the fill left every row exact");
         // Site 1 was nobody's best target: the re-keys keep every key
         // exact, so the next pick needs no probe.
         assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(0));
@@ -1384,16 +1796,16 @@ mod tests {
         // Only row 2 is exact on site 1 again when it next grows.
         assert_eq!(v.new_ect(2, 1), Some(SimTime(800)));
         v.submit(1, JobSpec::new(101, 0, 4, 500, 500));
-        assert_eq!(v.marked_rows(), [2]);
+        assert_eq!(v.marked(), [2]);
         v.cluster_mut(1).cancel(grid_batch::JobId(101), SimTime(0));
         v.note_cancel(1);
-        assert_eq!(v.marked_rows(), [0, 1, 2], "bounded rows lose their bound");
+        assert_eq!(v.marked(), [0, 1, 2], "bounded rows lose their bound");
         // A removed row is never re-keyed.
         v.remove(1);
         assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(0));
         v.cluster_mut(1).cancel(grid_batch::JobId(100), SimTime(0));
         v.note_cancel(1);
-        assert!(!v.marked_rows().contains(&1));
+        assert!(!v.marked().contains(&1));
     }
 
     /// In `Queued` mode a reset also re-keys the rows queued on the
@@ -1410,14 +1822,10 @@ mod tests {
         let mut v = EctView::queued(&mut clusters, &jobs, SimTime(0));
         assert!(v.select(&crate::heuristics::MinMinOrder).is_some());
         v.submit(1, JobSpec::new(100, 0, 1, 100, 100));
-        assert_eq!(
-            v.marked_rows(),
-            [0, 1],
-            "row 2 has no estimate on its own site"
-        );
+        assert_eq!(v.marked(), [0, 1], "row 2 has no estimate on its own site");
         v.cluster_mut(1).cancel(grid_batch::JobId(100), SimTime(0));
         v.note_cancel(1);
-        assert_eq!(v.marked_rows(), [0, 1, 2]);
+        assert_eq!(v.marked(), [0, 1, 2]);
     }
 
     /// Two 8-proc FCFS sites at `t = 0`, each running one job — site 0
@@ -1451,10 +1859,16 @@ mod tests {
             .collect()
     }
 
-    /// A tail submit on a closed (FCFS) column re-reads it in one walk
-    /// that stops at the first width the submit cannot have moved, keeps
-    /// every entry exact, and re-keys only the rows whose pivot the
-    /// changed entry crosses.
+    /// The `ect.walked` count so far.
+    fn walked(obs: &grid_obs::Obs) -> u64 {
+        obs.with(|r| r.counter("ect.walked")).unwrap()
+    }
+
+    /// A tail submit on a closed (FCFS) column re-reads its class starts
+    /// in one walk that stops at the first width the submit cannot have
+    /// moved, keeps every entry exact, and re-keys only the classes whose
+    /// watched rows' pivots the moved start crosses. One row per class
+    /// here, so each class is keyed by its row.
     #[test]
     fn tail_submits_walk_closed_columns_up_to_the_widths_they_can_move() {
         // Site 1: 4 procs busy until 1000, a 2-proc job queued on
@@ -1473,12 +1887,13 @@ mod tests {
         assert_eq!(v.index.as_ref().unwrap().pivot[1], Some((SimTime(300), 1)));
         // A 1-proc job on [0, 300): free 1 from 0, 3 from 200, 4 from
         // 300. Widths above 3 + 1 started at or after 300 and stay put.
+        let before = walked(&obs);
         v.submit(1, JobSpec::new(103, 0, 1, 300, 300));
-        assert_eq!(obs.with(|r| r.counter("ect.walked")), Some(2));
+        assert_eq!(walked(&obs) - before, 2);
         assert_eq!(v.entry(0, 1), Entry::Exact(SimTime(100)), "unmoved");
         assert_eq!(v.entry(1, 1), Entry::Exact(SimTime(400)), "its pivot");
         assert_eq!(v.entry(2, 1), Entry::Exact(SimTime(1_100)), "not walked");
-        assert_eq!(v.marked_rows(), [1]);
+        assert_eq!(v.marked(), [1]);
         assert_eq!(v.select(&maxmin), Some(2));
         assert_eq!(v.index.as_ref().unwrap().pivot[1], Some((SimTime(400), 1)));
         assert_eq!(obs.with(|r| r.counter("ect.stale_refreshes")), Some(0));
@@ -1505,13 +1920,14 @@ mod tests {
         // 3100 -> 2100, still above its pivot (2050 on site 0).
         assert_eq!(v.entry(0, 1), Entry::Exact(SimTime(100)));
         assert_eq!(v.entry(1, 1), Entry::Exact(SimTime(2_100)));
-        assert_eq!(v.marked_rows(), [0]);
+        assert_eq!(v.marked(), [0]);
         assert_eq!(v.select(&maxmin), Some(1));
     }
 
     /// Under an antitone ranking a tail submit on a closed column
     /// re-keys no row; the stale top row is re-checked and placed again,
-    /// so the pick is still the exact one.
+    /// so the pick is still the exact one. MaxGain reads the current
+    /// ECTs, so it keys rows (equal here, so it ranks as MinMin would).
     #[test]
     fn antitone_rankings_rekey_no_row_on_tail_submits_and_recheck_the_top() {
         let mut clusters = fcfs_pair((0, 0), &[]);
@@ -1520,8 +1936,9 @@ mod tests {
         let jobs = rows(&[(1, 100), (8, 200), (1, 300)]);
         let pre = vec![SimTime(5_000); 3];
         let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
-        let minmin = crate::heuristics::MinMinOrder;
-        assert_eq!(v.select(&minmin), Some(0));
+        let maxgain = crate::heuristics::MaxGainOrder;
+        assert_eq!(v.select(&maxgain), Some(0));
+        assert!(!v.index.as_ref().unwrap().by_class, "keyed by row");
         v.remove(0);
         // A 1-proc job on [0, 1000) on each site pushes row 1 (8 procs)
         // to 1200 everywhere; row 2 (1 proc) keeps 300.
@@ -1530,18 +1947,20 @@ mod tests {
         }
         assert_eq!(v.entry(1, 0), Entry::Exact(SimTime(1_200)));
         assert_eq!(v.entry(2, 1), Entry::Exact(SimTime(300)));
-        assert_eq!(v.marked_rows(), [] as [u32; 0]);
+        assert_eq!(v.marked(), [] as [u32; 0]);
         assert_eq!(
-            v.select(&minmin),
+            v.select(&maxgain),
             Some(2),
             "row 1's stale key is re-checked"
         );
         assert_eq!(obs.with(|r| r.counter("ect.rekeys")), Some(1));
-        // MaxMin is not antitone: the same change re-keys the row.
+        // MaxMin is not antitone: the same kind of change re-keys the
+        // classes of both rows (width 1: row 2, width 8: row 1).
         let maxmin = crate::heuristics::MaxMinOrder;
         assert_eq!(v.select(&maxmin), Some(1));
+        assert!(v.index.as_ref().unwrap().by_class, "keyed by class");
         v.submit(0, JobSpec::new(202, 0, 8, 10, 10));
-        assert_eq!(v.marked_rows(), [1, 2]);
+        assert_eq!(v.marked(), [0, 1]);
     }
 
     /// A closed column changed before the index exists was never walked;
@@ -1555,9 +1974,162 @@ mod tests {
         let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
         assert_eq!(v.best_target(1), Some((0, SimTime(200))));
         v.submit(0, JobSpec::new(200, 0, 8, 1_000, 1_000));
-        assert_eq!(v.entry(1, 0), Entry::Bound(SimTime(200)));
+        assert_eq!(v.entry(1, 0), Entry::Unknown, "its class start is stale");
         assert_eq!(v.select(&crate::heuristics::MaxMinOrder), Some(1));
         assert_eq!(v.entry(0, 0), Entry::Exact(SimTime(1_100)));
         assert_eq!(v.entry(1, 0), Entry::Exact(SimTime(1_200)));
+    }
+    /// A class walk on a hand-built two-site FCFS grid with several rows
+    /// per width: the walk reads only the live classes up to the width
+    /// the tail submit can move, and re-keys a moved class only when the
+    /// move crosses a watched row's pivot. The class key is its longest
+    /// row's merit (MaxMin) held by its earliest row, and a pick leaving
+    /// the round re-keys its class to the next row.
+    #[test]
+    fn class_walks_stop_at_unmoved_widths_and_rekey_classes_whose_watched_rows_cross() {
+        // Site 0: all 8 procs busy until 150. Site 1: 4 procs busy until
+        // 1000, a 2-proc job queued on [0, 200): free 2 from 0, 4 from
+        // 200, 8 from 1000.
+        let mut clusters = fcfs_pair((150, 1_000), &[JobSpec::new(102, 0, 2, 200, 200)]);
+        let obs = grid_obs::Obs::enabled();
+        for (c, cluster) in clusters.iter_mut().enumerate() {
+            cluster.set_obs(obs.clone(), c as u32);
+        }
+        // Classes: width 1 (rows 0-2), 2 (row 3), 4 (row 4), 8 (row 5).
+        // Best ECTs: 100, 300, 300, 100 on site 1; 250, 250 on site 0.
+        let jobs = rows(&[(1, 100), (1, 300), (1, 300), (2, 100), (4, 100), (8, 100)]);
+        let pre = vec![SimTime(5_000); jobs.len()];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        let maxmin = crate::heuristics::MaxMinOrder;
+        assert_eq!(v.select(&maxmin), Some(1), "the earlier of rows 1 and 2");
+        let index = v.index.as_ref().unwrap();
+        assert!(index.by_class, "keyed by class");
+        let watch = index.classes.watch[0];
+        // Head and pick: the walltime-300 group (read at its earliest
+        // row); past the run: the walltime-100 group.
+        let (head, past) = ((1, (SimTime(300), 1)), (0, (SimTime(100), 1)));
+        assert_eq!(watch, [head, head, past]);
+        // A 1-proc job on [0, 300): free 1 from 0, 3 from 200, 4 from
+        // 300. Width 1 keeps its start, width 2 moves 0 -> 200 across
+        // row 3's pivot, width 4 moves 200 -> 300 on site 1 but its row
+        // is best on site 0; width 8 (above 3 + 1) is not walked.
+        let before = walked(&obs);
+        v.submit(1, JobSpec::new(103, 0, 1, 300, 300));
+        assert_eq!(walked(&obs) - before, 3);
+        assert_eq!(v.entry(3, 1), Entry::Exact(SimTime(300)));
+        assert_eq!(v.entry(4, 1), Entry::Exact(SimTime(400)));
+        assert_eq!(v.entry(5, 1), Entry::Exact(SimTime(1_100)), "not walked");
+        assert_eq!(v.marked(), [1]);
+        // A pick leaving the round re-keys its class to the next row.
+        v.remove(1);
+        assert_eq!(v.marked(), [0, 1]);
+        assert_eq!(v.select(&maxmin), Some(2));
+        v.remove(2);
+        // Rows 3 (now 250 on site 0), 4 and 5 tie at 250: the earliest.
+        assert_eq!(v.select(&maxmin), Some(3));
+        // A class left without rows leaves the walks.
+        v.remove(3);
+        let before = walked(&obs);
+        // A 4-proc job on [300, 310): widths up to 0 + 4 can move.
+        v.submit(1, JobSpec::new(104, 0, 4, 10, 10));
+        assert_eq!(walked(&obs) - before, 2, "widths 1 and 4");
+    }
+
+    /// Rounding under a faster site ties distinct walltimes: the class
+    /// key scans the whole run of equal merit for its earliest row, not
+    /// just the group at the head's end.
+    #[test]
+    fn class_keys_take_the_earliest_row_of_a_run_of_equal_merit() {
+        let mut clusters: Vec<Cluster> = [1.0, 1.2]
+            .iter()
+            .enumerate()
+            .map(|(c, &speed)| {
+                let spec = ClusterSpec::new(format!("c{c}"), 8, speed);
+                Cluster::new(spec, BatchPolicy::Fcfs)
+            })
+            .collect();
+        clusters[0]
+            .submit(JobSpec::new(100, 0, 8, 1_000, 1_000), SimTime(0))
+            .unwrap();
+        clusters[0].start_due(SimTime(0));
+        // On the 1.2 site 599 and 600 both scale to 500, 598 to 499.
+        let jobs = rows(&[(1, 599), (1, 600), (1, 598)]);
+        let pre = vec![SimTime(5_000); 3];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        assert_eq!(v.select(&crate::heuristics::MaxMinOrder), Some(0));
+        let index = v.index.as_ref().unwrap();
+        assert!(index.by_class, "keyed by class");
+        let watch = index.classes.watch[0];
+        assert_eq!(
+            watch,
+            [
+                (1, (SimTime(500), 1)),
+                (0, (SimTime(500), 1)),
+                (2, (SimTime(499), 1))
+            ]
+        );
+        assert_eq!(v.select(&crate::heuristics::MinMinOrder), Some(2));
+    }
+    /// On equal speeds a shift-invariant ranking (Sufferage) scores every
+    /// row of a width class alike: the class is flat, keyed by its
+    /// earliest alive row, and re-keyed when a moved start crosses that
+    /// row's pivot (its second-smallest pair here).
+    #[test]
+    fn flat_classes_key_their_earliest_row() {
+        let mut clusters = fcfs_pair((150, 1_000), &[JobSpec::new(102, 0, 2, 200, 200)]);
+        // Spreads: 150 for widths 1 and 2 (site 1 at 0, site 0 at 150),
+        // 50 for width 4 (200 vs 150), 850 for width 8 (1000 vs 150).
+        let jobs = rows(&[(1, 300), (1, 100), (2, 100), (4, 100), (8, 100)]);
+        let pre = vec![SimTime(5_000); jobs.len()];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        let sufferage = crate::heuristics::SufferageOrder::CLASSIC;
+        assert_eq!(v.select(&sufferage), Some(4));
+        let index = v.index.as_ref().unwrap();
+        assert!(index.by_class, "keyed by class");
+        assert_eq!(index.classes.order, Order::Flat);
+        v.remove(4);
+        assert_eq!(v.select(&sufferage), Some(0), "widths 1 and 2 tie");
+        // A 1-proc job on [0, 300) on site 1 moves width 2 (0 -> 200)
+        // and width 4 (200 -> 300), not width 1.
+        v.submit(1, JobSpec::new(103, 0, 1, 300, 300));
+        assert_eq!(v.marked(), [1, 2]);
+        v.remove(0);
+        // Width 1 (row 1) spreads 150, width 2 now 50, width 4 150.
+        assert_eq!(v.select(&sufferage), Some(1));
+    }
+    /// A class key hinges on more rows than its head: a row may join the
+    /// pick's run of equal merit without the head's entries moving (so
+    /// the first group past the run is watched), and the pick may leave
+    /// it (so the pick is watched).
+    #[test]
+    fn class_keys_follow_rows_joining_and_leaving_their_run() {
+        // Site 0 at speed 1.2, all 8 procs busy until 100; site 1 free.
+        let mut clusters: Vec<Cluster> = [1.2, 1.0]
+            .iter()
+            .enumerate()
+            .map(|(c, &speed)| {
+                let spec = ClusterSpec::new(format!("c{c}"), 8, speed);
+                Cluster::new(spec, BatchPolicy::Fcfs)
+            })
+            .collect();
+        clusters[0]
+            .submit(JobSpec::new(100, 0, 8, 120, 120), SimTime(0))
+            .unwrap();
+        clusters[0].start_due(SimTime(0));
+        // 599 and 600 both scale to 500 on site 0: row 0 is best at 599
+        // on site 1, row 1 at 600 on site 0 (600 on site 1 too).
+        let jobs = rows(&[(1, 599), (1, 600)]);
+        let pre = vec![SimTime(5_000); 2];
+        let mut v = EctView::cancelled(&mut clusters, &jobs, pre, SimTime(0));
+        let maxmin = crate::heuristics::MaxMinOrder;
+        assert_eq!(v.select(&maxmin), Some(1));
+        // An 8-proc job on [0, 10) on site 1: row 0 rises to 600 (on
+        // site 0) and joins the run, ahead of row 1, whose best stays.
+        v.submit(1, JobSpec::new(101, 0, 8, 10, 10));
+        assert_eq!(v.select(&maxmin), Some(0));
+        // Cancelling it drops row 0 back to 599: the pick leaves.
+        v.cluster_mut(1).cancel(grid_batch::JobId(101), SimTime(0));
+        v.note_cancel(1);
+        assert_eq!(v.select(&maxmin), Some(1));
     }
 }

@@ -26,6 +26,13 @@
 //! per-round priority index, re-keys only the jobs the placement can
 //! move, and re-probes only the jobs whose bound tops the index.
 //!
+//! In Algorithm 2 over FCFS sites (no ECT noise), every job of one
+//! width starts at the same instant on a site, so MinMin and MaxMin rank
+//! the jobs of one width by their walltime alone
+//! (`TargetRank::by_walltime`), and Sufferage scores them all alike when
+//! every site runs at the same speed (`TargetRank::shift_invariant`):
+//! the index then keeps one key per width instead of one per job.
+//!
 //! MinMin, MaxGain and MaxRelGain are **antitone**
 //! (`TargetRank::antitone`): a job's merit can only fall when one of its
 //! ECTs rises. A placement on an FCFS site only pushes that site's
@@ -317,6 +324,9 @@ trait ByBestTarget {
     /// `true` when the score rises with the best target ECT (a job's
     /// best ECT), `false` when it falls (a gain).
     fn rises(&self) -> bool;
+    /// `true` when the score reads the job's current ECT too (a gain),
+    /// `false` when, in `Cancelled` mode, it reads the best target alone.
+    fn reads_cur(&self) -> bool;
     /// Score given the best target ECT (`SimTime::MAX`: no target).
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128;
 }
@@ -331,6 +341,9 @@ impl<T: ByBestTarget> TargetRank for T {
     }
     fn antitone(&self) -> bool {
         ByBestTarget::maximise(self) != self.rises()
+    }
+    fn by_walltime(&self) -> Option<bool> {
+        (!self.reads_cur()).then(|| ByBestTarget::maximise(self) == self.rises())
     }
     fn score(&self, job: &Candidate, ects: &[SimTime]) -> i128 {
         self.score_best(job, min_ect(ects))
@@ -459,6 +472,9 @@ impl ByBestTarget for MinMinOrder {
     fn rises(&self) -> bool {
         true
     }
+    fn reads_cur(&self) -> bool {
+        false
+    }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
         best_ect(job, best)
     }
@@ -483,6 +499,9 @@ impl ByBestTarget for MaxMinOrder {
     }
     fn rises(&self) -> bool {
         true
+    }
+    fn reads_cur(&self) -> bool {
+        false
     }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
         best_ect(job, best)
@@ -509,6 +528,9 @@ impl ByBestTarget for MaxGainOrder {
     fn rises(&self) -> bool {
         false
     }
+    fn reads_cur(&self) -> bool {
+        true
+    }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
         gain(job, best)
     }
@@ -533,6 +555,9 @@ impl ByBestTarget for MaxRelGainOrder {
     }
     fn rises(&self) -> bool {
         false
+    }
+    fn reads_cur(&self) -> bool {
+        true
     }
     fn score_best(&self, job: &Candidate, best: SimTime) -> i128 {
         let g = gain(job, best);
@@ -578,6 +603,10 @@ impl TargetRank for SufferageOrder {
         self.rank + 1
     }
     fn maximise(&self) -> bool {
+        true
+    }
+    // A spread between two options.
+    fn shift_invariant(&self) -> bool {
         true
     }
     fn score(&self, job: &Candidate, ects: &[SimTime]) -> i128 {

@@ -464,3 +464,86 @@ fn pruned_selection_matches_exhaustive_oracle_on_fcfs_grids() {
     );
     assert!(tally.migrations > 1_000, "{tally:?}");
 }
+
+/// A class-tie grid at `NOW`: three to six sites at speeds 1.0, 1.2 and
+/// 1.4 (all 1.0 with `equal`) — FCFS, or with `mixed` CBF on every
+/// other site — each running
+/// one to three jobs of random width until random horizons past `NOW`,
+/// with 60 to 150 waiting jobs of four widths queued at `NOW`. Reference
+/// walltimes fall in two narrow ranges (600..=606 and 1_200..=1_206), so
+/// many jobs share a width and distinct walltimes round to equal scaled
+/// ones on the faster sites: a width class's runs of equal merit span
+/// several walltimes. With `noisy`, every site perturbs its estimates.
+fn class_tie_grid(seed: u64, noisy: bool, mixed: bool, equal: bool) -> Vec<Cluster> {
+    const SPEEDS: [f64; 3] = [1.0, 1.2, 1.4];
+    const WIDTHS: [u32; 4] = [1, 2, 4, 8];
+    let mut rng = SimRng::seed_from_u64(seed);
+    let sites = rng.gen_range(3..=6usize);
+    let mut clusters: Vec<Cluster> = (0..sites)
+        .map(|s| {
+            let procs = 16 << rng.gen_range(0..2u32);
+            let speed = if equal { 1.0 } else { SPEEDS[s % SPEEDS.len()] };
+            let spec = ClusterSpec::new(format!("s{s}"), procs, speed);
+            let policy = if mixed && s % 2 == 1 {
+                BatchPolicy::Cbf
+            } else {
+                BatchPolicy::Fcfs
+            };
+            let mut c = Cluster::new(spec, policy);
+            if noisy {
+                c.set_ect_noise(Some(EctNoise::new(seed ^ s as u64, 0.4)));
+            }
+            let mut free = procs;
+            for r in 0..rng.gen_range(1..=3u64) {
+                let width = rng.gen_range(1..=free);
+                let horizon = rng.gen_range(1..3_000u64) + 2 * NOW.as_secs();
+                let id = 1_000 + 10 * s as u64 + r;
+                c.submit(JobSpec::new(id, 0, width, horizon, horizon), SimTime(0))
+                    .unwrap();
+                free -= width;
+                if free == 0 {
+                    break;
+                }
+            }
+            c.start_due(SimTime(0));
+            c
+        })
+        .collect();
+    for id in 0..rng.gen_range(60..=150u64) {
+        let procs = WIDTHS[rng.gen_range(0..WIDTHS.len())];
+        let walltime = [600, 1_200][rng.gen_range(0..2usize)] + rng.gen_range(0..=6u64);
+        let site = if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(0..sites)
+        };
+        clusters[site]
+            .submit(JobSpec::new(id, id * 3, procs, walltime, walltime), NOW)
+            .unwrap();
+    }
+    clusters
+}
+
+/// The differential on class-tie grids, where MinMin and MaxMin in
+/// Algorithm 2 key width classes: every class key must hold the
+/// earliest row of its run of equal merit, across walltimes that only
+/// rounding ties. Clean and noisy all-FCFS grids; equal-speed ones,
+/// where Sufferage keys width classes too; and mixed FCFS+CBF grids,
+/// whose FCFS columns hold class starts under row keys.
+#[test]
+fn pruned_selection_matches_exhaustive_oracle_on_class_tie_grids() {
+    let pairs = logged_pairs();
+    let mut tally = Tally::default();
+    for seed in 0..16u64 {
+        let (noisy, mixed, equal) = (seed % 2 == 1, (10..12).contains(&seed), seed >= 12);
+        let grid = class_tie_grid(seed, noisy, mixed, equal);
+        let what = format!("class-tie seed {seed} (noisy {noisy}, mixed {mixed}, equal {equal})");
+        assert_matches_oracle(&grid, &what, &pairs, &mut tally);
+    }
+    eprintln!("{tally:?}");
+    assert_eq!(
+        tally.completed, tally.ticks,
+        "FCFS and CBF estimates keep contracts"
+    );
+    assert!(tally.migrations > 1_000, "{tally:?}");
+}
