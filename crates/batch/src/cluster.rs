@@ -199,7 +199,7 @@ impl JobSlab {
     }
 }
 
-/// Counters accumulated over a run (used by tests, ablations and reports).
+/// Counters accumulated over a run (used by tests, benches and reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Jobs accepted by `submit`.
@@ -385,8 +385,8 @@ pub struct Cluster {
     ect_noise: Option<EctNoise>,
     /// Scale walltimes to this cluster's speed (paper §1: "the automatic
     /// adjustment of the walltime to the speed of the cluster"). On by
-    /// default; the A5 ablation turns it off, leaving reservations sized
-    /// for the reference machine.
+    /// default; a campaign's `walltime_adjustment = [false]` turns it
+    /// off, leaving reservations sized for the reference machine.
     adjust_walltime: bool,
     /// Instrumentation handle (disabled by default: a `None` check per
     /// call site, no recording). Never steers scheduling decisions.

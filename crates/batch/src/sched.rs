@@ -31,9 +31,8 @@
 //! homogeneous spelling stays canonical.
 //!
 //! Adding a policy is one file implementing [`LocalScheduler`] plus one
-//! registry line ([`easy_sjf`](crate::easy_sjf) is the worked example; at
-//! runtime, [`BatchPolicy::register`] does the same for downstream
-//! crates).
+//! line in [`BatchPolicy::BUILTINS`] ([`easy_sjf`](crate::easy_sjf) is
+//! the worked example).
 //!
 //! ## Scheduler contract
 //!
@@ -383,18 +382,17 @@ impl BatchPolicy {
             sites: None,
         }
     }
+
+    /// The registry: every base policy, in canonical (paper-table)
+    /// order. Parameterised instances and mixes are reachable through
+    /// expressions, not listed.
+    pub const BUILTINS: [BatchPolicy; 4] = [
+        BatchPolicy::Fcfs,
+        BatchPolicy::Cbf,
+        BatchPolicy::Easy,
+        BatchPolicy::EasySjf, // <- one line per new in-tree policy
+    ];
 }
-
-/// Built-in registry entries, in canonical (paper-table) order.
-static BUILTINS: [BatchPolicy; 4] = [
-    BatchPolicy::Fcfs,
-    BatchPolicy::Cbf,
-    BatchPolicy::Easy,
-    BatchPolicy::EasySjf, // <- one line per new in-tree policy
-];
-
-/// Schedulers registered at runtime by downstream crates.
-static EXTRAS: Mutex<Vec<BatchPolicy>> = Mutex::new(Vec::new());
 
 /// Interned parameterised instances (`EASY(protected=4)`), one per
 /// distinct canonical expression; interning keeps handles `Copy` and
@@ -457,24 +455,10 @@ impl BatchPolicy {
         }
     }
 
-    /// Every registered policy, built-ins first, in registration order
-    /// (base entries only — parameterised instances and mixes are
-    /// reachable through expressions, not listed).
-    pub fn all() -> Vec<BatchPolicy> {
-        let mut out = BUILTINS.to_vec();
-        out.extend(
-            EXTRAS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter(),
-        );
-        out
-    }
-
     /// Look a base policy up by name (case-insensitive). Bare names
     /// only; use [`BatchPolicy::resolve_expr`] for parameterised forms.
     pub fn resolve(name: &str) -> Option<BatchPolicy> {
-        Self::all()
+        Self::BUILTINS
             .into_iter()
             .find(|p| p.name().eq_ignore_ascii_case(name))
     }
@@ -494,7 +478,7 @@ impl BatchPolicy {
             |name| {
                 format!(
                     "unknown batch policy `{name}` (registered: {})",
-                    Self::all()
+                    Self::BUILTINS
                         .iter()
                         .map(|p| p.name())
                         .collect::<Vec<_>>()
@@ -568,35 +552,6 @@ impl BatchPolicy {
             sites: Some(Vec::leak(sites.to_vec())),
         };
         interned.push(policy);
-        policy
-    }
-
-    /// Register a scheduler implementation and return its handle.
-    ///
-    /// # Panics
-    /// Panics if the name is already taken — two policies answering to
-    /// one name would make spec files ambiguous.
-    pub fn register(scheduler: &'static dyn LocalScheduler) -> BatchPolicy {
-        // Check and push under one lock acquisition, so two concurrent
-        // registrations of the same name cannot both pass the check.
-        let mut extras = EXTRAS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let taken = BUILTINS
-            .iter()
-            .chain(extras.iter())
-            .any(|p| p.name().eq_ignore_ascii_case(scheduler.name()));
-        assert!(
-            !taken,
-            "batch policy `{}` is already registered",
-            scheduler.name()
-        );
-        let policy = BatchPolicy {
-            sched: scheduler,
-            key: scheduler.name(),
-            sites: None,
-        };
-        extras.push(policy);
         policy
     }
 }
@@ -1151,7 +1106,7 @@ mod tests {
 
     #[test]
     fn registry_order_is_canonical() {
-        let names: Vec<&str> = BatchPolicy::all().iter().map(|p| p.name()).collect();
+        let names: Vec<&str> = BatchPolicy::BUILTINS.iter().map(|p| p.name()).collect();
         assert!(names.starts_with(&["FCFS", "CBF", "EASY", "EASY-SJF"]));
     }
 
@@ -1168,28 +1123,8 @@ mod tests {
     }
 
     #[test]
-    fn runtime_registration_extends_the_axis() {
-        #[derive(Debug)]
-        struct Custom;
-        impl LocalScheduler for Custom {
-            fn name(&self) -> &'static str {
-                "TEST-CUSTOM"
-            }
-            fn tail_floor(&self, _reserved: &[SimTime], now: SimTime) -> SimTime {
-                now
-            }
-            fn schedule(&self, p: &mut Profile, q: QueueScan<'_>, from: usize, now: SimTime) {
-                CbfScheduler.schedule(p, q, from, now);
-            }
-        }
-        let handle = BatchPolicy::register(&Custom);
-        assert_eq!(BatchPolicy::resolve("test-custom"), Some(handle));
-        assert!(BatchPolicy::all().contains(&handle));
-    }
-
-    #[test]
     fn builtin_keys_match_scheduler_names() {
-        for p in &BUILTINS {
+        for p in &BatchPolicy::BUILTINS {
             assert_eq!(p.key, p.sched.name(), "const key drifted for {}", p.key);
             assert!(!p.is_mix());
         }
@@ -1336,22 +1271,5 @@ mod tests {
         let m = BatchPolicy::mix(&[BatchPolicy::Cbf, BatchPolicy::Cbf]);
         assert_eq!(m.name(), "CBF+CBF");
         assert_ne!(m, BatchPolicy::Cbf);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn duplicate_names_are_rejected() {
-        #[derive(Debug)]
-        struct Dup;
-        impl LocalScheduler for Dup {
-            fn name(&self) -> &'static str {
-                "FCFS"
-            }
-            fn tail_floor(&self, _reserved: &[SimTime], now: SimTime) -> SimTime {
-                now
-            }
-            fn schedule(&self, _p: &mut Profile, _q: QueueScan<'_>, _f: usize, _n: SimTime) {}
-        }
-        BatchPolicy::register(&Dup);
     }
 }

@@ -42,9 +42,7 @@ fn suite() -> SuiteConfig {
         // about 1.7 ms of margin. On a run of about a millisecond it
         // would gate on timer noise.
         fraction: 0.01,
-        period: grid_des::Duration::hours(1),
-        threshold: grid_des::Duration::secs(60),
-        fault: grid_fault::Fault::NONE,
+        ..SuiteConfig::default()
     }
 }
 

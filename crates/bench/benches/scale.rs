@@ -38,9 +38,7 @@ fn suite(fraction: f64) -> SuiteConfig {
     SuiteConfig {
         seed: 42,
         fraction,
-        period: grid_des::Duration::hours(1),
-        threshold: grid_des::Duration::secs(60),
-        fault: grid_fault::Fault::NONE,
+        ..SuiteConfig::default()
     }
 }
 

@@ -1,9 +1,10 @@
 //! Fold run outcomes back into paper tables and machine-readable exports.
 //!
 //! Reference runs and reallocation runs are paired by
-//! `(scenario, flavour, policy, seed)`; each pairing yields the §3.4
-//! [`Comparison`]. Comparisons are then grouped by
-//! `(flavour, seed, period, threshold)` — for the paper's spec that is
+//! `(scenario, flavour, policy, seed)` (plus the fault, mapping and
+//! walltime-scaling axes); each pairing yields the §3.4 [`Comparison`].
+//! Comparisons are then grouped by `(flavour, seed, period, threshold)`
+//! and those axes — for the paper's spec that is
 //! exactly the two groups (homogeneous, heterogeneous) whose tables the
 //! paper prints; sweep specs get one table set per sweep point.
 //!
@@ -40,8 +41,10 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use grid_batch::BatchPolicy;
 use grid_fault::Fault;
 use grid_metrics::{Comparison, PaperTable, RunOutcome};
-use grid_realloc::experiments::{table_number, ExperimentKey, Metric, SuiteResults};
-use grid_realloc::Heuristic;
+use grid_realloc::experiments::{
+    shape_checks, table1, table_number, ExperimentKey, Metric, SuiteResults,
+};
+use grid_realloc::{Heuristic, Mapping};
 use grid_ser::Value;
 
 use crate::cache::ResultCache;
@@ -62,6 +65,52 @@ pub struct GroupKey {
     /// Injected faults — each fault point is its own table group, so a
     /// sweep reads as "the same tables, degrading with intensity".
     pub fault: Fault,
+    /// Initial mapping policy.
+    pub mapping: Mapping,
+    /// Walltimes scaled to cluster speeds?
+    pub walltime_adjustment: bool,
+}
+
+/// The axes off the paper's defaults that a campaign's exports carry a
+/// column (and its group headers a segment) for. A campaign on the
+/// paper's axes carries none of them, so its reports stay byte-identical
+/// to the engine before those axes existed (golden suite).
+#[derive(Debug, Clone, Copy, Default)]
+struct ExtraAxes {
+    fault: bool,
+    mapping: bool,
+    walltime: bool,
+}
+
+impl ExtraAxes {
+    fn of<'a>(groups: impl IntoIterator<Item = &'a GroupKey>) -> ExtraAxes {
+        groups
+            .into_iter()
+            .fold(ExtraAxes::default(), |e, g| ExtraAxes {
+                fault: e.fault || !g.fault.is_none(),
+                mapping: e.mapping || g.mapping != Mapping::Mct,
+                walltime: e.walltime || !g.walltime_adjustment,
+            })
+    }
+
+    fn any(self) -> bool {
+        self.fault || self.mapping || self.walltime
+    }
+
+    /// The group-header tail, e.g. ` / fault none / mapping Random`.
+    fn header(self, fault: Fault, mapping: Mapping, walltime_adjustment: bool) -> String {
+        let mut out = String::new();
+        if self.fault {
+            out.push_str(&format!(" / fault {fault}"));
+        }
+        if self.mapping {
+            out.push_str(&format!(" / mapping {mapping}"));
+        }
+        if self.walltime {
+            out.push_str(&format!(" / walltime_adjustment {walltime_adjustment}"));
+        }
+        out
+    }
 }
 
 /// Aggregated campaign: suite results per group.
@@ -171,6 +220,8 @@ fn group_cell(unit: &RunUnit, setting: &ReallocSetting) -> (GroupKey, Experiment
             period_s: setting.period.as_secs(),
             threshold_s: setting.threshold.as_secs(),
             fault: unit.fault,
+            mapping: unit.mapping,
+            walltime_adjustment: unit.walltime_adjustment,
         },
         ExperimentKey {
             scenario: unit.scenario,
@@ -282,9 +333,9 @@ pub fn stream_csv<W: std::io::Write>(
     if !missing.is_empty() {
         return Err(missing_error(&missing));
     }
-    let faulted = rows.iter().any(|(g, _)| !g.fault.is_none());
+    let extra = ExtraAxes::of(rows.iter().map(|(g, _)| g));
     let io = |e: std::io::Error| format!("csv stream: {e}");
-    out.write_all(csv_header(faulted, false).as_bytes())
+    out.write_all(csv_header(extra, false).as_bytes())
         .map_err(io)?;
     let mut baseline = None;
     for &(group, i) in &rows {
@@ -295,7 +346,7 @@ pub fn stream_csv<W: std::io::Write>(
             RunKind::Realloc(setting) => group_cell(unit, &setting),
             RunKind::Reference => unreachable!("export_order keeps only reallocation units"),
         };
-        out.write_all(csv_row(&group, &cell, &comparison, faulted, "").as_bytes())
+        out.write_all(csv_row(&group, &cell, &comparison, extra, "").as_bytes())
             .map_err(io)?;
     }
     Ok(())
@@ -483,6 +534,10 @@ pub struct SeedAggKey {
     pub threshold_s: u64,
     /// Injected faults.
     pub fault: Fault,
+    /// Initial mapping policy.
+    pub mapping: Mapping,
+    /// Walltimes scaled to cluster speeds?
+    pub walltime_adjustment: bool,
 }
 
 /// Cross-seed statistics of one group.
@@ -526,6 +581,8 @@ impl StreamAgg {
             period_s: group.period_s,
             threshold_s: group.threshold_s,
             fault: group.fault,
+            mapping: group.mapping,
+            walltime_adjustment: group.walltime_adjustment,
         };
         let g = self.groups.entry(key).or_default();
         if g.last_seed != Some(group.seed) {
@@ -560,12 +617,10 @@ impl StreamAgg {
 }
 
 impl CampaignResults {
-    /// `true` when any group carries an injected fault — the single
-    /// gate for every fault-aware export surface (group headers, the
-    /// CSV `fault` column): healthy campaigns must stay byte-identical
-    /// to the pre-fault engine everywhere at once.
-    fn faulted(&self) -> bool {
-        self.groups.keys().any(|g| !g.fault.is_none())
+    /// The single gate for every axis-aware export surface (group
+    /// headers, CSV columns).
+    fn extra_axes(&self) -> ExtraAxes {
+        ExtraAxes::of(self.groups.keys())
     }
 
     /// Fold the per-seed groups into per-`(flavour, period, threshold)`
@@ -674,23 +729,38 @@ impl CampaignResults {
         self.render_per_seed_tables()
     }
 
+    /// Table 1 and the paper's shape checks, as `campaign report --check`
+    /// prints them after the tables. Needs the paper's group structure
+    /// ([`paper_suites`]): one homogeneous and one heterogeneous group.
+    pub fn render_checks(&self) -> Result<String, String> {
+        let (hom, het) = paper_suites(self).ok_or(
+            "the shape checks need exactly one homogeneous and one heterogeneous \
+             table group (one seed, period, threshold, fault, mapping and walltime setting)",
+        )?;
+        let mut out = format!("{}\n## Shape checks (paper vs measured)\n", table1());
+        for check in shape_checks(&hom, &het) {
+            out.push_str(&format!(
+                "[{}] {}\n    paper:    {}\n    measured: {}\n",
+                if check.pass { "PASS" } else { "MISS" },
+                check.name,
+                check.paper,
+                check.measured
+            ));
+        }
+        out.push('\n');
+        Ok(out)
+    }
+
     /// The classic per-seed rendering.
     fn render_per_seed_tables(&self) -> String {
         let mut out = String::new();
-        let faulted = self.faulted();
-        let multi_group = self.groups.len() > 1 || faulted;
+        let extra = self.extra_axes();
+        let multi_group = self.groups.len() > 1 || extra.any();
         for (key, results) in &self.groups {
             if multi_group {
-                // The fault segment appears only in faulted campaigns,
-                // keeping healthy-campaign reports byte-identical to the
-                // pre-fault engine (golden suite).
-                let fault = if faulted {
-                    format!(" / fault {}", key.fault)
-                } else {
-                    String::new()
-                };
+                let tail = extra.header(key.fault, key.mapping, key.walltime_adjustment);
                 out.push_str(&format!(
-                    "## group: {} / seed {} / period {}s / threshold {}s{fault}\n\n",
+                    "## group: {} / seed {} / period {}s / threshold {}s{tail}\n\n",
                     if key.heterogeneous {
                         "heterogeneous"
                     } else {
@@ -716,15 +786,11 @@ impl CampaignResults {
     /// The multi-seed rendering: one group per sweep point, mean + CI.
     fn render_seed_aggregated_tables(&self) -> String {
         let mut out = String::new();
-        let faulted = self.faulted();
+        let extra = self.extra_axes();
         for (key, agg) in self.seed_aggregates() {
-            let fault = if faulted {
-                format!(" / fault {}", key.fault)
-            } else {
-                String::new()
-            };
+            let tail = extra.header(key.fault, key.mapping, key.walltime_adjustment);
             out.push_str(&format!(
-                "## group: {} / period {}s / threshold {}s{fault} — mean ± 95% CI over {} seeds\n\n",
+                "## group: {} / period {}s / threshold {}s{tail} — mean ± 95% CI over {} seeds\n\n",
                 if key.heterogeneous {
                     "heterogeneous"
                 } else {
@@ -752,9 +818,10 @@ impl CampaignResults {
     /// Policy-expression fields may contain commas
     /// (`load-threshold(factor=1.5, floor_s=30)`); such fields are
     /// CSV-quoted. Bare names are emitted unquoted, byte-identical to
-    /// the pre-expression exports. Campaigns with a fault axis gain a
-    /// `fault` column (canonical fault expression per cell); healthy
-    /// campaigns keep the historical header byte for byte.
+    /// the pre-expression exports. Campaigns with a fault, mapping or
+    /// walltime-scaling point off the paper's defaults gain a `fault`,
+    /// `mapping` or `walltime_adjustment` column; campaigns on the
+    /// paper's axes keep the historical header byte for byte.
     pub fn to_csv(&self) -> String {
         self.csv_with(None)
     }
@@ -770,8 +837,8 @@ impl CampaignResults {
     }
 
     fn csv_with(&self, stats: Option<&StatsIndex>) -> String {
-        let faulted = self.faulted();
-        let mut out = csv_header(faulted, stats.is_some());
+        let extra = self.extra_axes();
+        let mut out = csv_header(extra, stats.is_some());
         for (group, results) in &self.groups {
             let mut keys: Vec<&ExperimentKey> = results.comparisons.keys().collect();
             keys.sort_by_key(|k| {
@@ -802,7 +869,7 @@ impl CampaignResults {
                         None => ",,,,,,,".to_string(),
                     },
                 };
-                out.push_str(&csv_row(group, key, c, faulted, &stats_field));
+                out.push_str(&csv_row(group, key, c, extra, &stats_field));
             }
         }
         out
@@ -844,11 +911,12 @@ impl CampaignResults {
                 row.insert("period_s", group.period_s);
                 row.insert("threshold_s", group.threshold_s);
                 row.insert("seed", group.seed);
-                // Healthy cells omit the key (byte-compat with pre-fault
-                // exports); faulted cells carry the canonical expression.
-                if !group.fault.is_none() {
-                    row.insert("fault", group.fault.name());
-                }
+                insert_axes(
+                    &mut row,
+                    group.fault,
+                    group.mapping,
+                    group.walltime_adjustment,
+                );
                 if let Some(s) = stats.and_then(|index| index.get(group)?.get(key)) {
                     let mut sched = Value::object();
                     sched.insert("first_fit_probes", s.first_fit_probes);
@@ -902,9 +970,7 @@ impl CampaignResults {
                     row.insert("heuristic", cell.heuristic.label());
                     row.insert("period_s", key.period_s);
                     row.insert("threshold_s", key.threshold_s);
-                    if !key.fault.is_none() {
-                        row.insert("fault", key.fault.name());
-                    }
+                    insert_axes(&mut row, key.fault, key.mapping, key.walltime_adjustment);
                     row.insert("metric", format!("{metric:?}"));
                     row.insert("mean", stats.mean);
                     row.insert("ci95", stats.ci95);
@@ -918,10 +984,33 @@ impl CampaignResults {
     }
 }
 
+/// Key a JSON row by the axes off the paper's defaults; a cell on the
+/// defaults omits each key (byte-compat with exports that predate them).
+fn insert_axes(row: &mut Value, fault: Fault, mapping: Mapping, walltime_adjustment: bool) {
+    if !fault.is_none() {
+        row.insert("fault", fault.name());
+    }
+    if mapping != Mapping::Mct {
+        row.insert("mapping", mapping.name());
+    }
+    if !walltime_adjustment {
+        row.insert("walltime_adjustment", false);
+    }
+}
+
 /// The CSV header line, shared by the materialised and streaming
 /// exports so they cannot drift.
-fn csv_header(faulted: bool, stats: bool) -> String {
-    let fault_col = if faulted { ",fault" } else { "" };
+fn csv_header(extra: ExtraAxes, stats: bool) -> String {
+    let axis_cols = format!(
+        "{}{}{}",
+        if extra.fault { ",fault" } else { "" },
+        if extra.mapping { ",mapping" } else { "" },
+        if extra.walltime {
+            ",walltime_adjustment"
+        } else {
+            ""
+        },
+    );
     let stats_col = if stats {
         // New columns append after `evicted` — tooling that greps the
         // original four keeps matching.
@@ -932,7 +1021,7 @@ fn csv_header(faulted: bool, stats: bool) -> String {
         ""
     };
     format!(
-        "scenario,platform,policy,algorithm,heuristic,period_s,threshold_s,seed{fault_col},\
+        "scenario,platform,policy,algorithm,heuristic,period_s,threshold_s,seed{axis_cols},\
          n_jobs,impacted,earlier,later,reallocations,pct_impacted,pct_earlier,rel_avg_response\
          {stats_col}\n",
     )
@@ -944,16 +1033,27 @@ fn csv_row(
     group: &GroupKey,
     key: &ExperimentKey,
     c: &Comparison,
-    faulted: bool,
+    extra: ExtraAxes,
     stats_field: &str,
 ) -> String {
-    let fault_field = if faulted {
-        format!(",{}", csv_field(group.fault.name()))
-    } else {
-        String::new()
-    };
+    let mut axis_fields = String::new();
+    if extra.fault {
+        axis_fields.push(',');
+        axis_fields.push_str(&csv_field(group.fault.name()));
+    }
+    if extra.mapping {
+        axis_fields.push(',');
+        axis_fields.push_str(&csv_field(group.mapping.name()));
+    }
+    if extra.walltime {
+        axis_fields.push_str(if group.walltime_adjustment {
+            ",true"
+        } else {
+            ",false"
+        });
+    }
     format!(
-        "{},{},{},{},{},{},{},{}{fault_field},{},{},{},{},{},{},{},{}{stats_field}\n",
+        "{},{},{},{},{},{},{},{}{axis_fields},{},{},{},{},{},{},{},{}{stats_field}\n",
         key.scenario.label(),
         if group.heterogeneous { "het" } else { "hom" },
         csv_field(key.policy.name()),

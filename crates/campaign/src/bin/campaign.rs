@@ -13,7 +13,7 @@
 //! campaign status [DIR] --spec FILE [--cache DIR] [--json]
 //!                 [--serve ADDR]
 //! campaign report --spec FILE [--cache DIR] [--format tables|csv|json]
-//!                 [--out FILE] [--stats] [--converge TARGET]
+//!                 [--out FILE] [--stats] [--check] [--converge TARGET]
 //! campaign gc     --spec FILE [--spec FILE ...] [--cache DIR]
 //! ```
 //!
@@ -32,7 +32,9 @@
 //!
 //! `run` executes the spec's expansion in one process, resuming from
 //! the content-addressed cache; `report` then aggregates the campaign
-//! into the paper's tables or CSV/JSON.
+//! into the paper's tables or CSV/JSON. `report --check` appends Table 1
+//! and the paper's qualitative shape checks (PASS/MISS) to the tables;
+//! it needs a campaign with one homogeneous and one heterogeneous group.
 //!
 //! `runner` spreads the same drain over several processes: start any
 //! number of `campaign runner` processes against the same cache
@@ -75,6 +77,7 @@ struct CommonArgs {
     progress: bool,
     trace: Option<PathBuf>,
     stats: bool,
+    check: bool,
     format: String,
     out: Option<PathBuf>,
     runner_id: Option<String>,
@@ -99,7 +102,7 @@ impl CommonArgs {
 
 const USAGE: &str = "usage: campaign <plan|run|runner|status|report|gc> [--spec FILE]... \
 [--cache DIR] [--threads N] [--format tables|csv|json] [--out FILE] \
-[--quiet] [--progress] [--trace DIR] [--stats] [--runner-id ID] [--lease-ttl SECS] \
+[--quiet] [--progress] [--trace DIR] [--stats] [--check] [--runner-id ID] [--lease-ttl SECS] \
 [--poll-ms MS] [--converge TARGET] [--min-seeds N] [--json] [--serve ADDR] \
 [--metrics-addr ADDR]";
 
@@ -113,6 +116,7 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, CommonArgs), String> 
         progress: false,
         trace: None,
         stats: false,
+        check: false,
         format: "tables".into(),
         out: None,
         runner_id: None,
@@ -145,6 +149,7 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, CommonArgs), String> 
             "--progress" => parsed.progress = true,
             "--trace" => parsed.trace = Some(PathBuf::from(value(&mut args, "--trace")?)),
             "--stats" => parsed.stats = true,
+            "--check" => parsed.check = true,
             "--runner-id" => parsed.runner_id = Some(value(&mut args, "--runner-id")?),
             "--lease-ttl" => {
                 parsed.lease_ttl = value(&mut args, "--lease-ttl")?
@@ -194,6 +199,9 @@ fn parse_args(mut args: std::env::Args) -> Result<(String, CommonArgs), String> 
     }
     if !["tables", "csv", "json"].contains(&parsed.format.as_str()) {
         return Err(format!("unknown --format {:?}", parsed.format));
+    }
+    if parsed.check && parsed.format != "tables" {
+        return Err("--check prints after the tables: it needs --format tables".into());
     }
     if parsed.specs.is_empty() {
         parsed
@@ -640,6 +648,7 @@ fn cmd_report(opts: &CommonArgs) -> Result<(), String> {
         .stats
         .then(|| grid_campaign::stats_index(&plan, &cache));
     let rendered = match (opts.format.as_str(), &stats) {
+        ("tables", _) if opts.check => results.render_tables() + &results.render_checks()?,
         ("tables", _) => results.render_tables(),
         ("csv", Some(stats)) => results.to_csv_with_stats(stats),
         ("csv", None) => unreachable!("plain CSV streams above"),

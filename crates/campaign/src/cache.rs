@@ -329,6 +329,8 @@ mod tests {
             seed,
             fraction: 0.01,
             fault: grid_fault::Fault::NONE,
+            mapping: grid_realloc::Mapping::Mct,
+            walltime_adjustment: true,
             kind: RunKind::Reference,
         }
     }

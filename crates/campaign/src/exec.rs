@@ -17,7 +17,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use grid_batch::ClusterStats;
-use grid_des::Duration;
 use grid_metrics::RunOutcome;
 use grid_obs::{Obs, ProgressView};
 use grid_realloc::experiments::{run_one, run_one_observed, SuiteConfig};
@@ -110,16 +109,16 @@ pub fn simulate_observed(
 /// A unit's reallocation setting (`None` for a reference run) and the
 /// suite knobs it runs under.
 fn run_setup(unit: &RunUnit) -> (Option<ReallocConfig>, SuiteConfig) {
-    let (realloc, period, threshold) = match unit.kind {
-        RunKind::Reference => (None, Duration::hours(1), Duration::secs(60)),
-        RunKind::Realloc(setting) => (Some(setting.to_config()), setting.period, setting.threshold),
+    let realloc = match unit.kind {
+        RunKind::Reference => None,
+        RunKind::Realloc(setting) => Some(setting.to_config()),
     };
     let suite = SuiteConfig {
         seed: unit.seed,
         fraction: unit.fraction,
-        period,
-        threshold,
         fault: unit.fault,
+        mapping: unit.mapping,
+        walltime_adjustment: unit.walltime_adjustment,
     };
     (realloc, suite)
 }

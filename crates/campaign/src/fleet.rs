@@ -50,16 +50,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use grid_batch::BatchPolicy;
-use grid_fault::Fault;
 use grid_obs::{Counter, Gauge, MetricsRegistry, ProgressView, RunnerRow};
 use grid_ser::Value;
-use grid_workload::Scenario;
 
 use crate::aggregate::Welford;
 use crate::cache::ResultCache;
 use crate::exec::{compute_and_store, safe_stem, Computed, RunFailure};
-use crate::plan::{CampaignPlan, ReallocSetting, RunKind, RunUnit};
+use crate::plan::{CampaignPlan, ReallocSetting, RunKind, RunUnit, SetupKey};
 use crate::spec::{CampaignSpec, Converge};
 
 /// Subdirectory of the cache holding lease and failure-marker files.
@@ -528,7 +525,7 @@ pub struct ConvergenceTracker {
     values: Vec<Vec<Option<SeedVal>>>,
 }
 
-type CellKey = (Scenario, bool, BatchPolicy, ReallocSetting, Fault);
+type CellKey = (SetupKey, ReallocSetting);
 
 impl ConvergenceTracker {
     /// Index `plan` (which must be `spec`'s expansion) for frontier
@@ -547,13 +544,7 @@ impl ConvergenceTracker {
             let RunKind::Realloc(setting) = unit.kind else {
                 continue;
             };
-            let key = (
-                unit.scenario,
-                unit.heterogeneous,
-                unit.policy,
-                setting,
-                unit.fault,
-            );
+            let key = (unit.setup_key(), setting);
             let id = *cell_ids.entry(key).or_insert_with(|| {
                 cells.push(vec![usize::MAX; spec.seeds.len()]);
                 cells.len() - 1
@@ -562,15 +553,10 @@ impl ConvergenceTracker {
             cells[id][sp] = i;
             realloc_of.insert(i, (id, sp));
         }
-        // A reference baselines every cell sharing its
-        // (scenario, flavour, policy, fault).
-        let mut dependents: HashMap<(Scenario, bool, BatchPolicy, Fault), Vec<usize>> =
-            HashMap::new();
+        // A reference baselines every cell sharing its setup key.
+        let mut dependents: HashMap<SetupKey, Vec<usize>> = HashMap::new();
         for (key, &id) in &cell_ids {
-            dependents
-                .entry((key.0, key.1, key.2, key.4))
-                .or_default()
-                .push(id);
+            dependents.entry(key.0).or_default().push(id);
         }
         for deps in dependents.values_mut() {
             deps.sort_unstable();
@@ -581,7 +567,7 @@ impl ConvergenceTracker {
                 continue;
             }
             let deps = dependents
-                .get(&(unit.scenario, unit.heterogeneous, unit.policy, unit.fault))
+                .get(&unit.setup_key())
                 .cloned()
                 .unwrap_or_default();
             refs_of.insert(i, (deps, seed_pos[&unit.seed]));

@@ -3,7 +3,7 @@
 use grid_batch::BatchPolicy;
 use grid_des::Duration;
 use grid_fault::Fault;
-use grid_realloc::{Heuristic, ReallocAlgorithm, ReallocConfig};
+use grid_realloc::{Heuristic, Mapping, ReallocAlgorithm, ReallocConfig};
 use grid_ser::Value;
 use grid_workload::Scenario;
 
@@ -57,14 +57,19 @@ pub struct RunUnit {
     pub fraction: f64,
     /// Injected faults ([`Fault::NONE`] = the paper's healthy grid).
     pub fault: Fault,
+    /// Initial mapping policy ([`Mapping::Mct`] = the paper's).
+    pub mapping: Mapping,
+    /// Walltimes scaled to cluster speeds (`true` = the paper's §1).
+    pub walltime_adjustment: bool,
     /// Reference or reallocation run.
     pub kind: RunKind,
 }
 
 impl RunUnit {
     /// Compact human-readable identifier, e.g.
-    /// `apr/het/FCFS/cancel-all/MinMin/p3600/t60/s42`; fault-injected
-    /// units append the canonical fault expression.
+    /// `apr/het/FCFS/cancel-all/MinMin/p3600/t60/s42`; units off the
+    /// paper's defaults append the canonical fault expression,
+    /// `mapping=NAME` and `walltime_adjustment=false`.
     pub fn label(&self) -> String {
         let base = format!(
             "{}/{}/{}",
@@ -86,6 +91,13 @@ impl RunUnit {
         if !self.fault.is_none() {
             label.push('/');
             label.push_str(self.fault.name());
+        }
+        if self.mapping != Mapping::Mct {
+            label.push_str("/mapping=");
+            label.push_str(self.mapping.name());
+        }
+        if !self.walltime_adjustment {
+            label.push_str("/walltime_adjustment=false");
         }
         label
     }
@@ -110,6 +122,13 @@ impl RunUnit {
         if !self.fault.is_none() {
             d.insert("fault", self.fault.name());
         }
+        // Likewise for the mapping and walltime-scaling axes.
+        if self.mapping != Mapping::Mct {
+            d.insert("mapping", self.mapping.name());
+        }
+        if !self.walltime_adjustment {
+            d.insert("walltime_adjustment", false);
+        }
         match self.kind {
             RunKind::Reference => d.insert("kind", "reference"),
             RunKind::Realloc(r) => {
@@ -127,22 +146,34 @@ impl RunUnit {
     /// The key of the reference run this unit compares against (itself
     /// for reference units). Faulted runs compare against the reference
     /// under the *same* fault, so a campaign measures the reallocation
-    /// gain that survives the fault, not the fault itself.
+    /// gain that survives the fault, not the fault itself; likewise for
+    /// the mapping and walltime-scaling axes.
     pub fn baseline_key(&self) -> BaselineKey {
+        (self.seed, self.setup_key())
+    }
+
+    /// Everything but the seed that the unit's reference run depends on.
+    pub fn setup_key(&self) -> SetupKey {
         (
             self.scenario,
             self.heterogeneous,
             self.policy,
-            self.seed,
             self.fault,
+            self.mapping,
+            self.walltime_adjustment,
         )
     }
 }
 
+/// The seedless part of a [`BaselineKey`], as [`RunUnit::setup_key`]
+/// returns it: scenario, flavour, policy, fault, mapping and walltime
+/// scaling.
+pub type SetupKey = (Scenario, bool, BatchPolicy, Fault, Mapping, bool);
+
 /// The identity of a reference run, as [`RunUnit::baseline_key`]
 /// returns it: every reallocation unit sharing this key compares
 /// against the same reference outcome.
-pub type BaselineKey = (Scenario, bool, BatchPolicy, u64, Fault);
+pub type BaselineKey = (u64, SetupKey);
 
 /// Deterministic expansion of a [`crate::CampaignSpec`].
 #[derive(Debug, Clone)]
@@ -189,6 +220,8 @@ mod tests {
             seed: 42,
             fraction: 0.01,
             fault: Fault::NONE,
+            mapping: Mapping::Mct,
+            walltime_adjustment: true,
             kind,
         }
     }
@@ -227,7 +260,37 @@ mod tests {
             .encode()
             .contains("fault"));
         // The baseline of a faulted run is the faulted reference.
-        assert_eq!(u.baseline_key().4, fault);
+        assert_eq!(u.setup_key().3, fault);
+    }
+
+    #[test]
+    fn non_default_mapping_and_walltime_extend_labels_and_descriptors() {
+        let plain = unit(RunKind::Reference);
+        let mut u = plain.clone();
+        u.mapping = Mapping::resolve_expr("RoundRobin(offset=1)").unwrap();
+        u.walltime_adjustment = false;
+        assert_eq!(
+            u.label(),
+            "jun/het/FCFS/reference/s42/mapping=RoundRobin(offset=1)/walltime_adjustment=false"
+        );
+        let enc = u.descriptor().encode();
+        assert!(
+            enc.contains("\"mapping\":\"RoundRobin(offset=1)\""),
+            "{enc}"
+        );
+        assert!(enc.contains("\"walltime_adjustment\":false"), "{enc}");
+        // The defaults leave no trace in the descriptor.
+        let base = plain.descriptor().encode();
+        assert!(
+            !base.contains("mapping") && !base.contains("walltime"),
+            "{base}"
+        );
+        // Each axis moves the baseline on its own.
+        assert_ne!(u.baseline_key(), plain.baseline_key());
+        let mut w = plain.clone();
+        w.walltime_adjustment = false;
+        assert_ne!(w.baseline_key(), plain.baseline_key());
+        assert_ne!(w.descriptor().encode(), u.descriptor().encode());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use grid_batch::BatchPolicy;
 use grid_des::Duration;
 use grid_fault::Fault;
-use grid_realloc::{Heuristic, ReallocAlgorithm};
+use grid_realloc::{Heuristic, Mapping, ReallocAlgorithm};
 use grid_ser::json::SerError;
 use grid_ser::{toml, Value};
 use grid_workload::Scenario;
@@ -55,6 +55,11 @@ pub struct CampaignSpec {
     /// point gets its own reference runs, so reallocation-vs-none
     /// comparisons measure the gain *under* the fault.
     pub faults: Vec<Fault>,
+    /// Initial mapping policies (paper: MCT). Like faults, every point
+    /// gets its own reference runs.
+    pub mappings: Vec<Mapping>,
+    /// Walltime scaling to cluster speeds, on and/or off (paper: on).
+    pub walltime_adjustment: Vec<bool>,
     /// Reallocation periods, seconds (paper: one hour).
     pub periods_s: Vec<u64>,
     /// Algorithm-1 improvement thresholds, seconds (paper: one minute).
@@ -82,6 +87,8 @@ impl CampaignSpec {
             algorithms: ReallocAlgorithm::ALL.to_vec(),
             heuristics: Heuristic::ALL.to_vec(),
             faults: vec![Fault::NONE],
+            mappings: vec![Mapping::Mct],
+            walltime_adjustment: vec![true],
             periods_s: vec![3_600],
             thresholds_s: vec![60],
             seeds: vec![42],
@@ -150,6 +157,12 @@ impl CampaignSpec {
             algorithms: parse_axis(matrix, "algorithms", &paper.algorithms, parse_algorithm)?,
             heuristics: parse_axis(matrix, "heuristics", &paper.heuristics, parse_heuristic)?,
             faults: parse_axis(matrix, "faults", &paper.faults, parse_fault)?,
+            mappings: parse_axis(matrix, "mappings", &paper.mappings, parse_mapping)?,
+            walltime_adjustment: parse_bool_axis(
+                matrix,
+                "walltime_adjustment",
+                &paper.walltime_adjustment,
+            )?,
             periods_s: parse_u64_axis(matrix, "periods_s", &paper.periods_s)?,
             thresholds_s: parse_u64_axis(matrix, "thresholds_s", &paper.thresholds_s)?,
             seeds: parse_u64_axis(v, "seeds", &paper.seeds)?,
@@ -189,6 +202,8 @@ impl CampaignSpec {
         check("algorithms", &self.algorithms)?;
         check("heuristics", &self.heuristics)?;
         check("faults", &self.faults)?;
+        check("mappings", &self.mappings)?;
+        check("walltime_adjustment", &self.walltime_adjustment)?;
         check("periods_s", &self.periods_s)?;
         check("thresholds_s", &self.thresholds_s)?;
         check("seeds", &self.seeds)?;
@@ -222,54 +237,53 @@ impl CampaignSpec {
     }
 
     /// Expand the matrix into the deterministic run plan: one reference
-    /// run per (seed, scenario, flavour, policy), then the cross product
-    /// of reallocation settings.
+    /// run per (seed, fault, mapping, walltime scaling, scenario,
+    /// flavour, policy), then the cross product of reallocation settings.
     pub fn expand(&self) -> CampaignPlan {
         let mut units = Vec::with_capacity(self.total_runs());
-        for &seed in &self.seeds {
-            for &fault in &self.faults {
-                for &scenario in &self.scenarios {
-                    for &heterogeneous in &self.heterogeneity {
-                        for &policy in &self.policies {
+        self.for_each_reference(|reference| units.push(reference.clone()));
+        self.for_each_reference(|reference| {
+            for &algorithm in &self.algorithms {
+                for &heuristic in &self.heuristics {
+                    for &period in &self.periods_s {
+                        for &threshold in &self.thresholds_s {
                             units.push(RunUnit {
-                                scenario,
-                                heterogeneous,
-                                policy,
-                                seed,
-                                fraction: self.fraction,
-                                fault,
-                                kind: RunKind::Reference,
+                                kind: RunKind::Realloc(ReallocSetting {
+                                    algorithm,
+                                    heuristic,
+                                    period: Duration::secs(period),
+                                    threshold: Duration::secs(threshold),
+                                }),
+                                ..reference.clone()
                             });
                         }
                     }
                 }
             }
-        }
+        });
+        CampaignPlan { units }
+    }
+
+    /// Visit every reference unit, in expansion order.
+    fn for_each_reference(&self, mut visit: impl FnMut(&RunUnit)) {
         for &seed in &self.seeds {
             for &fault in &self.faults {
-                for &scenario in &self.scenarios {
-                    for &heterogeneous in &self.heterogeneity {
-                        for &policy in &self.policies {
-                            for &algorithm in &self.algorithms {
-                                for &heuristic in &self.heuristics {
-                                    for &period in &self.periods_s {
-                                        for &threshold in &self.thresholds_s {
-                                            units.push(RunUnit {
-                                                scenario,
-                                                heterogeneous,
-                                                policy,
-                                                seed,
-                                                fraction: self.fraction,
-                                                fault,
-                                                kind: RunKind::Realloc(ReallocSetting {
-                                                    algorithm,
-                                                    heuristic,
-                                                    period: Duration::secs(period),
-                                                    threshold: Duration::secs(threshold),
-                                                }),
-                                            });
-                                        }
-                                    }
+                for &mapping in &self.mappings {
+                    for &walltime_adjustment in &self.walltime_adjustment {
+                        for &scenario in &self.scenarios {
+                            for &heterogeneous in &self.heterogeneity {
+                                for &policy in &self.policies {
+                                    visit(&RunUnit {
+                                        scenario,
+                                        heterogeneous,
+                                        policy,
+                                        seed,
+                                        fraction: self.fraction,
+                                        fault,
+                                        mapping,
+                                        walltime_adjustment,
+                                        kind: RunKind::Reference,
+                                    });
                                 }
                             }
                         }
@@ -277,13 +291,14 @@ impl CampaignSpec {
                 }
             }
         }
-        CampaignPlan { units }
     }
 
     /// Run count the expansion will produce.
     pub fn total_runs(&self) -> usize {
         let base = self.seeds.len()
             * self.faults.len()
+            * self.mappings.len()
+            * self.walltime_adjustment.len()
             * self.scenarios.len()
             * self.heterogeneity.len()
             * self.policies.len();
@@ -322,6 +337,8 @@ impl CampaignSpec {
             ("algorithms", strings(&self.algorithms)),
             ("heuristics", strings(&self.heuristics)),
             ("faults", strings(&self.faults)),
+            ("mappings", strings(&self.mappings)),
+            ("walltime_adjustment", strings(&self.walltime_adjustment)),
             ("periods_s", strings(&self.periods_s)),
             ("thresholds_s", strings(&self.thresholds_s)),
             ("seeds", strings(&self.seeds)),
@@ -331,13 +348,15 @@ impl CampaignSpec {
 
 /// The matrix-axis keys (valid under `[matrix]`, or at top level in the
 /// JSON convenience form).
-const AXIS_KEYS: [&str; 8] = [
+const AXIS_KEYS: [&str; 10] = [
     "scenarios",
     "platforms",
     "policies",
     "algorithms",
     "heuristics",
     "faults",
+    "mappings",
+    "walltime_adjustment",
     "periods_s",
     "thresholds_s",
 ];
@@ -460,6 +479,21 @@ where
         .collect()
 }
 
+fn parse_bool_axis(v: &Value, key: &str, default: &[bool]) -> Result<Vec<bool>, SerError> {
+    let Some(raw) = v.get(key) else {
+        return Ok(default.to_vec());
+    };
+    let arr = raw
+        .as_arr()
+        .ok_or_else(|| SerError::new(format!("`{key}` must be an array of booleans")))?;
+    arr.iter()
+        .map(|item| {
+            item.as_bool()
+                .ok_or_else(|| SerError::new(format!("`{key}` entries must be true or false")))
+        })
+        .collect()
+}
+
 fn parse_u64_axis(v: &Value, key: &str, default: &[u64]) -> Result<Vec<u64>, SerError> {
     let Some(raw) = v.get(key) else {
         return Ok(default.to_vec());
@@ -557,6 +591,11 @@ fn parse_algorithm(s: &str) -> Result<ReallocAlgorithm, SerError> {
 
 fn parse_heuristic(s: &str) -> Result<Heuristic, SerError> {
     Heuristic::resolve_expr(s).map_err(SerError::new)
+}
+
+/// Mappings are expressions too: `MCT`, `Random`, `RoundRobin(offset=1)`.
+fn parse_mapping(s: &str) -> Result<Mapping, SerError> {
+    Mapping::resolve_expr(s).map_err(SerError::new)
 }
 
 /// Faults are (compound) expressions: `none`, `outage(mtbf_h=12)`,
@@ -842,6 +881,55 @@ faults = ["ect-noise(sigma=0.5)+outage(mtbf_h=24.0)"]
             assert!(axes.iter().any(|(n, _)| *n == key), "axis {key} missing");
         }
         assert_eq!(axes.len(), super::AXIS_KEYS.len() + 1);
+    }
+
+    #[test]
+    fn mapping_and_walltime_axes_parse_and_multiply_references() {
+        let spec = CampaignSpec::from_toml_str(
+            r#"
+[matrix]
+scenarios = ["jun"]
+platforms = ["het"]
+policies = ["CBF"]
+algorithms = ["no-cancel"]
+heuristics = ["Mct"]
+mappings = ["mct", "Random", "RoundRobin(offset=1)"]
+walltime_adjustment = [true, false]
+"#,
+        )
+        .unwrap();
+        assert_eq!(spec.mappings.len(), 3);
+        assert_eq!(spec.mappings[0], Mapping::Mct, "canonical spelling");
+        assert_eq!(spec.mappings[2].name(), "RoundRobin(offset=1)");
+        assert_eq!(spec.walltime_adjustment, vec![true, false]);
+        // Every (mapping, walltime) point gets its own reference run.
+        let plan = spec.expand();
+        assert_eq!(plan.reference_count(), 6);
+        assert_eq!(plan.realloc_count(), 6);
+        assert_eq!(spec.total_runs(), 12);
+    }
+
+    #[test]
+    fn bad_mapping_or_walltime_values_are_errors() {
+        for bad in [
+            "[matrix]\nmappings = [\"nope\"]",
+            "[matrix]\nmappings = [\"RoundRobin(offset=-1)\"]",
+            "[matrix]\nmappings = [\"MCT\", \"mct()\"]",
+            "[matrix]\nmappings = []",
+            "[matrix]\nmappings = \"MCT\"",
+            "[matrix]\nwalltime_adjustment = [\"yes\"]",
+            "[matrix]\nwalltime_adjustment = [1]",
+            "[matrix]\nwalltime_adjustment = true",
+            "[matrix]\nwalltime_adjustment = [true, true]",
+            "[matrix]\nwalltime_adjustment = []",
+        ] {
+            assert!(CampaignSpec::from_toml_str(bad).is_err(), "{bad}");
+        }
+        let err = CampaignSpec::from_toml_str("[matrix]\nmappings = [\"nope\"]").unwrap_err();
+        assert!(err.to_string().contains("MCT, Random, RoundRobin"), "{err}");
+        let err =
+            CampaignSpec::from_toml_str("[matrix]\nwalltime_adjustment = [\"no\"]").unwrap_err();
+        assert!(err.to_string().contains("true or false"), "{err}");
     }
 
     #[test]

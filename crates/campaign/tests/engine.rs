@@ -4,14 +4,21 @@
 //! * the cache resumes campaigns and is byte-deterministic (same spec +
 //!   seed ⇒ byte-identical record files);
 //! * executing disjoint slices of the plan against one shared cache
-//!   reproduces the single-process tables exactly.
+//!   reproduces the single-process tables exactly;
+//! * the A1–A7 ablation studies run on the engine from their specs, and
+//!   keep the paper-level relations they were written to show;
+//! * `campaign report --check` prints Table 1 and the shape checks.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use grid_batch::BatchPolicy;
-use grid_campaign::{aggregate, execute, CampaignSpec, ExecOptions, ResultCache};
+use grid_campaign::{
+    aggregate, execute, CampaignResults, CampaignSpec, ExecOptions, ResultCache, RunKind,
+};
+use grid_metrics::RunOutcome;
 use grid_realloc::Heuristic;
+use grid_ser::Value;
 use grid_workload::Scenario;
 
 /// Fresh scratch directory under the cargo-provided tmp root.
@@ -325,10 +332,14 @@ scenarios = ["jun"]
 policies = ["FCFS"]
 heuristics = ["Mct", "MinMin"]
 faults = ["none"]
+mappings = ["MCT"]
+walltime_adjustment = [true]
 "#,
     )
     .unwrap();
     assert_eq!(spelled.faults, healthy.faults);
+    assert_eq!(spelled.mappings, healthy.mappings);
+    assert_eq!(spelled.walltime_adjustment, healthy.walltime_adjustment);
     let (a, b) = (healthy.expand(), spelled.expand());
     assert_eq!(a.len(), b.len());
     for (ua, ub) in a.units.iter().zip(&b.units) {
@@ -341,6 +352,12 @@ faults = ["none"]
         assert!(
             !ua.descriptor().encode().contains("fault"),
             "healthy descriptors must not mention faults at all"
+        );
+        assert_eq!(ResultCache::key(ua), ResultCache::key(ub));
+        let enc = ua.descriptor().encode();
+        assert!(
+            !enc.contains("mapping") && !enc.contains("walltime"),
+            "{enc}"
         );
     }
 }
@@ -445,4 +462,247 @@ fn report_fails_cleanly_on_incomplete_cache() {
         .collect();
     let err = aggregate(&spec, &plan, &outcomes).unwrap_err();
     assert!(err.contains("unavailable"), "{err}");
+}
+
+/// A study spec from the `examples/` directory.
+fn example_spec(file: &str) -> CampaignSpec {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples")
+        .join(file);
+    CampaignSpec::load(&path).unwrap_or_else(|e| panic!("{file}: {e}"))
+}
+
+/// Run a study in-process: outcomes by plan index, and the aggregate.
+fn run_study(spec: &CampaignSpec) -> (Vec<Option<RunOutcome>>, CampaignResults) {
+    let plan = spec.expand();
+    let (outcomes, summary) = execute(&plan.units, None, &ExecOptions::default());
+    assert!(summary.failures.is_empty(), "{:?}", summary.failures);
+    let results = aggregate(spec, &plan, &outcomes).expect("complete study");
+    (outcomes, results)
+}
+
+/// Migrations of each table group, in group order (one cell a group).
+fn migrations_by_group(results: &CampaignResults) -> Vec<u64> {
+    results
+        .groups
+        .values()
+        .map(|suite| {
+            assert_eq!(suite.comparisons.len(), 1, "one cell per group");
+            suite.comparisons.values().next().unwrap().reallocations
+        })
+        .collect()
+}
+
+/// Every ablation spec loads, plans, and names its study.
+#[test]
+fn ablation_specs_parse_and_expand() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("ablation_") && n.ends_with(".toml"))
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "ablation_a1_period.toml",
+            "ablation_a2_threshold.toml",
+            "ablation_a3_mapping.toml",
+            "ablation_a4_starvation.toml",
+            "ablation_a5_walltime.toml",
+            "ablation_a6_multisub.toml",
+            "ablation_a6b_aggressive.toml",
+            "ablation_a7_backfill.toml",
+        ]
+    );
+    for name in &names {
+        let spec = example_spec(name);
+        assert!(spec.name.starts_with("ablation-"), "{name}");
+        assert!(spec.expand().realloc_count() > 0, "{name}");
+    }
+}
+
+/// A1: more frequent reallocation events examine more states; on the
+/// loaded April trace they migrate at least as much as rare ones.
+#[test]
+fn period_study_shorter_period_migrates_at_least_as_much() {
+    let mut spec = example_spec("ablation_a1_period.toml");
+    spec.heterogeneity = vec![false];
+    spec.heuristics = vec![Heuristic::MinMin];
+    spec.periods_s = vec![900, 14_400];
+    spec.fraction = 0.005;
+    let (_, results) = run_study(&spec);
+    // Groups sort by period: 15 min first, then 4 h.
+    let by_period = migrations_by_group(&results);
+    assert_eq!(by_period.len(), 2);
+    assert!(
+        results
+            .groups
+            .values()
+            .all(|s| s.comparisons.values().all(|c| c.n_jobs > 0)),
+        "every period point compares a non-empty workload"
+    );
+    assert!(
+        by_period[0] >= by_period[1],
+        "15min: {} vs 4h: {}",
+        by_period[0],
+        by_period[1]
+    );
+}
+
+/// A2: a zero threshold migrates at least as much as a 30-minute one.
+#[test]
+fn threshold_study_zero_threshold_migrates_at_least_as_much() {
+    let mut spec = example_spec("ablation_a2_threshold.toml");
+    spec.thresholds_s = vec![0, 1_800];
+    spec.fraction = 0.005;
+    let (_, results) = run_study(&spec);
+    let by_threshold = migrations_by_group(&results);
+    assert_eq!(by_threshold.len(), 2);
+    assert!(
+        by_threshold[0] >= by_threshold[1],
+        "0 s: {} vs 30 min: {}",
+        by_threshold[0],
+        by_threshold[1]
+    );
+}
+
+/// A7: conservative back-filling responds no slower than FCFS without
+/// reallocation; every policy, EASY included, runs through the study.
+#[test]
+fn backfill_study_cbf_reference_responds_no_slower_than_fcfs() {
+    let mut spec = example_spec("ablation_a7_backfill.toml");
+    spec.scenarios = vec![Scenario::Jun];
+    spec.heterogeneity = vec![false];
+    spec.fraction = 0.005;
+    let plan = spec.expand();
+    let (outcomes, results) = run_study(&spec);
+    let reference = |policy: BatchPolicy| -> f64 {
+        let i = plan
+            .units
+            .iter()
+            .position(|u| u.kind == RunKind::Reference && u.policy == policy)
+            .unwrap();
+        outcomes[i].as_ref().unwrap().mean_response()
+    };
+    assert!(reference(BatchPolicy::Cbf) <= reference(BatchPolicy::Fcfs));
+    let cells = &results.groups.values().next().unwrap().comparisons;
+    let policies: Vec<String> = {
+        let mut p: Vec<String> = cells.keys().map(|k| k.policy.to_string()).collect();
+        p.sort();
+        p
+    };
+    assert_eq!(policies, ["CBF", "EASY", "FCFS"]);
+}
+
+/// A3 and A5: every mapping and both walltime modes are table groups of
+/// their own, named in the group headers and the CSV.
+#[test]
+fn mapping_and_walltime_studies_render_every_group() {
+    let mut spec = example_spec("ablation_a3_mapping.toml");
+    spec.scenarios = vec![Scenario::Jun];
+    spec.fraction = 0.005;
+    let (_, results) = run_study(&spec);
+    assert_eq!(results.groups.len(), 3);
+    let tables = results.render_tables();
+    for mapping in ["MCT", "Random", "RoundRobin"] {
+        assert!(
+            tables.contains(&format!("/ mapping {mapping}\n")),
+            "no group for {mapping}:\n{tables}"
+        );
+    }
+    let csv = results.to_csv();
+    assert!(csv
+        .lines()
+        .next()
+        .unwrap()
+        .contains(",seed,mapping,n_jobs,"));
+    assert_eq!(csv.lines().count(), 1 + 3);
+
+    let mut spec = example_spec("ablation_a5_walltime.toml");
+    spec.scenarios = vec![Scenario::Jun];
+    spec.fraction = 0.005;
+    let (_, results) = run_study(&spec);
+    assert_eq!(results.groups.len(), 2);
+    let tables = results.render_tables();
+    assert!(tables.contains("/ walltime_adjustment true\n"), "{tables}");
+    assert!(tables.contains("/ walltime_adjustment false\n"), "{tables}");
+    let json = results.to_json();
+    let cells = json.get("cells").and_then(Value::as_arr).unwrap();
+    assert_eq!(cells.len(), 2);
+    // Only the off-default cell names the axis.
+    let flagged = cells
+        .iter()
+        .filter(|c| c.get("walltime_adjustment").is_some())
+        .count();
+    assert_eq!(flagged, 1);
+    assert!(cells.iter().all(|c| c.get("mapping").is_none()));
+}
+
+/// A4: the starvation indicators ride in the JSON report rows.
+#[test]
+fn starvation_study_reports_in_json_rows() {
+    let mut spec = example_spec("ablation_a4_starvation.toml");
+    spec.algorithms = vec![grid_realloc::ReallocAlgorithm::CancelAll];
+    spec.fraction = 0.005;
+    let (_, results) = run_study(&spec);
+    let json = results.to_json();
+    let cells = json.get("cells").and_then(Value::as_arr).unwrap();
+    assert_eq!(cells.len(), 1);
+    let cell = &cells[0];
+    let field = |k: &str| {
+        cell.get(k)
+            .unwrap_or_else(|| panic!("no `{k}` in {cell:?}"))
+    };
+    assert!(field("worst_response_s").as_u64().unwrap() > 0);
+    assert!(field("mean_migrations_of_migrated").as_f64().unwrap() >= 0.0);
+    let max = field("max_migrations").as_u64().unwrap();
+    let churned = field("churned_jobs").as_u64().unwrap();
+    assert!(
+        churned == 0 || max >= 3,
+        "churned jobs moved at least 3 times"
+    );
+}
+
+/// `campaign report --check` prints the tables, then Table 1 and the
+/// eleven shape checks — at 0.2% byte for byte the goldens of
+/// `tests/golden_paper_suite.rs`.
+#[test]
+fn report_check_prints_table1_and_the_shape_checks() {
+    let dir = scratch("cli-check");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("paper.toml");
+    std::fs::write(&spec, "name = \"paper-0002\"\nfraction = 0.002\n").unwrap();
+    let cache = dir.join("cache");
+    let campaign = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(args)
+            .arg("--spec")
+            .arg(&spec)
+            .arg("--cache")
+            .arg(&cache)
+            .output()
+            .unwrap()
+    };
+    let run = campaign(&["run", "--quiet"]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let report = campaign(&["report", "--check"]);
+    assert!(
+        report.status.success(),
+        "{}",
+        String::from_utf8_lossy(&report.stderr)
+    );
+    let golden = concat!(
+        include_str!("../../../tests/golden/paper_suite_0002_tables.txt"),
+        include_str!("../../../tests/golden/paper_suite_0002_checks.txt"),
+    );
+    assert_eq!(String::from_utf8(report.stdout).unwrap(), golden);
+    // The checks render after the tables only.
+    let csv = campaign(&["report", "--check", "--format", "csv"]);
+    assert!(!csv.status.success());
 }

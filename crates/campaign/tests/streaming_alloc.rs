@@ -53,6 +53,10 @@ fn synthetic(seed: u64) -> Comparison {
         pct_impacted: 50.0 + (x % 7.0),
         pct_earlier: 60.0 - (x % 5.0),
         rel_avg_response: 0.9 + (x % 13.0) / 100.0,
+        max_migrations: 3,
+        mean_migrations_of_migrated: 1.5,
+        churned_jobs: 1,
+        worst_response_s: 3600,
     }
 }
 
@@ -87,6 +91,8 @@ fn fold_peak(seeds: u64) -> usize {
             period_s: 3600,
             threshold_s: 60,
             fault: grid_fault::Fault::NONE,
+            mapping: grid_realloc::Mapping::Mct,
+            walltime_adjustment: true,
         };
         for &cell in &cells {
             agg.push(&group, cell, &synthetic(seed));

@@ -14,13 +14,13 @@
 use std::collections::HashMap;
 
 use grid_batch::{BatchPolicy, Platform};
-use grid_des::Duration;
 use grid_fault::Fault;
 use grid_metrics::{Comparison, PaperTable, RunOutcome};
 use grid_workload::Scenario;
 
 use crate::grid::{GridConfig, GridSim};
 use crate::heuristics::Heuristic;
+use crate::mapping::Mapping;
 use crate::realloc::{ReallocAlgorithm, ReallocConfig};
 
 /// Which §3.4 metric a table reports.
@@ -88,12 +88,12 @@ pub struct SuiteConfig {
     /// Per-site job-count fraction (1.0 = the paper's Table 1 counts; small
     /// values give quick smoke suites).
     pub fraction: f64,
-    /// Reallocation period.
-    pub period: Duration,
-    /// Algorithm 1 improvement threshold.
-    pub threshold: Duration,
     /// Fault injection ([`Fault::NONE`] = the paper's healthy grid).
     pub fault: Fault,
+    /// Initial mapping policy of the agent (paper: MCT).
+    pub mapping: Mapping,
+    /// Scale walltimes to cluster speeds (paper §1: on).
+    pub walltime_adjustment: bool,
 }
 
 impl Default for SuiteConfig {
@@ -101,9 +101,9 @@ impl Default for SuiteConfig {
         SuiteConfig {
             seed: 42,
             fraction: 1.0,
-            period: Duration::hours(1),
-            threshold: Duration::secs(60),
             fault: Fault::NONE,
+            mapping: Mapping::Mct,
+            walltime_adjustment: true,
         }
     }
 }
@@ -197,7 +197,9 @@ fn build_sim(
     }
     let mut config = GridConfig::new(platform_for(scenario, heterogeneous), policy)
         .with_seed(suite.seed)
-        .with_fault(suite.fault);
+        .with_fault(suite.fault)
+        .with_mapping(suite.mapping)
+        .with_walltime_adjustment(suite.walltime_adjustment);
     if let Some(r) = realloc {
         config = config.with_realloc(r);
     }
@@ -206,7 +208,7 @@ fn build_sim(
 
 /// Row-group (policy) rendering order: registered policies in registry
 /// order first, then expression-only handles (parameterised variants,
-/// per-site mixes — which `BatchPolicy::all()` does not list) in
+/// per-site mixes — which `BatchPolicy::BUILTINS` does not list) in
 /// canonical-name order. Deduplicated, deterministic.
 pub fn ordered_policies<'a>(keys: impl IntoIterator<Item = &'a ExperimentKey>) -> Vec<BatchPolicy> {
     let mut present: Vec<BatchPolicy> = Vec::new();
@@ -215,7 +217,7 @@ pub fn ordered_policies<'a>(keys: impl IntoIterator<Item = &'a ExperimentKey>) -
             present.push(k.policy);
         }
     }
-    let registry = BatchPolicy::all();
+    let registry = BatchPolicy::BUILTINS;
     present.sort_by_key(|p| {
         (
             registry
@@ -236,7 +238,7 @@ pub fn ordered_heuristics<'a>(keys: impl IntoIterator<Item = &'a ExperimentKey>)
             present.push(k.heuristic);
         }
     }
-    let registry = Heuristic::all();
+    let registry = Heuristic::ALL;
     present.sort_by_key(|h| {
         (
             registry
@@ -365,7 +367,7 @@ pub fn table1() -> PaperTable {
 }
 
 /// One qualitative "shape" expectation from the paper, evaluated against
-/// measured results (EXPERIMENTS.md records these).
+/// measured results (`campaign report --check` prints them).
 #[derive(Debug, Clone)]
 pub struct ShapeCheck {
     /// Short name.
@@ -378,18 +380,21 @@ pub struct ShapeCheck {
     pub pass: bool,
 }
 
-/// Mean of a metric over every cell matching the filter.
+/// Mean of a metric over every cell matching the filter. The values are
+/// summed in ascending order, not in the hash map's per-process order,
+/// so the printed means and verdicts are the same in every process.
 fn mean_metric(
     results: &SuiteResults,
     metric: Metric,
     filter: impl Fn(&ExperimentKey) -> bool,
 ) -> f64 {
-    let vals: Vec<f64> = results
+    let mut vals: Vec<f64> = results
         .comparisons
         .iter()
         .filter(|(k, _)| filter(k))
         .map(|(_, c)| metric.of(c))
         .collect();
+    vals.sort_by(f64::total_cmp);
     if vals.is_empty() {
         f64::NAN
     } else {
@@ -566,6 +571,10 @@ mod tests {
             pct_impacted: 10.0,
             pct_earlier: 70.0,
             rel_avg_response: 0.9,
+            max_migrations: 2,
+            mean_migrations_of_migrated: 1.0,
+            churned_jobs: 0,
+            worst_response_s: 600,
         };
         assert_eq!(Metric::PctImpacted.of(&c), 10.0);
         assert_eq!(Metric::Reallocations.of(&c), 5.0);

@@ -44,7 +44,8 @@ pub struct GridConfig {
     pub realloc: Option<ReallocConfig>,
     /// Seed for the stochastic pieces (Random mapping, fault streams).
     pub seed: u64,
-    /// Scale walltimes to cluster speeds (§1; off only for ablation A5).
+    /// Scale walltimes to cluster speeds (§1; a campaign's
+    /// `walltime_adjustment = [false]` turns it off).
     pub walltime_adjustment: bool,
     /// Fault injection: cluster outages and ECT estimation noise
     /// ([`Fault::NONE`] reproduces the paper's healthy grid). Trace
@@ -86,7 +87,7 @@ impl GridConfig {
         self
     }
 
-    /// Builder: disable walltime speed-adjustment (ablation A5).
+    /// Builder: switch walltime speed-adjustment on or off.
     pub fn with_walltime_adjustment(mut self, adjust: bool) -> Self {
         self.walltime_adjustment = adjust;
         self

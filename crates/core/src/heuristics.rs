@@ -49,7 +49,8 @@
 //! [`Heuristic`] is a `Copy` handle into the string-keyed registry
 //! ([`Heuristic::resolve`]), so campaign specs select heuristics by name
 //! and a new ordering is one implementation plus one
-//! [`Heuristic::register`] call.
+//! [`Heuristic::ALL`] entry (the registry, which is also the paper
+//! spec's default axis).
 
 use std::sync::Mutex;
 
@@ -122,7 +123,7 @@ impl Heuristic {
     /// `Sufferage(rank=K)` measures against the (K+1)-th best instead.
     pub const Sufferage: Heuristic = Heuristic::base("Sufferage", &SufferageOrder::CLASSIC);
 
-    /// All heuristics in the paper's table order.
+    /// All heuristics in the paper's table order: the registry.
     pub const ALL: [Heuristic; 6] = [
         Heuristic::Mct,
         Heuristic::MinMin,
@@ -154,9 +155,6 @@ impl Heuristic {
     }
 }
 
-/// Heuristics registered at runtime by downstream crates.
-static EXTRAS: Mutex<Vec<Heuristic>> = Mutex::new(Vec::new());
-
 /// Interned parameterised instances, one per canonical expression.
 static CONFIGURED: Mutex<Vec<Heuristic>> = Mutex::new(Vec::new());
 
@@ -179,23 +177,10 @@ impl Heuristic {
         self.order.select(view)
     }
 
-    /// Every registered heuristic, the paper's six first, then runtime
-    /// registrations in registration order (base entries only).
-    pub fn all() -> Vec<Heuristic> {
-        let mut out = Self::ALL.to_vec();
-        out.extend(
-            EXTRAS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter(),
-        );
-        out
-    }
-
     /// Look a base heuristic up by label (case-insensitive). Bare labels
     /// only; use [`Heuristic::resolve_expr`] for parameterised forms.
     pub fn resolve(name: &str) -> Option<Heuristic> {
-        Self::all()
+        Self::ALL
             .into_iter()
             .find(|h| h.label().eq_ignore_ascii_case(name))
     }
@@ -211,7 +196,7 @@ impl Heuristic {
             |name| {
                 format!(
                     "unknown heuristic `{name}` (registered: {})",
-                    Self::all()
+                    Self::ALL
                         .iter()
                         .map(|h| h.label())
                         .collect::<Vec<_>>()
@@ -235,33 +220,6 @@ impl Heuristic {
                 Ok(handle)
             },
         )
-    }
-
-    /// Register an ordering heuristic and return its handle.
-    ///
-    /// # Panics
-    /// Panics if the label is already taken.
-    pub fn register(heuristic: &'static dyn OrderingHeuristic) -> Heuristic {
-        // Check and push under one lock acquisition, so two concurrent
-        // registrations of the same label cannot both pass the check.
-        let mut extras = EXTRAS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let taken = Self::ALL
-            .iter()
-            .chain(extras.iter())
-            .any(|h| h.label().eq_ignore_ascii_case(heuristic.label()));
-        assert!(
-            !taken,
-            "heuristic `{}` is already registered",
-            heuristic.label()
-        );
-        let handle = Heuristic {
-            order: heuristic,
-            key: heuristic.label(),
-        };
-        extras.push(handle);
-        handle
     }
 }
 
@@ -858,7 +816,6 @@ mod tests {
         assert_eq!(Heuristic::resolve("minmin"), Some(Heuristic::MinMin));
         assert_eq!(Heuristic::resolve("SUFFERAGE"), Some(Heuristic::Sufferage));
         assert_eq!(Heuristic::resolve("nope"), None);
-        assert_eq!(Heuristic::all()[..6], Heuristic::ALL);
         for h in Heuristic::ALL {
             assert_eq!(h.key, h.order.label(), "const key drifted for {}", h.key);
         }
@@ -919,29 +876,5 @@ mod tests {
             Some(0),
             "rank-2 spread ties, j1 first"
         );
-    }
-
-    #[test]
-    fn runtime_registration_extends_the_axis() {
-        /// Largest processor count first — a shape the paper never uses.
-        #[derive(Debug)]
-        struct WidestFirst;
-        impl OrderingHeuristic for WidestFirst {
-            fn label(&self) -> &'static str {
-                "TestWidest"
-            }
-            fn select(&self, view: &mut EctView<'_>) -> Option<usize> {
-                let alive: Vec<usize> = view.alive_indices().collect();
-                alive
-                    .into_iter()
-                    .max_by_key(|&i| (view.jobs()[i].spec.procs, std::cmp::Reverse(i)))
-            }
-        }
-        let handle = Heuristic::register(&WidestFirst);
-        assert_eq!(Heuristic::resolve("testwidest"), Some(handle));
-        let (mut clusters, jobs) = setup();
-        let mut v = view(&mut clusters, &jobs);
-        // j3 (8 procs) first.
-        assert_eq!(handle.select(&mut v), Some(2));
     }
 }

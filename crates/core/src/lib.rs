@@ -23,7 +23,7 @@
 //! * the **simulation driver** gluing these to the `grid-batch` clusters,
 //!   and the **single-run entry points and table builders** behind the
 //!   paper's Tables 2–17 (the `grid-campaign` crate runs the 364-run
-//!   matrix through them), plus the A1–A6 ablations of [`ablation`].
+//!   matrix and the A1–A7 ablation specs through them).
 //!
 //! ## Quick start
 //!
@@ -45,7 +45,6 @@
 //! );
 //! ```
 
-pub mod ablation;
 pub mod ect;
 pub mod experiments;
 pub mod figures;

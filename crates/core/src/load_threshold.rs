@@ -312,6 +312,6 @@ mod tests {
         assert_eq!(handle.to_string(), "load-threshold");
         // Not part of the paper's two-algorithm default axis.
         assert!(!ReallocAlgorithm::ALL.contains(&handle));
-        assert!(ReallocAlgorithm::all().contains(&handle));
+        assert!(ReallocAlgorithm::BUILTINS.contains(&handle));
     }
 }

@@ -6,7 +6,7 @@
 //! this study, we consider that the meta-scheduler uses a MCT policy."
 //!
 //! MCT is the paper's choice; Random and Round-Robin are provided for the
-//! mapping ablation (A3 in [`crate::ablation`]).
+//! mapping study (a campaign's `mappings` axis; `examples/ablation_a3_mapping.toml`).
 //!
 //! The closed enum this module used to export is now the
 //! [`MappingPolicy`] trait: a registry entry names the policy and builds
@@ -14,7 +14,7 @@
 //! Random stream). A [`Mapping`] is a `Copy` handle resolvable by name
 //! ([`Mapping::resolve`]), so campaign layers and CLIs select mappings as
 //! strings and a new policy is one implementation plus one
-//! [`Mapping::register`] call.
+//! [`Mapping::BUILTINS`] entry.
 
 use std::sync::Mutex;
 
@@ -86,13 +86,11 @@ impl Mapping {
     const fn base(key: &'static str, policy: &'static dyn MappingPolicy) -> Mapping {
         Mapping { policy, key }
     }
+
+    /// The registry: every base mapping (parameterised instances are
+    /// reachable through expressions, not listed).
+    pub const BUILTINS: [Mapping; 3] = [Mapping::Mct, Mapping::Random, Mapping::RoundRobin];
 }
-
-/// Built-in registry entries.
-static BUILTINS: [Mapping; 3] = [Mapping::Mct, Mapping::Random, Mapping::RoundRobin];
-
-/// Policies registered at runtime by downstream crates.
-static EXTRAS: Mutex<Vec<Mapping>> = Mutex::new(Vec::new());
 
 /// Interned parameterised instances, one per canonical expression.
 static CONFIGURED: Mutex<Vec<Mapping>> = Mutex::new(Vec::new());
@@ -104,22 +102,10 @@ impl Mapping {
         self.key
     }
 
-    /// Every registered mapping, built-ins first (base entries only).
-    pub fn all() -> Vec<Mapping> {
-        let mut out = BUILTINS.to_vec();
-        out.extend(
-            EXTRAS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter(),
-        );
-        out
-    }
-
     /// Look a base mapping up by name (case-insensitive). Bare names
     /// only; use [`Mapping::resolve_expr`] for parameterised forms.
     pub fn resolve(name: &str) -> Option<Mapping> {
-        Self::all()
+        Self::BUILTINS
             .into_iter()
             .find(|m| m.name().eq_ignore_ascii_case(name))
     }
@@ -135,7 +121,7 @@ impl Mapping {
             |name| {
                 format!(
                     "unknown mapping policy `{name}` (registered: {})",
-                    Self::all()
+                    Self::BUILTINS
                         .iter()
                         .map(|m| m.name())
                         .collect::<Vec<_>>()
@@ -160,33 +146,6 @@ impl Mapping {
             },
         )
     }
-
-    /// Register a mapping policy and return its handle.
-    ///
-    /// # Panics
-    /// Panics if the name is already taken.
-    pub fn register(policy: &'static dyn MappingPolicy) -> Mapping {
-        // Check and push under one lock acquisition, so two concurrent
-        // registrations of the same name cannot both pass the check.
-        let mut extras = EXTRAS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let taken = BUILTINS
-            .iter()
-            .chain(extras.iter())
-            .any(|m| m.name().eq_ignore_ascii_case(policy.name()));
-        assert!(
-            !taken,
-            "mapping policy `{}` is already registered",
-            policy.name()
-        );
-        let handle = Mapping {
-            policy,
-            key: policy.name(),
-        };
-        extras.push(handle);
-        handle
-    }
 }
 
 impl std::fmt::Debug for Mapping {
@@ -208,6 +167,18 @@ impl PartialEq for Mapping {
 }
 
 impl Eq for Mapping {}
+
+impl PartialOrd for Mapping {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Mapping {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.name().cmp(other.name())
+    }
+}
 
 impl std::hash::Hash for Mapping {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
@@ -494,7 +465,7 @@ mod tests {
         assert_eq!(Mapping::resolve("mct"), Some(Mapping::Mct));
         assert_eq!(Mapping::resolve("roundrobin"), Some(Mapping::RoundRobin));
         assert_eq!(Mapping::resolve("nope"), None);
-        let names: Vec<&str> = Mapping::all().iter().map(|m| m.name()).collect();
+        let names: Vec<&str> = Mapping::BUILTINS.iter().map(|m| m.name()).collect();
         assert!(names.starts_with(&["MCT", "Random", "RoundRobin"]));
     }
 
@@ -532,42 +503,8 @@ mod tests {
 
     #[test]
     fn builtin_keys_match_policy_names() {
-        for m in Mapping::all() {
+        for m in Mapping::BUILTINS {
             assert_eq!(m.key, m.policy.name(), "const key drifted for {}", m.key);
         }
-    }
-
-    #[test]
-    fn runtime_registration_extends_the_axis() {
-        /// Always the last fitting cluster — a policy the enum never had.
-        #[derive(Debug)]
-        struct LastFit;
-        impl MappingPolicy for LastFit {
-            fn name(&self) -> &'static str {
-                "TestLastFit"
-            }
-            fn make(&self, _seed: u64) -> Box<dyn MapperState> {
-                #[derive(Debug)]
-                struct S;
-                impl MapperState for S {
-                    fn assign(
-                        &mut self,
-                        _c: &mut [Cluster],
-                        fits: &[usize],
-                        _j: &JobSpec,
-                        _n: SimTime,
-                    ) -> usize {
-                        *fits.last().expect("never empty")
-                    }
-                }
-                Box::new(S)
-            }
-        }
-        let handle = Mapping::register(&LastFit);
-        assert_eq!(Mapping::resolve("testlastfit"), Some(handle));
-        let mut cs = clusters();
-        let mut m = Mapper::new(handle, 0);
-        let job = JobSpec::new(1, 0, 2, 10, 10);
-        assert_eq!(m.assign(&mut cs, &job, SimTime(0)), Some(2));
     }
 }

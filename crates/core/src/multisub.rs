@@ -9,9 +9,9 @@
 //! copy per job but reacts only at tick boundaries.
 //!
 //! This module implements the scheme faithfully so the two mechanisms can
-//! be compared on identical workloads (ablation A6): copies are placed on
-//! the `k` clusters with the best ECT at submission; when the first copy
-//! starts, the siblings are cancelled from their queues. Ties (two copies
+//! be compared on identical workloads (`examples/multisub_comparison.rs`):
+//! copies are placed on the `k` clusters with the best ECT at submission;
+//! when the first copy starts, the siblings are cancelled from their queues. Ties (two copies
 //! whose reservations fire at the same instant) are resolved
 //! deterministically in cluster-index order.
 

@@ -128,17 +128,16 @@ impl ReallocAlgorithm {
     const fn base(key: &'static str, strat: &'static dyn ReallocStrategy) -> ReallocAlgorithm {
         ReallocAlgorithm { strat, key }
     }
+
+    /// The registry: every base strategy, paper strategies first
+    /// (parameterised instances are reachable through expressions, not
+    /// listed).
+    pub const BUILTINS: [ReallocAlgorithm; 3] = [
+        ReallocAlgorithm::NoCancel,
+        ReallocAlgorithm::CancelAll,
+        ReallocAlgorithm::LoadThreshold, // <- one line per new in-tree strategy
+    ];
 }
-
-/// Built-in registry entries, paper strategies first.
-static BUILTINS: [ReallocAlgorithm; 3] = [
-    ReallocAlgorithm::NoCancel,
-    ReallocAlgorithm::CancelAll,
-    ReallocAlgorithm::LoadThreshold, // <- one line per new in-tree strategy
-];
-
-/// Strategies registered at runtime by downstream crates.
-static EXTRAS: Mutex<Vec<ReallocAlgorithm>> = Mutex::new(Vec::new());
 
 /// Interned parameterised instances (`load-threshold(factor=1.5)`), one
 /// per distinct canonical expression.
@@ -162,25 +161,11 @@ impl ReallocAlgorithm {
         self.strat.suffix()
     }
 
-    /// Every registered strategy, built-ins first, in registration order
-    /// (base entries only — parameterised instances are reachable
-    /// through expressions, not listed).
-    pub fn all() -> Vec<ReallocAlgorithm> {
-        let mut out = BUILTINS.to_vec();
-        out.extend(
-            EXTRAS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter(),
-        );
-        out
-    }
-
     /// Look a base strategy up by name (case-insensitive). Bare names
     /// only; use [`ReallocAlgorithm::resolve_expr`] for parameterised
     /// forms.
     pub fn resolve(name: &str) -> Option<ReallocAlgorithm> {
-        Self::all()
+        Self::BUILTINS
             .into_iter()
             .find(|a| a.name().eq_ignore_ascii_case(name))
     }
@@ -200,7 +185,7 @@ impl ReallocAlgorithm {
             |name| {
                 format!(
                     "unknown reallocation algorithm `{name}` (registered: {})",
-                    Self::all()
+                    Self::BUILTINS
                         .iter()
                         .map(|a| a.name())
                         .collect::<Vec<_>>()
@@ -224,33 +209,6 @@ impl ReallocAlgorithm {
                 Ok(handle)
             },
         )
-    }
-
-    /// Register a strategy and return its handle.
-    ///
-    /// # Panics
-    /// Panics if the name is already taken.
-    pub fn register(strategy: &'static dyn ReallocStrategy) -> ReallocAlgorithm {
-        // Check and push under one lock acquisition, so two concurrent
-        // registrations of the same name cannot both pass the check.
-        let mut extras = EXTRAS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let taken = BUILTINS
-            .iter()
-            .chain(extras.iter())
-            .any(|a| a.name().eq_ignore_ascii_case(strategy.name()));
-        assert!(
-            !taken,
-            "reallocation strategy `{}` is already registered",
-            strategy.name()
-        );
-        let handle = ReallocAlgorithm {
-            strat: strategy,
-            key: strategy.name(),
-        };
-        extras.push(handle);
-        handle
     }
 }
 
@@ -792,7 +750,7 @@ mod tests {
 
     #[test]
     fn builtin_keys_match_strategy_names() {
-        for a in ReallocAlgorithm::all() {
+        for a in ReallocAlgorithm::BUILTINS {
             assert_eq!(a.key, a.strat.name(), "const key drifted for {}", a.key);
         }
     }

@@ -133,6 +133,16 @@ pub struct Comparison {
     /// Mean response of impacted jobs with reallocation divided by the same
     /// mean without; `< 1` is a gain. 1.0 when nothing was impacted.
     pub rel_avg_response: f64,
+    /// Starvation (§4.3 warns Algorithm 2 "can produce starvation"): the
+    /// most migrations any one job suffered.
+    pub max_migrations: u32,
+    /// Mean migrations over the jobs migrated at least once (0 when
+    /// none was).
+    pub mean_migrations_of_migrated: f64,
+    /// Jobs migrated at least three times (churn candidates).
+    pub churned_jobs: usize,
+    /// Worst single-job response time in the reallocation run, seconds.
+    pub worst_response_s: u64,
 }
 
 impl Comparison {
@@ -152,11 +162,20 @@ impl Comparison {
         let mut later = 0usize;
         let mut resp_base: u128 = 0;
         let mut resp_run: u128 = 0;
+        let (mut max_migrations, mut migrated, mut migrations) = (0u32, 0usize, 0u64);
+        let (mut churned_jobs, mut worst_response_s) = (0usize, 0u64);
         for (id, b) in &baseline.records {
             let r = run
                 .records
                 .get(id)
                 .unwrap_or_else(|| panic!("job {id} missing from reallocation run"));
+            if r.reallocations > 0 {
+                max_migrations = max_migrations.max(r.reallocations);
+                migrated += 1;
+                migrations += u64::from(r.reallocations);
+                churned_jobs += usize::from(r.reallocations >= 3);
+            }
+            worst_response_s = worst_response_s.max(r.response().as_secs());
             if r.completion != b.completion {
                 impacted += 1;
                 if r.completion < b.completion {
@@ -193,6 +212,14 @@ impl Comparison {
             pct_impacted,
             pct_earlier,
             rel_avg_response,
+            max_migrations,
+            mean_migrations_of_migrated: if migrated == 0 {
+                0.0
+            } else {
+                migrations as f64 / migrated as f64
+            },
+            churned_jobs,
+            worst_response_s,
         }
     }
 }

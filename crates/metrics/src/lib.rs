@@ -1,7 +1,7 @@
 //! # grid-metrics — evaluation metrics and paper-style tables
 //!
 //! Implements the four metrics of the paper's §3.4 and the table layout of
-//! its §4, so the `tables` binary can print rows directly comparable to
+//! its §4, so `campaign report` can print rows directly comparable to
 //! Tables 2–17:
 //!
 //! * **System metrics** — percentage of jobs *impacted* by reallocation

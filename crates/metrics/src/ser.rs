@@ -111,6 +111,13 @@ impl Comparison {
         obj.insert("pct_impacted", self.pct_impacted);
         obj.insert("pct_earlier", self.pct_earlier);
         obj.insert("rel_avg_response", self.rel_avg_response);
+        obj.insert("max_migrations", self.max_migrations);
+        obj.insert(
+            "mean_migrations_of_migrated",
+            self.mean_migrations_of_migrated,
+        );
+        obj.insert("churned_jobs", self.churned_jobs);
+        obj.insert("worst_response_s", self.worst_response_s);
         obj
     }
 
@@ -125,6 +132,10 @@ impl Comparison {
             pct_impacted: v.req_f64("pct_impacted")?,
             pct_earlier: v.req_f64("pct_earlier")?,
             rel_avg_response: v.req_f64("rel_avg_response")?,
+            max_migrations: v.req_u64("max_migrations")? as u32,
+            mean_migrations_of_migrated: v.req_f64("mean_migrations_of_migrated")?,
+            churned_jobs: v.req_u64("churned_jobs")? as usize,
+            worst_response_s: v.req_u64("worst_response_s")?,
         })
     }
 }
@@ -207,6 +218,10 @@ mod tests {
             pct_impacted: 10.0,
             pct_earlier: 70.0,
             rel_avg_response: 0.9,
+            max_migrations: 4,
+            mean_migrations_of_migrated: 1.25,
+            churned_jobs: 1,
+            worst_response_s: 7200,
         };
         let back = Comparison::from_json(&c.to_json()).unwrap();
         assert_eq!(back, c);

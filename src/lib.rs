@@ -20,7 +20,7 @@
 //! | [`des`] | deterministic discrete-event kernel (virtual clock, event queue, seeded RNG) |
 //! | [`batch`] | Simbatch-equivalent cluster simulator: availability profiles, FCFS and conservative back-filling, the four middleware queries, ASCII Gantt charts |
 //! | [`workload`] | SWF trace I/O and the calibrated synthetic generator reproducing the paper's Table 1 scenarios |
-//! | [`realloc`] | the paper's contribution: MCT meta-scheduling, reallocation Algorithms 1 & 2, the six heuristics, single-run entry points, table builders and ablations |
+//! | [`realloc`] | the paper's contribution: MCT meta-scheduling, reallocation Algorithms 1 & 2, the six heuristics, single-run entry points and table builders |
 //! | [`metrics`] | the §3.4 evaluation metrics and paper-style table rendering |
 //! | [`fault`] | deterministic fault injection: cluster outage windows, ECT estimation noise, trace perturbation |
 //! | [`obs`] | deterministic, zero-cost-when-disabled instrumentation: recorder, Chrome-trace/JSONL exporters, campaign progress view |
@@ -54,8 +54,9 @@
 //! );
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! binaries regenerating every table and figure of the paper.
+//! See `examples/` for runnable scenarios and spec files: `campaign report
+//! --check` regenerates every table of the paper, the `figures` binary
+//! in `crates/bench` every figure.
 
 pub use grid_batch as batch;
 pub use grid_campaign as campaign;

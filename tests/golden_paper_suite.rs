@@ -9,12 +9,16 @@
 //! current engine must reproduce them byte for byte.
 //!
 //! The checked-in artifacts cover the whole matrix at fraction 0.002
-//! (fast enough for `cargo test`); the `#[ignore]`d tests additionally
+//! (fast enough for `cargo test`), plus the `campaign report --check`
+//! block at that fraction (Table 1 and the paper's eleven shape checks,
+//! whose PASS/MISS verdicts are pinned); the `#[ignore]`d tests additionally
 //! pin the 1% example-spec campaign and the 28 reference runs at 5% by
 //! hash — CI runs them on every push
 //! (`cargo test --release --test golden_paper_suite -- --include-ignored`).
 
-use caniou_realloc::campaign::{aggregate, execute, CampaignSpec, ExecOptions, RunKind, RunRecord};
+use caniou_realloc::campaign::{
+    aggregate, execute, CampaignResults, CampaignSpec, ExecOptions, RunKind, RunRecord,
+};
 
 /// The paper's 364-run matrix at the given job-count fraction.
 fn spec_at(fraction: f64) -> CampaignSpec {
@@ -23,19 +27,42 @@ fn spec_at(fraction: f64) -> CampaignSpec {
     spec
 }
 
-/// Execute a spec in-process and render (tables, csv).
-fn run_reports(spec: &CampaignSpec) -> (String, String) {
+/// Execute a spec in-process and aggregate it.
+fn run_campaign(spec: &CampaignSpec) -> CampaignResults {
     let plan = spec.expand();
     assert_eq!(plan.len(), 364, "the paper suite is 364 runs");
     let (outcomes, summary) = execute(&plan.units, None, &ExecOptions::default());
     assert!(summary.failures.is_empty(), "{:?}", summary.failures);
-    let results = aggregate(spec, &plan, &outcomes).expect("complete campaign");
+    aggregate(spec, &plan, &outcomes).expect("complete campaign")
+}
+
+/// Execute a spec in-process and render (tables, csv).
+fn run_reports(spec: &CampaignSpec) -> (String, String) {
+    let results = run_campaign(spec);
     (results.render_tables(), results.to_csv())
 }
 
+/// The 0.2% goldens: the tables and CSV of the pre-refactor engine, and
+/// the `report --check` block (Table 1 and the eleven shape checks).
 #[test]
 fn paper_suite_is_byte_identical_to_pre_refactor_engine() {
-    let (tables, csv) = run_reports(&spec_at(0.002));
+    let results = run_campaign(&spec_at(0.002));
+    let (tables, csv) = (results.render_tables(), results.to_csv());
+    let checks = results.render_checks().expect("the paper's two groups");
+    let verdicts: Vec<&str> = checks
+        .lines()
+        .filter_map(|l| l.strip_prefix('[')?.split(']').next())
+        .collect();
+    assert_eq!(
+        verdicts,
+        ["PASS", "PASS", "MISS", "MISS", "PASS", "PASS", "PASS", "PASS", "PASS", "MISS", "MISS"],
+        "shape-check verdicts at 0.2% moved:\n{checks}"
+    );
+    assert_eq!(
+        checks,
+        include_str!("golden/paper_suite_0002_checks.txt"),
+        "shape-check report diverged"
+    );
     assert_eq!(
         tables,
         include_str!("golden/paper_suite_0002_tables.txt"),
