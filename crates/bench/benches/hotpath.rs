@@ -22,7 +22,7 @@
 //! digests are enforced either way. Results land in `BENCH_hotpath.json`.
 
 use grid_batch::{BatchPolicy, ClusterSpec, JobSpec, Platform};
-use grid_realloc::{GridConfig, GridSim};
+use grid_realloc::{simulate, GridConfig};
 
 /// Outcome digest ([`grid_bench::outcome_digest`]) per `(scenario, jobs)`.
 const PINNED: &[(&str, usize, u64)] = &[
@@ -103,11 +103,7 @@ fn measure(
     let best = grid_bench::min_of(
         passes,
         || GridConfig::new(platform.clone(), BatchPolicy::Cbf).with_seed(42),
-        |config| {
-            GridSim::new(config, specs.to_vec())
-                .run()
-                .expect("bench workload is schedulable")
-        },
+        |config| simulate(config, specs.to_vec()).expect("bench workload is schedulable"),
         |out| {
             assert_eq!(
                 grid_bench::outcome_digest(&out),

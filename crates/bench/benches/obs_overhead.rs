@@ -1,18 +1,18 @@
-//! `obs-overhead` — the zero-cost-when-disabled contract of `grid-obs`.
+//! `obs-overhead` — the cost of attaching a disabled `grid-obs` handle.
 //!
-//! The instrumentation layer promises that a simulation with a
-//! *disabled* recorder attached is indistinguishable from one that
-//! never heard of observability: every call site is a single
+//! Every instrumentation call site in the engine is compiled in; there
+//! is no uninstrumented build to compare against. What the
+//! zero-cost-when-disabled contract promises is that *attaching* a
+//! disabled handle costs nothing measurable: each call site is a single
 //! `Option`-is-`None` check, no allocation, no formatting. This bench
-//! enforces that promise with a head-to-head timing of the same paper
-//! run three ways:
+//! times the same paper run three ways:
 //!
-//! 1. **baseline** — `run_one`, the uninstrumented entry point every
-//!    pre-observability caller uses;
-//! 2. **disabled** — `run_one_observed` with `Obs::disabled()`, the
+//! 1. **baseline** — the unit's `GridSim` (`exec::grid_sim`) run with no
+//!    handle attached;
+//! 2. **disabled** — `simulate_observed` with `Obs::disabled()`, the
 //!    path `campaign run` takes when neither `--trace` nor any exporter
 //!    is requested;
-//! 3. **enabled** — `run_one_observed` with a live recorder (reported
+//! 3. **enabled** — `simulate_observed` with a live recorder (reported
 //!    for context, not gated: recording cost is opt-in by design).
 //!
 //! The disabled path must stay within 2% of the baseline (min-of-N
@@ -27,69 +27,37 @@
 
 use std::hint::black_box;
 
+use grid_campaign::exec::{grid_sim, simulate_observed};
 use grid_obs::Obs;
-use grid_realloc::experiments::{run_one, run_one_observed, SuiteConfig};
-use grid_realloc::{Heuristic, ReallocAlgorithm, ReallocConfig};
-use grid_workload::Scenario;
+use grid_realloc::Heuristic;
 
 /// The workload, as `BENCH_obs.json` names it.
 const SCENARIO: &str = "pwa-g5k/hom/FCFS/cancel-all+MCT @ 0.01";
 
-fn suite() -> SuiteConfig {
-    SuiteConfig {
-        seed: 42,
-        // One run takes about 85 ms on a 2-CPU host: a 2% gate then has
-        // about 1.7 ms of margin. On a run of about a millisecond it
-        // would gate on timer noise.
-        fraction: 0.01,
-        ..SuiteConfig::default()
-    }
-}
-
-fn config() -> ReallocConfig {
-    // CancelAll + MCT exercises the realloc tick, migration and
-    // repair/rebuild call sites — the densest instrumentation surface.
-    ReallocConfig::new(ReallocAlgorithm::CancelAll, Heuristic::Mct)
-}
+/// The run's job-count fraction. One run takes about 85 ms on a 2-CPU
+/// host: a 2% gate then has about 1.7 ms of margin. On a run of about a
+/// millisecond it would gate on timer noise. CancelAll + MCT exercises
+/// the realloc tick, migration and repair/rebuild call sites — the
+/// densest instrumentation surface.
+const FRACTION: f64 = 0.01;
 
 /// The three variants, in the order every pass runs them.
 const VARIANTS: [&str; 3] = ["baseline", "disabled", "enabled"];
 
 /// One simulation of the selected variant.
 fn run_variant(variant: &str) -> grid_metrics::RunOutcome {
-    let suite = suite();
+    let unit = grid_bench::cancel_all_unit(Heuristic::Mct, FRACTION);
     match variant {
-        "baseline" => run_one(
-            Scenario::PwaG5k,
-            false,
-            grid_batch::BatchPolicy::Fcfs,
-            Some(config()),
-            &suite,
-        ),
-        "disabled" => {
-            run_one_observed(
-                Scenario::PwaG5k,
-                false,
-                grid_batch::BatchPolicy::Fcfs,
-                Some(config()),
-                &suite,
-                &Obs::disabled(),
-            )
-            .0
+        "baseline" => {
+            grid_sim(&unit)
+                .run()
+                .expect("paper scenarios are schedulable")
+                .0
         }
-        "enabled" => {
-            // A fresh recorder per pass, like the executor attaches one
-            // per traced run.
-            run_one_observed(
-                Scenario::PwaG5k,
-                false,
-                grid_batch::BatchPolicy::Fcfs,
-                Some(config()),
-                &suite,
-                &Obs::enabled(),
-            )
-            .0
-        }
+        "disabled" => simulate_observed(&unit, &Obs::disabled()).0,
+        // A fresh recorder per pass, like the executor attaches one per
+        // traced run.
+        "enabled" => simulate_observed(&unit, &Obs::enabled()).0,
         other => unreachable!("unknown variant {other}"),
     }
 }
@@ -150,7 +118,7 @@ fn main() {
     );
     assert!(
         disabled <= base * (1.0 + GATE),
-        "disabled instrumentation must cost < {:.0}% over the uninstrumented baseline \
+        "attaching a disabled handle must cost < {:.0}% over the run with none attached \
          ({disabled:.1} vs {base:.1} ms)",
         GATE * 100.0,
     );

@@ -15,11 +15,9 @@
 //! below [`MAX_EXPONENT`]. Timings are the minimum of the measured passes
 //! ([`grid_bench::min_of`]). Results land in `BENCH_scale.json`.
 
-use grid_batch::BatchPolicy;
+use grid_campaign::exec::{grid_sim, simulate_observed};
 use grid_obs::Obs;
-use grid_realloc::experiments::{run_one, run_one_observed, SuiteConfig};
-use grid_realloc::{Heuristic, ReallocAlgorithm, ReallocConfig};
-use grid_workload::Scenario;
+use grid_realloc::Heuristic;
 
 /// Outcome digest ([`grid_bench::outcome_digest`]) per size fraction.
 const PINNED: &[(f64, u64)] = &[
@@ -33,18 +31,6 @@ const PINNED: &[(f64, u64)] = &[
 /// pinned from, above the width-class walk's 3.5 (full) and 3.5–4.0
 /// (quick) on a 2-CPU host.
 const MAX_EXPONENT: f64 = 4.15;
-
-fn suite(fraction: f64) -> SuiteConfig {
-    SuiteConfig {
-        seed: 42,
-        fraction,
-        ..SuiteConfig::default()
-    }
-}
-
-fn config() -> ReallocConfig {
-    ReallocConfig::new(ReallocAlgorithm::CancelAll, Heuristic::MaxMin)
-}
 
 /// Least-squares slope of `ln y` over `ln x`.
 fn exponent(points: &[(f64, f64)]) -> f64 {
@@ -71,7 +57,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut points = Vec::new();
     for &(fraction, pinned) in fractions {
-        let suite = suite(fraction);
+        let unit = grid_bench::cancel_all_unit(Heuristic::MaxMin, fraction);
         let check = |out: &grid_metrics::RunOutcome| {
             assert_eq!(
                 grid_bench::outcome_digest(out),
@@ -82,29 +68,14 @@ fn main() {
         let wall_ms = grid_bench::min_of(
             passes,
             || (),
-            |()| {
-                run_one(
-                    Scenario::PwaG5k,
-                    false,
-                    BatchPolicy::Fcfs,
-                    Some(config()),
-                    &suite,
-                )
-            },
+            |()| grid_sim(&unit).run().expect("the cell is schedulable").0,
             |out| check(&out),
         );
         let mut tick_ms = f64::INFINITY;
         let mut counts = [0; 3];
         for _ in 0..passes {
             let obs = Obs::enabled();
-            let (out, _, _) = run_one_observed(
-                Scenario::PwaG5k,
-                false,
-                BatchPolicy::Fcfs,
-                Some(config()),
-                &suite,
-                &obs,
-            );
+            let (out, _, _) = simulate_observed(&unit, &obs);
             check(&out);
             obs.with(|r| {
                 let tick = r.spans().get("realloc.tick").map_or(0, |s| s.total_ns);

@@ -6,13 +6,19 @@
 //! `{"schema":"bench/1","bench":<name>,"quick":…,"cpus":…, …body}` and
 //! writes `BENCH_<name>.json` at the workspace root. `BENCH_QUICK=1`
 //! ([`quick`]) is the one knob: it shrinks a bench's workload, never its
-//! assertions. [`min_of`] is the shared timer.
+//! assertions. [`min_of`] is the shared timer, [`cancel_all_unit`] the
+//! shared paper-campaign run.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use grid_batch::BatchPolicy;
+use grid_campaign::{ReallocSetting, RunKind, RunUnit};
+use grid_fault::Fault;
 use grid_metrics::RunOutcome;
+use grid_realloc::{Heuristic, Mapping, ReallocAlgorithm, ReallocConfig};
 use grid_ser::Value;
+use grid_workload::Scenario;
 
 /// The envelope schema every committed `BENCH_*.json` carries.
 const SCHEMA: &str = "bench/1";
@@ -47,6 +53,29 @@ pub fn min_of<I, O>(
         check(output);
     }
     best
+}
+
+/// The paper campaign's `pwa-g5k/hom/FCFS/cancel-all/<heuristic>` run at
+/// `fraction` of the Table 1 job counts: seed 42 and the paper's
+/// defaults elsewhere ([`ReallocConfig::new`]'s period and threshold).
+pub fn cancel_all_unit(heuristic: Heuristic, fraction: f64) -> RunUnit {
+    let paper = ReallocConfig::new(ReallocAlgorithm::CancelAll, heuristic);
+    RunUnit {
+        scenario: Scenario::PwaG5k,
+        heterogeneous: false,
+        policy: BatchPolicy::Fcfs,
+        seed: 42,
+        fraction,
+        fault: Fault::NONE,
+        mapping: Mapping::Mct,
+        walltime_adjustment: true,
+        kind: RunKind::Realloc(ReallocSetting {
+            algorithm: paper.algorithm,
+            heuristic,
+            period: paper.period,
+            threshold: paper.threshold,
+        }),
+    }
 }
 
 /// FNV-1a over every field of every job record, in id order, then the

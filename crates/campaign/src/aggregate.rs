@@ -384,6 +384,26 @@ pub struct CellStats {
     pub ect_column_refills: u64,
 }
 
+impl CellStats {
+    /// Every counter with its column name, in export order: the one list
+    /// the `--stats` CSV header, its rows and the JSON `sched_stats`
+    /// objects are all written from. The original four come first, so
+    /// tooling that greps them keeps matching.
+    fn columns(&self) -> [(&'static str, u64); 9] {
+        [
+            ("first_fit_probes", self.first_fit_probes),
+            ("suffix_repairs", self.suffix_repairs),
+            ("recomputes", self.recomputes),
+            ("evicted", self.evicted),
+            ("profile_promotions", self.profile_promotions),
+            ("batch_fast_placements", self.batch_fast_placements),
+            ("queue_bucket_spills", self.queue_bucket_spills),
+            ("ect_snapshot_reuses", self.ect_snapshot_reuses),
+            ("ect_column_refills", self.ect_column_refills),
+        ]
+    }
+}
+
 /// Sidecar-derived scheduler stats per group and table cell.
 pub type StatsIndex = BTreeMap<GroupKey, HashMap<ExperimentKey, CellStats>>;
 
@@ -854,19 +874,9 @@ impl CampaignResults {
                 let stats_field = match stats {
                     None => String::new(),
                     Some(index) => match index.get(group).and_then(|cells| cells.get(key)) {
-                        Some(s) => format!(
-                            ",{},{},{},{},{},{},{},{},{}",
-                            s.first_fit_probes,
-                            s.suffix_repairs,
-                            s.recomputes,
-                            s.evicted,
-                            s.profile_promotions,
-                            s.batch_fast_placements,
-                            s.queue_bucket_spills,
-                            s.ect_snapshot_reuses,
-                            s.ect_column_refills
-                        ),
-                        None => ",,,,,,,".to_string(),
+                        Some(s) => s.columns().iter().map(|(_, v)| format!(",{v}")).collect(),
+                        // No sidecar: one empty field per column.
+                        None => ",".repeat(CellStats::default().columns().len()),
                     },
                 };
                 out.push_str(&csv_row(group, key, c, extra, &stats_field));
@@ -919,15 +929,9 @@ impl CampaignResults {
                 );
                 if let Some(s) = stats.and_then(|index| index.get(group)?.get(key)) {
                     let mut sched = Value::object();
-                    sched.insert("first_fit_probes", s.first_fit_probes);
-                    sched.insert("suffix_repairs", s.suffix_repairs);
-                    sched.insert("recomputes", s.recomputes);
-                    sched.insert("evicted", s.evicted);
-                    sched.insert("profile_promotions", s.profile_promotions);
-                    sched.insert("batch_fast_placements", s.batch_fast_placements);
-                    sched.insert("queue_bucket_spills", s.queue_bucket_spills);
-                    sched.insert("ect_snapshot_reuses", s.ect_snapshot_reuses);
-                    sched.insert("ect_column_refills", s.ect_column_refills);
+                    for (name, v) in s.columns() {
+                        sched.insert(name, v);
+                    }
                     row.insert("sched_stats", sched);
                 }
                 row.insert(
@@ -1011,14 +1015,14 @@ fn csv_header(extra: ExtraAxes, stats: bool) -> String {
             ""
         },
     );
-    let stats_col = if stats {
-        // New columns append after `evicted` — tooling that greps the
-        // original four keeps matching.
-        ",first_fit_probes,suffix_repairs,recomputes,evicted,\
-         profile_promotions,batch_fast_placements,queue_bucket_spills,\
-         ect_snapshot_reuses,ect_column_refills"
+    let stats_col: String = if stats {
+        CellStats::default()
+            .columns()
+            .iter()
+            .map(|(name, _)| format!(",{name}"))
+            .collect()
     } else {
-        ""
+        String::new()
     };
     format!(
         "scenario,platform,policy,algorithm,heuristic,period_s,threshold_s,seed{axis_cols},\
@@ -1312,6 +1316,45 @@ mod tests {
         assert!(results.to_json().req_arr("cells").unwrap()[0]
             .get("sched_stats")
             .is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cell whose telemetry sidecar is missing still renders one empty
+    /// field per stats column: every row is as wide as the header.
+    #[test]
+    fn stats_csv_rows_match_the_header_when_a_sidecar_is_missing() {
+        let mut spec = mini_spec();
+        spec.heterogeneity = vec![false];
+        spec.heuristics = vec![Heuristic::Mct];
+        let plan = spec.expand();
+        let dir = std::env::temp_dir().join(format!(
+            "grid-campaign-agg-nosidecar-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::open(&dir).unwrap();
+        let (outcomes, summary) = execute(&plan.units, Some(&cache), &ExecOptions::default());
+        assert!(summary.failures.is_empty());
+        let results = aggregate(&spec, &plan, &outcomes).unwrap();
+        let realloc = plan
+            .units
+            .iter()
+            .find(|u| matches!(u.kind, RunKind::Realloc(_)))
+            .unwrap();
+        std::fs::remove_file(cache.obs_path(realloc)).unwrap();
+
+        let csv = results.to_csv_with_stats(&stats_index(&plan, &cache));
+        let mut lines = csv.lines();
+        let width = lines.next().unwrap().split(',').count();
+        let rows: Vec<&str> = lines.collect();
+        assert_eq!(rows.len(), 2, "one row per algorithm");
+        assert!(
+            rows.iter().any(|row| row.ends_with(&",".repeat(9))),
+            "the cell without a sidecar renders empty stats fields"
+        );
+        for row in rows {
+            assert_eq!(row.split(',').count(), width, "{row}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,8 +19,8 @@ use std::time::Instant;
 use grid_batch::ClusterStats;
 use grid_metrics::RunOutcome;
 use grid_obs::{Obs, ProgressView};
-use grid_realloc::experiments::{run_one, run_one_observed, SuiteConfig};
-use grid_realloc::ReallocConfig;
+use grid_realloc::experiments::platform_for;
+use grid_realloc::{GridConfig, GridSim};
 use grid_ser::Value;
 
 use crate::cache::{ResultCache, RunRecord};
@@ -74,53 +74,39 @@ pub struct ExecSummary {
     pub store_errors: Vec<RunFailure>,
 }
 
-/// Simulate one unit (no cache, no isolation) — the pure function the
-/// executor wraps.
-pub fn simulate(unit: &RunUnit) -> RunOutcome {
-    let (realloc, suite) = run_setup(unit);
-    run_one(
-        unit.scenario,
-        unit.heterogeneous,
-        unit.policy,
-        realloc,
-        &suite,
-    )
+/// The simulation a unit describes, with no instrumentation handle
+/// attached: the scenario's workload (trace perturbation applied to the
+/// jobs up front; outages and ECT noise are injected by `GridSim`
+/// itself) on the scenario's platform, under the unit's seed, fault,
+/// mapping, walltime adjustment and reallocation setting.
+pub fn grid_sim(unit: &RunUnit) -> GridSim {
+    let mut jobs = unit.scenario.generate_fraction(unit.seed, unit.fraction);
+    if let Some(perturb) = &unit.fault.config().perturb {
+        perturb.apply(&mut jobs, unit.seed);
+    }
+    let config = GridConfig::new(platform_for(unit.scenario, unit.heterogeneous), unit.policy)
+        .with_seed(unit.seed)
+        .with_fault(unit.fault)
+        .with_mapping(unit.mapping)
+        .with_walltime_adjustment(unit.walltime_adjustment);
+    let config = match unit.kind {
+        RunKind::Reference => config,
+        RunKind::Realloc(setting) => config.with_realloc(setting.to_config()),
+    };
+    GridSim::new(config, jobs)
 }
 
-/// Simulate one unit with an [`Obs`] recorder attached. The outcome is
-/// byte-identical to [`simulate`] — the recorder is write-only — and the
-/// per-site scheduler counters plus the grid-level engine counters come
-/// back alongside it.
+/// Simulate one unit (no cache, no isolation) with `obs` attached — the
+/// pure function the executor wraps. The outcome does not depend on the
+/// handle: the recorder is write-only. The per-site scheduler counters
+/// and the grid-level engine counters come back alongside it.
 pub fn simulate_observed(
     unit: &RunUnit,
     obs: &Obs,
 ) -> (RunOutcome, Vec<ClusterStats>, grid_realloc::GridStats) {
-    let (realloc, suite) = run_setup(unit);
-    run_one_observed(
-        unit.scenario,
-        unit.heterogeneous,
-        unit.policy,
-        realloc,
-        &suite,
-        obs,
-    )
-}
-
-/// A unit's reallocation setting (`None` for a reference run) and the
-/// suite knobs it runs under.
-fn run_setup(unit: &RunUnit) -> (Option<ReallocConfig>, SuiteConfig) {
-    let realloc = match unit.kind {
-        RunKind::Reference => None,
-        RunKind::Realloc(setting) => Some(setting.to_config()),
-    };
-    let suite = SuiteConfig {
-        seed: unit.seed,
-        fraction: unit.fraction,
-        fault: unit.fault,
-        mapping: unit.mapping,
-        walltime_adjustment: unit.walltime_adjustment,
-    };
-    (realloc, suite)
+    let mut sim = grid_sim(unit);
+    sim.set_obs(obs.clone());
+    sim.run().expect("paper scenarios are schedulable")
 }
 
 /// The telemetry sidecar stored next to (but never inside) the record.
@@ -577,6 +563,34 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// `grid_sim` applies trace perturbation before the simulation runs:
+    /// the perturbed unit differs from the healthy one, deterministically.
+    #[test]
+    fn suite_fault_perturbs_the_trace_deterministically() {
+        let healthy_unit = RunUnit {
+            scenario: Scenario::Jun,
+            heterogeneous: false,
+            policy: BatchPolicy::Fcfs,
+            seed: 42,
+            fraction: 0.01,
+            fault: grid_fault::Fault::NONE,
+            mapping: grid_realloc::Mapping::Mct,
+            walltime_adjustment: true,
+            kind: RunKind::Reference,
+        };
+        let perturbed_unit = RunUnit {
+            fault: grid_fault::Fault::resolve_expr("perturb(jitter_s=1800, runtime_factor=1.3)")
+                .unwrap(),
+            ..healthy_unit.clone()
+        };
+        let run = |unit: &RunUnit| grid_sim(unit).run().unwrap().0;
+        let healthy = run(&healthy_unit);
+        let perturbed = run(&perturbed_unit);
+        assert_eq!(perturbed.records.len(), healthy.records.len());
+        assert_ne!(perturbed.records, healthy.records);
+        assert_eq!(perturbed.records, run(&perturbed_unit).records);
     }
 
     #[test]

@@ -5,23 +5,20 @@
 //! under 2 reallocation algorithms × 6 heuristics (336 runs). Tables 2–17
 //! are four metrics × two algorithms × two heterogeneity levels.
 //!
-//! This module holds the single-run entry points ([`run_one`],
-//! [`run_one_observed`]) and the table builders; the matrix itself is
-//! expanded, executed and aggregated by the `grid-campaign` crate, which
-//! folds back into [`SuiteResults`]. Every run is deterministic per
-//! `(scenario, seed)`.
+//! This module holds the scenario → platform map ([`platform_for`]) and
+//! renders the paper's tables. The matrix itself is expanded, run on
+//! [`GridSim`](crate::GridSim) and aggregated by the `grid-campaign`
+//! crate, which folds back into [`SuiteResults`]. Every run is
+//! deterministic per `(scenario, seed)`.
 
 use std::collections::HashMap;
 
 use grid_batch::{BatchPolicy, Platform};
-use grid_fault::Fault;
-use grid_metrics::{Comparison, PaperTable, RunOutcome};
+use grid_metrics::{Comparison, PaperTable};
 use grid_workload::Scenario;
 
-use crate::grid::{GridConfig, GridSim};
 use crate::heuristics::Heuristic;
-use crate::mapping::Mapping;
-use crate::realloc::{ReallocAlgorithm, ReallocConfig};
+use crate::realloc::ReallocAlgorithm;
 
 /// Which §3.4 metric a table reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,44 +77,6 @@ impl Metric {
     }
 }
 
-/// Global knobs for a suite run.
-#[derive(Debug, Clone, Copy)]
-pub struct SuiteConfig {
-    /// Workload seed.
-    pub seed: u64,
-    /// Per-site job-count fraction (1.0 = the paper's Table 1 counts; small
-    /// values give quick smoke suites).
-    pub fraction: f64,
-    /// Fault injection ([`Fault::NONE`] = the paper's healthy grid).
-    pub fault: Fault,
-    /// Initial mapping policy of the agent (paper: MCT).
-    pub mapping: Mapping,
-    /// Scale walltimes to cluster speeds (paper §1: on).
-    pub walltime_adjustment: bool,
-}
-
-impl Default for SuiteConfig {
-    fn default() -> Self {
-        SuiteConfig {
-            seed: 42,
-            fraction: 1.0,
-            fault: Fault::NONE,
-            mapping: Mapping::Mct,
-            walltime_adjustment: true,
-        }
-    }
-}
-
-impl SuiteConfig {
-    /// A fast configuration for tests and smoke benches.
-    pub fn smoke() -> Self {
-        SuiteConfig {
-            fraction: 0.01,
-            ..SuiteConfig::default()
-        }
-    }
-}
-
 /// The platform a scenario runs on (§3.2).
 pub fn platform_for(scenario: Scenario, heterogeneous: bool) -> Platform {
     match scenario {
@@ -146,64 +105,6 @@ pub struct SuiteResults {
     pub heterogeneous: bool,
     /// Comparison against the reference run, per experiment.
     pub comparisons: HashMap<ExperimentKey, Comparison>,
-}
-
-/// Run one simulation (reference when `realloc` is `None`).
-pub fn run_one(
-    scenario: Scenario,
-    heterogeneous: bool,
-    policy: BatchPolicy,
-    realloc: Option<ReallocConfig>,
-    suite: &SuiteConfig,
-) -> RunOutcome {
-    build_sim(scenario, heterogeneous, policy, realloc, suite)
-        .run()
-        .expect("paper scenarios are schedulable")
-}
-
-/// [`run_one`] with an instrumentation handle attached and the
-/// per-cluster [`ClusterStats`](grid_batch::ClusterStats) plus the
-/// grid-level [`GridStats`](crate::GridStats) returned alongside the
-/// outcome. The outcome is byte-identical to `run_one`'s — the recorder
-/// observes, it never steers — so campaign cache records are unaffected
-/// by whether a run was observed.
-pub fn run_one_observed(
-    scenario: Scenario,
-    heterogeneous: bool,
-    policy: BatchPolicy,
-    realloc: Option<ReallocConfig>,
-    suite: &SuiteConfig,
-    obs: &grid_obs::Obs,
-) -> (RunOutcome, Vec<grid_batch::ClusterStats>, crate::GridStats) {
-    let mut sim = build_sim(scenario, heterogeneous, policy, realloc, suite);
-    sim.set_obs(obs.clone());
-    sim.run_instrumented()
-        .expect("paper scenarios are schedulable")
-}
-
-/// The simulator both entry points run: the scenario's workload (with
-/// trace perturbation applied before the driver sees it; outages and ECT
-/// noise are injected by the driver itself) on the scenario's platform.
-fn build_sim(
-    scenario: Scenario,
-    heterogeneous: bool,
-    policy: BatchPolicy,
-    realloc: Option<ReallocConfig>,
-    suite: &SuiteConfig,
-) -> GridSim {
-    let mut jobs = scenario.generate_fraction(suite.seed, suite.fraction);
-    if let Some(perturb) = &suite.fault.config().perturb {
-        perturb.apply(&mut jobs, suite.seed);
-    }
-    let mut config = GridConfig::new(platform_for(scenario, heterogeneous), policy)
-        .with_seed(suite.seed)
-        .with_fault(suite.fault)
-        .with_mapping(suite.mapping)
-        .with_walltime_adjustment(suite.walltime_adjustment);
-    if let Some(r) = realloc {
-        config = config.with_realloc(r);
-    }
-    GridSim::new(config, jobs)
 }
 
 /// Row-group (policy) rendering order: registered policies in registry
@@ -541,23 +442,6 @@ mod tests {
         assert_eq!(t.get("2008", "jan", "Bordeaux"), Some(13_084.0));
         assert_eq!(t.get("2008", "apr", "Total"), Some(36_041.0));
         assert_eq!(t.get("2008", "jun", "Lyon"), Some(3_540.0));
-    }
-
-    /// The harness applies trace perturbation before the driver runs:
-    /// the perturbed suite differs from the healthy one, deterministically.
-    #[test]
-    fn suite_fault_perturbs_the_trace_deterministically() {
-        let perturbed_suite = SuiteConfig {
-            fault: Fault::resolve_expr("perturb(jitter_s=1800, runtime_factor=1.3)").unwrap(),
-            ..SuiteConfig::smoke()
-        };
-        let run =
-            |suite: &SuiteConfig| run_one(Scenario::Jun, false, BatchPolicy::Fcfs, None, suite);
-        let healthy = run(&SuiteConfig::smoke());
-        let perturbed = run(&perturbed_suite);
-        assert_eq!(perturbed.records.len(), healthy.records.len());
-        assert_ne!(perturbed.records, healthy.records);
-        assert_eq!(perturbed.records, run(&perturbed_suite).records);
     }
 
     #[test]

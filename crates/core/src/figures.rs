@@ -17,7 +17,7 @@ use grid_batch::{BatchPolicy, ClusterSpec, GanttChart, JobId, JobSpec, Platform}
 use grid_des::{Duration, SimTime};
 use grid_metrics::RunOutcome;
 
-use crate::grid::{GridConfig, GridSim};
+use crate::grid::{simulate, GridConfig};
 use crate::heuristics::Heuristic;
 use crate::realloc::{ReallocAlgorithm, ReallocConfig};
 
@@ -92,20 +92,18 @@ fn figure_workload() -> Vec<JobSpec> {
 /// Run the figure workload with and without reallocation.
 pub fn figure1_runs() -> (RunOutcome, RunOutcome) {
     let platform = two_cluster_platform(4);
-    let base = GridSim::new(
+    let base = simulate(
         GridConfig::new(platform.clone(), BatchPolicy::Fcfs),
         figure_workload(),
     )
-    .run()
     .expect("figure workload is schedulable");
-    let realloc = GridSim::new(
+    let realloc = simulate(
         GridConfig::new(platform, BatchPolicy::Fcfs).with_realloc(
             ReallocConfig::new(ReallocAlgorithm::NoCancel, Heuristic::Mct)
                 .with_period(Duration::minutes(20)),
         ),
         figure_workload(),
     )
-    .run()
     .expect("figure workload is schedulable");
     (base, realloc)
 }
@@ -185,20 +183,18 @@ fn figure2_platform() -> Platform {
 
 /// Run the figure-2 workload with and without reallocation.
 pub fn figure2_runs() -> (RunOutcome, RunOutcome) {
-    let base = GridSim::new(
+    let base = simulate(
         GridConfig::new(figure2_platform(), BatchPolicy::Fcfs),
         figure2_workload(),
     )
-    .run()
     .expect("figure workload is schedulable");
-    let realloc = GridSim::new(
+    let realloc = simulate(
         GridConfig::new(figure2_platform(), BatchPolicy::Fcfs).with_realloc(
             ReallocConfig::new(ReallocAlgorithm::NoCancel, Heuristic::Mct)
                 .with_period(Duration::minutes(20)),
         ),
         figure2_workload(),
     )
-    .run()
     .expect("figure workload is schedulable");
     (base, realloc)
 }

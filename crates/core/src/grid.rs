@@ -162,7 +162,7 @@ enum Event {
 /// Grid-level (non-cluster) engine counters accumulated over a run.
 ///
 /// Like [`ClusterStats`] these are telemetry, never results: they ride
-/// next to the outcome (`run_instrumented`), feed obs counters and the
+/// next to the outcome ([`GridSim::run`]), feed obs counters and the
 /// campaign sidecars, and stay out of every cached record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridStats {
@@ -279,28 +279,12 @@ impl GridSim {
         self.obs = obs;
     }
 
-    /// Run to completion and return the outcome.
-    pub fn run(self) -> Result<RunOutcome, SimError> {
-        self.run_with_stats().map(|(outcome, _)| outcome)
-    }
-
-    /// Run to completion and also return each cluster's accumulated
-    /// [`ClusterStats`] (in platform site order) — the scheduler-effort
-    /// counters (`first_fit_probes`, `suffix_repairs`, `recomputes`, …)
-    /// campaigns report alongside the outcome. The counters never feed
-    /// the outcome itself, so cached run records are unaffected.
-    pub fn run_with_stats(self) -> Result<(RunOutcome, Vec<ClusterStats>), SimError> {
-        self.run_instrumented()
-            .map(|(outcome, stats, _)| (outcome, stats))
-    }
-
-    /// [`run_with_stats`](GridSim::run_with_stats) plus the grid-level
-    /// [`GridStats`] (event-queue bucket spills and friends). Separate
-    /// from the per-cluster counters because these belong to the driver,
-    /// not to any site.
-    pub fn run_instrumented(
-        mut self,
-    ) -> Result<(RunOutcome, Vec<ClusterStats>, GridStats), SimError> {
+    /// Run to completion. Returns the outcome, each cluster's
+    /// accumulated [`ClusterStats`] (in platform site order) and the
+    /// grid-level [`GridStats`]. The counters are telemetry: they never
+    /// feed the outcome, so cached run records are unaffected by them.
+    /// [`simulate`] keeps only the outcome.
+    pub fn run(mut self) -> Result<(RunOutcome, Vec<ClusterStats>, GridStats), SimError> {
         if let Some(e) = self.config_error.take() {
             return Err(e);
         }
@@ -647,9 +631,11 @@ impl GridSim {
     }
 }
 
-/// Convenience: run a workload under a config (used by examples/tests).
+/// Run a workload under a config and keep only the outcome.
 pub fn simulate(config: GridConfig, jobs: Vec<JobSpec>) -> Result<RunOutcome, SimError> {
-    GridSim::new(config, jobs).run()
+    GridSim::new(config, jobs)
+        .run()
+        .map(|(outcome, _, _)| outcome)
 }
 
 #[cfg(test)]
@@ -1054,19 +1040,19 @@ mod tests {
         );
     }
 
-    /// `run_with_stats` surfaces per-cluster scheduler-effort counters
-    /// without touching the outcome: the availability engine answers
-    /// first-fit probes on every site, reallocation cancels exercise the
-    /// warm-repair path, and the outcome equals a plain `run()`.
+    /// `run` surfaces per-cluster scheduler-effort counters without
+    /// touching the outcome: the availability engine answers first-fit
+    /// probes on every site, reallocation cancels exercise the
+    /// warm-repair path, and the outcome equals [`simulate`]'s.
     #[test]
-    fn run_with_stats_reports_scheduler_effort() {
+    fn run_reports_scheduler_effort() {
         let jobs = grid_workload::Scenario::Jun.generate_fraction(3, 0.01);
         let cfg = || {
             GridConfig::new(Platform::grid5000(true), BatchPolicy::Cbf).with_realloc(
                 ReallocConfig::new(ReallocAlgorithm::CancelAll, Heuristic::Mct),
             )
         };
-        let (out, stats) = GridSim::new(cfg(), jobs.clone()).run_with_stats().unwrap();
+        let (out, stats, _) = GridSim::new(cfg(), jobs.clone()).run().unwrap();
         assert_eq!(stats.len(), Platform::grid5000(true).clusters.len());
         assert!(
             stats.iter().all(|s| s.first_fit_probes > 0),
@@ -1102,14 +1088,14 @@ mod tests {
             let obs = grid_obs::Obs::enabled();
             let mut sim = GridSim::new(cfg(), jobs);
             sim.set_obs(obs.clone());
-            let (out, stats) = sim.run_with_stats().unwrap();
+            let (out, stats, _) = sim.run().unwrap();
             let r = obs.snapshot().unwrap();
             (out, stats, r)
         };
         let (out, stats, rec) = observed(jobs.clone());
 
-        // Byte-identical outcome and stats vs the uninstrumented run.
-        let (plain_out, plain_stats) = GridSim::new(cfg(), jobs.clone()).run_with_stats().unwrap();
+        // Byte-identical outcome and stats vs the run with no handle.
+        let (plain_out, plain_stats, _) = GridSim::new(cfg(), jobs.clone()).run().unwrap();
         assert_eq!(out.records, plain_out.records);
         assert_eq!(stats, plain_stats);
 

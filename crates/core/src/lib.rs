@@ -20,23 +20,24 @@
 //! * the six **(re)scheduling heuristics** that order the jobs inside a
 //!   reallocation round (§2.2.2): MCT, MinMin, MaxMin, MaxGain, MaxRelGain
 //!   and Sufferage;
-//! * the **simulation driver** gluing these to the `grid-batch` clusters,
-//!   and the **single-run entry points and table builders** behind the
-//!   paper's Tables 2–17 (the `grid-campaign` crate runs the 364-run
-//!   matrix and the A1–A7 ablation specs through them).
+//! * the **simulator** gluing these to the `grid-batch` clusters
+//!   ([`GridSim::run`], or [`simulate`] for the outcome alone), and the
+//!   code behind the paper's **Tables 2–17** (the `grid-campaign` crate
+//!   runs the 364-run matrix and the A1–A7 ablation specs through
+//!   `GridSim`).
 //!
 //! ## Quick start
 //!
 //! ```
 //! use grid_batch::{BatchPolicy, Platform};
-//! use grid_realloc::{GridConfig, GridSim, Heuristic, ReallocAlgorithm, ReallocConfig};
+//! use grid_realloc::{simulate, GridConfig, Heuristic, ReallocAlgorithm, ReallocConfig};
 //! use grid_workload::Scenario;
 //!
 //! // A small slice of the paper's January scenario.
 //! let jobs = Scenario::Jan.generate_fraction(42, 0.01);
 //! let config = GridConfig::new(Platform::grid5000(true), BatchPolicy::Cbf)
 //!     .with_realloc(ReallocConfig::new(ReallocAlgorithm::NoCancel, Heuristic::Mct));
-//! let outcome = GridSim::new(config, jobs).run().unwrap();
+//! let outcome = simulate(config, jobs).unwrap();
 //! println!(
 //!     "{} jobs, {} reallocations, mean response {:.0} s",
 //!     outcome.records.len(),
@@ -57,7 +58,7 @@ pub mod multisub;
 mod oracle;
 pub mod realloc;
 
-pub use grid::{GridConfig, GridSim, GridStats, SimError};
+pub use grid::{simulate, GridConfig, GridSim, GridStats, SimError};
 pub use heuristics::{Heuristic, OrderingHeuristic};
 pub use mapping::{Mapper, Mapping, MappingPolicy};
 pub use realloc::{ReallocAlgorithm, ReallocConfig, ReallocStrategy, TickReport};

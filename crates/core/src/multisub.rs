@@ -285,7 +285,7 @@ mod tests {
     fn multisub_comparable_with_reallocation() {
         // The related-work comparison the paper makes qualitatively: both
         // mechanisms beat the plain baseline on bursty workloads.
-        use crate::grid::{GridConfig, GridSim};
+        use crate::grid::{simulate, GridConfig};
         use crate::heuristics::Heuristic;
         use crate::realloc::{ReallocAlgorithm, ReallocConfig};
         // Seed re-pinned when the RNG moved in-tree (the stream changed);
@@ -293,20 +293,18 @@ mod tests {
         // show their improving direction.
         let jobs = grid_workload::Scenario::Apr.generate_fraction(2, 0.005);
         let platform = Platform::grid5000(false);
-        let base = GridSim::new(
+        let base = simulate(
             GridConfig::new(platform.clone(), BatchPolicy::Fcfs),
             jobs.clone(),
         )
-        .run()
         .unwrap();
-        let realloc = GridSim::new(
+        let realloc = simulate(
             GridConfig::new(platform.clone(), BatchPolicy::Fcfs).with_realloc(ReallocConfig::new(
                 ReallocAlgorithm::CancelAll,
                 Heuristic::MinMin,
             )),
             jobs.clone(),
         )
-        .run()
         .unwrap();
         let msub = simulate_multisub(MultiSubConfig::new(platform, BatchPolicy::Fcfs, 3), jobs);
         assert_eq!(msub.records.len(), base.records.len());

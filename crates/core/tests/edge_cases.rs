@@ -3,7 +3,7 @@
 
 use grid_batch::{BatchPolicy, ClusterSpec, JobSpec, Platform};
 use grid_des::{Duration, SimTime};
-use grid_realloc::{GridConfig, GridSim, Heuristic, ReallocAlgorithm, ReallocConfig};
+use grid_realloc::{simulate, GridConfig, Heuristic, ReallocAlgorithm, ReallocConfig};
 
 fn two_clusters(p0: u32, p1: u32) -> Platform {
     Platform::new(
@@ -17,14 +17,13 @@ fn two_clusters(p0: u32, p1: u32) -> Platform {
 
 #[test]
 fn empty_workload_is_a_noop() {
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(two_clusters(4, 4), BatchPolicy::Fcfs).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::CancelAll,
             Heuristic::MinMin,
         )),
         vec![],
     )
-    .run()
     .unwrap();
     assert!(out.records.is_empty());
     assert_eq!(out.total_ticks, 0, "no first submission, no ticks");
@@ -40,14 +39,13 @@ fn completion_and_tick_at_same_instant_order_correctly() {
         JobSpec::new(0, 0, 4, 3_600, 3_600),
         JobSpec::new(1, 0, 4, 100, 7_200),
     ];
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(two_clusters(4, 4), BatchPolicy::Fcfs).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::NoCancel,
             Heuristic::Mct,
         )),
         jobs,
     )
-    .run()
     .unwrap();
     assert_eq!(out.records.len(), 2);
     assert_eq!(
@@ -66,14 +64,13 @@ fn arrival_exactly_at_tick_is_mapped_then_not_reallocated_same_tick() {
         JobSpec::new(0, 0, 4, 10_000, 10_000), // blocks cluster 0
         JobSpec::new(1, 3_600, 2, 100, 200),   // arrives at the tick
     ];
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(two_clusters(4, 4), BatchPolicy::Fcfs).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::NoCancel,
             Heuristic::Mct,
         )),
         jobs,
     )
-    .run()
     .unwrap();
     assert_eq!(out.total_reallocations, 0);
     // Mapped straight to the free cluster 1 and ran immediately.
@@ -90,14 +87,13 @@ fn no_migration_when_everything_is_saturated() {
     for i in 0..20u64 {
         jobs.push(JobSpec::new(i, 0, 4, 5_000, 5_000));
     }
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(two_clusters(4, 4), BatchPolicy::Fcfs).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::NoCancel,
             Heuristic::MaxGain,
         )),
         jobs,
     )
-    .run()
     .unwrap();
     assert_eq!(out.total_reallocations, 0);
     assert!(out.total_ticks > 0);
@@ -113,14 +109,13 @@ fn job_fitting_single_cluster_stays_under_cancel_all() {
         JobSpec::new(1, 10, 8, 500, 600),      // waits; only fits cluster 0
         JobSpec::new(2, 20, 4, 9_000, 9_500),  // keeps cluster 1 busy too
     ];
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(two_clusters(8, 4), BatchPolicy::Fcfs).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::CancelAll,
             Heuristic::Sufferage,
         )),
         jobs,
     )
-    .run()
     .unwrap();
     let r = out.records[&grid_batch::JobId(1)];
     assert_eq!(r.cluster, 0);
@@ -135,7 +130,7 @@ fn tiny_period_and_zero_threshold_terminate() {
     let jobs: Vec<JobSpec> = (0..30)
         .map(|i| JobSpec::new(i, i * 37, 2 + (i % 3) as u32, 400, 2_000))
         .collect();
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(two_clusters(6, 6), BatchPolicy::Cbf).with_realloc(
             ReallocConfig::new(ReallocAlgorithm::NoCancel, Heuristic::MinMin)
                 .with_period(Duration::minutes(1))
@@ -143,7 +138,6 @@ fn tiny_period_and_zero_threshold_terminate() {
         ),
         jobs,
     )
-    .run()
     .unwrap();
     assert_eq!(out.records.len(), 30);
 }
@@ -161,17 +155,15 @@ fn walltime_adjustment_changes_heterogeneous_schedules() {
     // 1000 adjusted, and with unadjusted walltime the ECT ties at 1000 ->
     // lowest index wins instead).
     let job = vec![JobSpec::new(0, 0, 4, 1_000, 1_000)];
-    let adjusted = GridSim::new(
+    let adjusted = simulate(
         GridConfig::new(platform.clone(), BatchPolicy::Fcfs),
         job.clone(),
     )
-    .run()
     .unwrap();
-    let unadjusted = GridSim::new(
+    let unadjusted = simulate(
         GridConfig::new(platform, BatchPolicy::Fcfs).with_walltime_adjustment(false),
         job,
     )
-    .run()
     .unwrap();
     let a = adjusted.records[&grid_batch::JobId(0)];
     let u = unadjusted.records[&grid_batch::JobId(0)];
@@ -200,14 +192,13 @@ fn kill_rule_applies_on_migration_target_speed() {
         JobSpec::new(1, 0, 4, 18_000, 18_000), // blocks cluster 1 (honest)... ends at 12858
         JobSpec::new(2, 10, 4, 9_999_999, 7_000), // bad job, waits on cluster 1 (fast: better ECT)
     ];
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(platform, BatchPolicy::Fcfs).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::NoCancel,
             Heuristic::Mct,
         )),
         jobs,
     )
-    .run()
     .unwrap();
     let r = out.records[&grid_batch::JobId(2)];
     let expected_walltime = Duration(7_000).scale_by_speed(if r.cluster == 1 { 1.4 } else { 1.0 });
@@ -227,12 +218,11 @@ fn heuristics_agree_on_single_waiting_job() {
     };
     let mut outcomes = Vec::new();
     for h in Heuristic::ALL {
-        let out = GridSim::new(
+        let out = simulate(
             GridConfig::new(two_clusters(4, 4), BatchPolicy::Fcfs)
                 .with_realloc(ReallocConfig::new(ReallocAlgorithm::NoCancel, h)),
             mk_jobs(),
         )
-        .run()
         .unwrap();
         outcomes.push((h, out.records[&grid_batch::JobId(2)]));
     }
@@ -250,14 +240,13 @@ fn zero_runtime_jobs_survive_reallocation_rounds() {
         JobSpec::new(2, 10, 1, 0, 600),        // instant failure, queued
         JobSpec::new(3, 20, 1, 0, 600),        // another one
     ];
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(two_clusters(4, 4), BatchPolicy::Cbf).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::CancelAll,
             Heuristic::MinMin,
         )),
         jobs,
     )
-    .run()
     .unwrap();
     assert_eq!(out.records.len(), 4);
     for id in [2u64, 3] {

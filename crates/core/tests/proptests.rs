@@ -3,7 +3,7 @@
 use grid_batch::{BatchPolicy, ClusterSpec, JobSpec, Platform};
 use grid_des::Duration;
 use grid_metrics::Comparison;
-use grid_realloc::{GridConfig, GridSim, Heuristic, ReallocAlgorithm, ReallocConfig};
+use grid_realloc::{simulate, GridConfig, Heuristic, ReallocAlgorithm, ReallocConfig};
 use proptest::prelude::*;
 
 /// Arbitrary grid workload over a two-cluster platform.
@@ -58,12 +58,11 @@ proptest! {
         policy in prop::sample::select(vec![BatchPolicy::Fcfs, BatchPolicy::Cbf]),
     ) {
         let n = jobs.len();
-        let out = GridSim::new(
+        let out = simulate(
             GridConfig::new(platform(), policy)
                 .with_realloc(ReallocConfig::new(algo, h).with_period(Duration::minutes(30))),
             jobs.clone(),
         )
-        .run()
         .unwrap();
         prop_assert_eq!(out.records.len(), n);
         for j in &jobs {
@@ -87,12 +86,11 @@ proptest! {
         algo in algorithm_strategy(),
     ) {
         let mk = || {
-            GridSim::new(
+            simulate(
                 GridConfig::new(platform(), BatchPolicy::Cbf)
                     .with_realloc(ReallocConfig::new(algo, h)),
                 jobs.clone(),
             )
-            .run()
             .unwrap()
         };
         let a = mk();
@@ -108,15 +106,13 @@ proptest! {
         h in heuristic_strategy(),
         algo in algorithm_strategy(),
     ) {
-        let base = GridSim::new(GridConfig::new(platform(), BatchPolicy::Fcfs), jobs.clone())
-            .run()
+        let base = simulate(GridConfig::new(platform(), BatchPolicy::Fcfs), jobs.clone())
             .unwrap();
-        let run = GridSim::new(
+        let run = simulate(
             GridConfig::new(platform(), BatchPolicy::Fcfs)
                 .with_realloc(ReallocConfig::new(algo, h)),
             jobs,
         )
-        .run()
         .unwrap();
         let c = Comparison::against_baseline(&base, &run);
         prop_assert_eq!(c.earlier + c.later, c.impacted);
@@ -135,17 +131,15 @@ proptest! {
     /// the run then matches the baseline exactly.
     #[test]
     fn infinite_threshold_is_baseline(jobs in jobs_strategy(), h in heuristic_strategy()) {
-        let base = GridSim::new(GridConfig::new(platform(), BatchPolicy::Cbf), jobs.clone())
-            .run()
+        let base = simulate(GridConfig::new(platform(), BatchPolicy::Cbf), jobs.clone())
             .unwrap();
-        let run = GridSim::new(
+        let run = simulate(
             GridConfig::new(platform(), BatchPolicy::Cbf).with_realloc(
                 ReallocConfig::new(ReallocAlgorithm::NoCancel, h)
                     .with_threshold(Duration(u64::MAX / 4)),
             ),
             jobs,
         )
-        .run()
         .unwrap();
         prop_assert_eq!(run.total_reallocations, 0);
         prop_assert_eq!(base.records, run.records);
@@ -168,12 +162,11 @@ proptest! {
         ]),
     ) {
         let run = |p: BatchPolicy| {
-            GridSim::new(
+            simulate(
                 GridConfig::new(platform(), p)
                     .with_realloc(ReallocConfig::new(algo, h).with_period(Duration::minutes(30))),
                 jobs.clone(),
             )
-            .run()
             .unwrap()
         };
         let homogeneous = run(policy);
@@ -192,12 +185,11 @@ proptest! {
     #[test]
     fn single_cluster_never_migrates(jobs in jobs_strategy(), algo in algorithm_strategy()) {
         let single = Platform::new("one", vec![ClusterSpec::new("c0", 12, 1.0)]);
-        let out = GridSim::new(
+        let out = simulate(
             GridConfig::new(single, BatchPolicy::Fcfs)
                 .with_realloc(ReallocConfig::new(algo, Heuristic::MinMin)),
             jobs.clone(),
         )
-        .run()
         .unwrap();
         prop_assert_eq!(out.total_reallocations, 0);
         prop_assert_eq!(out.records.len(), jobs.len());

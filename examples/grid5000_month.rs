@@ -38,9 +38,8 @@ fn main() {
         platform.total_procs()
     );
 
-    let baseline = GridSim::new(GridConfig::new(platform.clone(), policy), jobs.clone())
-        .run()
-        .expect("schedulable");
+    let baseline =
+        simulate(GridConfig::new(platform.clone(), policy), jobs.clone()).expect("schedulable");
     println!(
         "baseline (no reallocation): mean response {:.0} s, makespan {}",
         baseline.mean_response(),
@@ -54,11 +53,10 @@ fn main() {
     for algorithm in ReallocAlgorithm::ALL {
         for heuristic in Heuristic::ALL {
             let cfg = ReallocConfig::new(algorithm, heuristic);
-            let run = GridSim::new(
+            let run = simulate(
                 GridConfig::new(platform.clone(), policy).with_realloc(cfg),
                 jobs.clone(),
             )
-            .run()
             .expect("schedulable");
             let cmp = Comparison::against_baseline(&baseline, &run);
             println!(

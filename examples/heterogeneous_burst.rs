@@ -40,9 +40,8 @@ fn main() {
     );
 
     for policy in [BatchPolicy::Fcfs, BatchPolicy::Cbf] {
-        let baseline = GridSim::new(GridConfig::new(platform.clone(), policy), jobs.clone())
-            .run()
-            .expect("schedulable");
+        let baseline =
+            simulate(GridConfig::new(platform.clone(), policy), jobs.clone()).expect("schedulable");
         println!();
         println!("== {policy} ==");
         println!(
@@ -62,12 +61,11 @@ fn main() {
                 Heuristic::MinMin,
             ),
         ] {
-            let run = GridSim::new(
+            let run = simulate(
                 GridConfig::new(platform.clone(), policy)
                     .with_realloc(ReallocConfig::new(algo, heuristic)),
                 jobs.clone(),
             )
-            .run()
             .expect("schedulable");
             let cmp = Comparison::against_baseline(&baseline, &run);
             println!(

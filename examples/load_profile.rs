@@ -50,9 +50,7 @@ fn main() {
         if let Some(r) = realloc {
             config = config.with_realloc(r);
         }
-        let out = GridSim::new(config, jobs.clone())
-            .run()
-            .expect("schedulable");
+        let out = simulate(config, jobs.clone()).expect("schedulable");
         let util: Vec<f64> = utilization_series(&jobs, &out, total, width)
             .into_iter()
             .map(|(_, u)| u)

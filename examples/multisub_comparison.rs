@@ -18,31 +18,31 @@
 //! ```
 
 use caniou_realloc::prelude::*;
-use caniou_realloc::realloc::experiments::{platform_for, run_one, SuiteConfig};
+use caniou_realloc::realloc::experiments::platform_for;
 use caniou_realloc::realloc::multisub::{simulate_multisub, MultiSubConfig};
 
 fn main() {
     let fraction: f64 = std::env::args()
         .nth(1)
         .map_or(0.05, |s| s.parse().expect("bad fraction"));
-    let suite = SuiteConfig {
-        fraction,
-        ..SuiteConfig::default()
-    };
     let (scenario, policy) = (Scenario::Apr, BatchPolicy::Fcfs);
+    let jobs = scenario.generate_fraction(42, fraction);
     println!("April scenario at fraction {fraction}, heterogeneous platform, FCFS everywhere");
     println!(
         "{:<32} {:>16} {:>16}",
         "mechanism", "mean resp (s)", "control actions"
     );
-    let baseline = run_one(scenario, true, policy, None, &suite);
+    let baseline = simulate(
+        GridConfig::new(platform_for(scenario, true), policy).with_seed(42),
+        jobs.clone(),
+    )
+    .expect("schedulable");
     println!(
         "{:<32} {:>16.0} {:>16}",
         "baseline (MCT only)",
         baseline.mean_response(),
         0
     );
-    let jobs = scenario.generate_fraction(suite.seed, fraction);
     for k in [2usize, 3] {
         let run = simulate_multisub(
             MultiSubConfig::new(platform_for(scenario, true), policy, k),

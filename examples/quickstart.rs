@@ -35,22 +35,20 @@ fn main() {
     );
 
     // Reference run: MCT mapping, no reallocation.
-    let baseline = GridSim::new(
+    let baseline = simulate(
         GridConfig::new(platform.clone(), BatchPolicy::Cbf),
         jobs.clone(),
     )
-    .run()
     .expect("schedulable");
 
     // Same workload with hourly reallocation (Algorithm 1, MCT ordering).
-    let with_realloc = GridSim::new(
+    let with_realloc = simulate(
         GridConfig::new(platform, BatchPolicy::Cbf).with_realloc(ReallocConfig::new(
             ReallocAlgorithm::NoCancel,
             Heuristic::Mct,
         )),
         jobs,
     )
-    .run()
     .expect("schedulable");
 
     let cmp = Comparison::against_baseline(&baseline, &with_realloc);

@@ -47,13 +47,12 @@ fn main() {
     );
 
     // Simulate the parsed trace on the paper's platform 2.
-    let outcome = GridSim::new(
+    let outcome = simulate(
         GridConfig::new(Platform::pwa_g5k(true), BatchPolicy::Cbf).with_realloc(
             ReallocConfig::new(ReallocAlgorithm::NoCancel, Heuristic::Mct),
         ),
         parsed.jobs,
     )
-    .run()
     .expect("trace must fit the platform");
     println!(
         "simulated: mean response {:.0} s, {} reallocations, makespan {}",

@@ -20,7 +20,7 @@
 //! | [`des`] | deterministic discrete-event kernel (virtual clock, event queue, seeded RNG) |
 //! | [`batch`] | Simbatch-equivalent cluster simulator: availability profiles, FCFS and conservative back-filling, the four middleware queries, ASCII Gantt charts |
 //! | [`workload`] | SWF trace I/O and the calibrated synthetic generator reproducing the paper's Table 1 scenarios |
-//! | [`realloc`] | the paper's contribution: MCT meta-scheduling, reallocation Algorithms 1 & 2, the six heuristics, single-run entry points and table builders |
+//! | [`realloc`] | the paper's contribution: MCT meta-scheduling, reallocation Algorithms 1 & 2, the six heuristics, the simulator (`GridSim::run`, `simulate`) and the paper's tables |
 //! | [`metrics`] | the §3.4 evaluation metrics and paper-style table rendering |
 //! | [`fault`] | deterministic fault injection: cluster outage windows, ECT estimation noise, trace perturbation |
 //! | [`obs`] | deterministic, zero-cost-when-disabled instrumentation: recorder, Chrome-trace/JSONL exporters, campaign progress view |
@@ -34,18 +34,16 @@
 //! // 1% of the paper's June 2008 scenario on the heterogeneous Grid'5000
 //! // platform, CBF everywhere, hourly reallocation with cancellation.
 //! let jobs = Scenario::Jun.generate_fraction(42, 0.01);
-//! let baseline = GridSim::new(
+//! let baseline = simulate(
 //!     GridConfig::new(Platform::grid5000(true), BatchPolicy::Cbf),
 //!     jobs.clone(),
 //! )
-//! .run()
 //! .unwrap();
-//! let with_realloc = GridSim::new(
+//! let with_realloc = simulate(
 //!     GridConfig::new(Platform::grid5000(true), BatchPolicy::Cbf)
 //!         .with_realloc(ReallocConfig::new(ReallocAlgorithm::CancelAll, Heuristic::MinMin)),
 //!     jobs,
 //! )
-//! .run()
 //! .unwrap();
 //! let cmp = Comparison::against_baseline(&baseline, &with_realloc);
 //! println!(
@@ -78,7 +76,7 @@ pub mod prelude {
     pub use grid_metrics::{Comparison, JobRecord, PaperTable, RunOutcome};
     pub use grid_obs::{Obs, Recorder};
     pub use grid_realloc::{
-        GridConfig, GridSim, Heuristic, Mapping, MappingPolicy, OrderingHeuristic,
+        simulate, GridConfig, GridSim, Heuristic, Mapping, MappingPolicy, OrderingHeuristic,
         ReallocAlgorithm, ReallocConfig, ReallocStrategy,
     };
     pub use grid_workload::{Scenario, SiteWorkloadSpec, WorkloadStats};

@@ -40,7 +40,7 @@ fn run_once(
     if let Some(r) = realloc {
         config = config.with_realloc(r);
     }
-    GridSim::new(config, jobs).run().expect("schedulable")
+    simulate(config, jobs).expect("schedulable")
 }
 
 #[test]

@@ -16,14 +16,12 @@ fn run_pair(
 ) -> (RunOutcome, RunOutcome, Comparison) {
     let jobs = scenario.generate_fraction(11, frac);
     let platform = platform_for(scenario, het);
-    let base = GridSim::new(GridConfig::new(platform.clone(), policy), jobs.clone())
-        .run()
-        .expect("schedulable");
-    let run = GridSim::new(
+    let base =
+        simulate(GridConfig::new(platform.clone(), policy), jobs.clone()).expect("schedulable");
+    let run = simulate(
         GridConfig::new(platform, policy).with_realloc(ReallocConfig::new(algo, h)),
         jobs,
     )
-    .run()
     .expect("schedulable");
     let cmp = Comparison::against_baseline(&base, &run);
     (base, run, cmp)
@@ -92,11 +90,10 @@ fn no_realloc_run_is_invariant_of_realloc_config_absence() {
     // Two baseline runs of the same scenario are bit-identical.
     let jobs = Scenario::May.generate_fraction(3, 0.01);
     let mk = || {
-        GridSim::new(
+        simulate(
             GridConfig::new(Platform::grid5000(false), BatchPolicy::Fcfs),
             jobs.clone(),
         )
-        .run()
         .unwrap()
     };
     let a = mk();
@@ -113,11 +110,10 @@ fn heterogeneous_platform_prefers_faster_clusters_for_equal_queues() {
     let jobs: Vec<JobSpec> = (0..30)
         .map(|i| JobSpec::new(i, 0, 64, 3_600, 7_200))
         .collect();
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(Platform::grid5000(true), BatchPolicy::Cbf),
         jobs,
     )
-    .run()
     .unwrap();
     // Toulouse (speed 1.4) must receive at least as many of the first jobs
     // as Bordeaux (speed 1.0) — its ECTs are 40% shorter.
@@ -179,11 +175,10 @@ fn swf_written_traces_replay_identically() {
     let parsed = swf::parse(&text).unwrap().jobs;
     assert_eq!(jobs.len(), parsed.len());
     let run = |js: Vec<JobSpec>| {
-        GridSim::new(
+        simulate(
             GridConfig::new(Platform::grid5000(true), BatchPolicy::Cbf),
             js,
         )
-        .run()
         .unwrap()
     };
     let a = run(jobs);
@@ -209,13 +204,12 @@ fn walltime_overestimation_is_what_reallocation_exploits() {
         .collect();
     let sloppy = Scenario::Jun.generate_fraction(5, 0.01);
     let count = |jobs: Vec<JobSpec>| {
-        GridSim::new(
+        simulate(
             GridConfig::new(Platform::grid5000(false), BatchPolicy::Fcfs).with_realloc(
                 ReallocConfig::new(ReallocAlgorithm::NoCancel, Heuristic::Mct),
             ),
             jobs,
         )
-        .run()
         .unwrap()
         .total_reallocations
     };
@@ -230,11 +224,10 @@ fn walltime_overestimation_is_what_reallocation_exploits() {
 #[test]
 fn gantt_chart_can_be_built_from_any_run() {
     let jobs = Scenario::Jun.generate_fraction(2, 0.005);
-    let out = GridSim::new(
+    let out = simulate(
         GridConfig::new(Platform::grid5000(false), BatchPolicy::Cbf),
         jobs.clone(),
     )
-    .run()
     .unwrap();
     let mut chart = GanttChart::new();
     let by_id: std::collections::HashMap<JobId, &JobSpec> =
