@@ -86,17 +86,31 @@ fn distinct_configs_produce_distinct_outcomes() {
     assert_ne!(base, realloc, "reallocation must change the schedule");
 }
 
+/// Outcome fingerprints of multiple submission (a copy of each job on
+/// the `k` best clusters by ECT, siblings cancelled when one starts) on
+/// 0.5% of April, seed 42: `(heterogeneous, policy, k, fingerprint)`.
+const MULTISUB_PINS: [(bool, BatchPolicy, usize, u64); 8] = [
+    (false, BatchPolicy::Fcfs, 2, 0x6bcc_06ab_d3a1_2d87),
+    (false, BatchPolicy::Fcfs, 3, 0xc668_9e64_4afe_1774),
+    (false, BatchPolicy::Cbf, 2, 0x798e_3925_c54e_6bd0),
+    (false, BatchPolicy::Cbf, 3, 0x798e_3925_c54e_6bd0),
+    (true, BatchPolicy::Fcfs, 2, 0xcd32_09c5_a0e4_24f1),
+    (true, BatchPolicy::Fcfs, 3, 0x94b6_b324_dc49_6d2a),
+    (true, BatchPolicy::Cbf, 2, 0x2405_8eef_38c9_cfb1),
+    (true, BatchPolicy::Cbf, 3, 0x950d_ef7d_2d49_5c5c),
+];
+
 #[test]
-fn multisub_runs_are_reproducible_too() {
+fn multisub_outcomes_are_pinned() {
     use caniou_realloc::realloc::multisub::{simulate_multisub, MultiSubConfig};
-    let jobs = Scenario::Feb.generate_fraction(42, 0.005);
-    let run = |jobs: Vec<JobSpec>| {
-        simulate_multisub(
-            MultiSubConfig::new(Platform::grid5000(true), BatchPolicy::Cbf, 2),
-            jobs,
-        )
-    };
-    let a = fingerprint(&run(jobs.clone()));
-    let b = fingerprint(&run(jobs));
-    assert_eq!(a, b);
+    let jobs = Scenario::Apr.generate_fraction(42, 0.005);
+    for (het, policy, k, pinned) in MULTISUB_PINS {
+        let out = simulate_multisub(
+            MultiSubConfig::new(platform_for(Scenario::Apr, het), policy, k),
+            jobs.clone(),
+        );
+        assert_eq!(out.records.len(), jobs.len());
+        let got = fingerprint(&out);
+        assert_eq!(got, pinned, "het={het} {policy} k={k}");
+    }
 }
