@@ -227,6 +227,17 @@ impl CampaignSpec {
                 }
             }
         }
+        // Multiple submission places its copies by ECT: it has no run
+        // under any other initial mapping.
+        if let (Some(algorithm), Some(mapping)) = (
+            self.algorithms.iter().find(|a| a.strategy().copies() > 1),
+            self.mappings.iter().find(|&&m| m != Mapping::Mct),
+        ) {
+            return Err(SerError::new(format!(
+                "algorithm `{algorithm}` places copies by ECT and needs the MCT mapping, \
+                 but `mappings` lists `{mapping}`"
+            )));
+        }
         if !(self.fraction > 0.0 && self.fraction <= 1.0) {
             return Err(SerError::new(format!(
                 "`fraction` must be in (0, 1], got {}",
@@ -244,7 +255,7 @@ impl CampaignSpec {
         self.for_each_reference(|reference| units.push(reference.clone()));
         self.for_each_reference(|reference| {
             for &algorithm in &self.algorithms {
-                for &heuristic in &self.heuristics {
+                for &heuristic in self.heuristics_for(algorithm) {
                     for &period in &self.periods_s {
                         for &threshold in &self.thresholds_s {
                             units.push(RunUnit {
@@ -262,6 +273,18 @@ impl CampaignSpec {
             }
         });
         CampaignPlan { units }
+    }
+
+    /// The heuristics an algorithm runs under. Multiple submission has no
+    /// reallocation round to order, so it runs once per setup point and
+    /// (period, threshold) group, under `Mct`, whatever the heuristics
+    /// axis.
+    fn heuristics_for(&self, algorithm: ReallocAlgorithm) -> &[Heuristic] {
+        if algorithm.strategy().copies() > 1 {
+            &[Heuristic::Mct]
+        } else {
+            &self.heuristics
+        }
     }
 
     /// Visit every reference unit, in expansion order.
@@ -302,11 +325,12 @@ impl CampaignSpec {
             * self.scenarios.len()
             * self.heterogeneity.len()
             * self.policies.len();
-        base + base
-            * self.algorithms.len()
-            * self.heuristics.len()
-            * self.periods_s.len()
-            * self.thresholds_s.len()
+        let settings: usize = self
+            .algorithms
+            .iter()
+            .map(|&a| self.heuristics_for(a).len())
+            .sum();
+        base + base * settings * self.periods_s.len() * self.thresholds_s.len()
     }
 
     /// Every axis of the spec with canonically rendered values, in
@@ -785,6 +809,70 @@ algorithms = ["load-threshold(factor=1.5)", "load-threshold(factor=3)"]
             CampaignSpec::from_toml_str("[matrix]\nalgorithms = [\"load-threshold(factor=soon)\"]")
                 .unwrap_err();
         assert!(err.to_string().contains("factor: float = 2"), "{err}");
+    }
+
+    #[test]
+    fn multisub_canonicalises_to_its_default_k() {
+        let parse = |algorithm: &str| {
+            CampaignSpec::from_toml_str(&format!("[matrix]\nalgorithms = [\"{algorithm}\"]"))
+                .unwrap()
+                .algorithms
+        };
+        assert_eq!(parse("multisub"), parse("multisub(k=2)"));
+        assert_eq!(parse("multisub(k=2)")[0].name(), "multisub");
+        assert_eq!(parse("multisub(k=3)")[0].name(), "multisub(k=3)");
+        assert_eq!(parse("multisub(k=2)")[0].strategy().copies(), 2);
+        assert_eq!(parse("multisub(k=3)")[0].strategy().copies(), 3);
+    }
+
+    #[test]
+    fn hostile_multisub_expressions_are_errors() {
+        for hostile in [
+            "multisub(k=0)",
+            "multisub(k=1)",
+            "multisub(k=-3)",
+            "multisub(k=two)",
+        ] {
+            let err =
+                CampaignSpec::from_toml_str(&format!("[matrix]\nalgorithms = [\"{hostile}\"]"))
+                    .unwrap_err();
+            assert!(err.to_string().contains("k >= 2"), "{hostile}: {err}");
+        }
+    }
+
+    #[test]
+    fn multisub_runs_once_per_setup_point_under_mct() {
+        let spec = CampaignSpec::from_toml_str(
+            r#"
+[matrix]
+scenarios = ["apr"]
+platforms = ["heterogeneous"]
+policies = ["FCFS"]
+algorithms = ["no-cancel", "multisub(k=2)", "multisub(k=3)"]
+heuristics = ["Mct", "MinMin"]
+"#,
+        )
+        .unwrap();
+        // 1 reference + 2 no-cancel heuristics + one run per `k`.
+        assert_eq!(spec.total_runs(), 5);
+        let plan = spec.expand();
+        assert_eq!(plan.len(), 5);
+        let multisub: Vec<_> = plan
+            .units
+            .iter()
+            .filter_map(|u| match u.kind {
+                RunKind::Realloc(r) if r.algorithm.strategy().copies() > 1 => Some(r),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(multisub.len(), 2);
+        assert!(multisub.iter().all(|r| r.heuristic == Heuristic::Mct));
+        // Its copies are placed by ECT: another mapping is a spec error.
+        let err = CampaignSpec::from_toml_str(
+            "[matrix]\nalgorithms = [\"multisub\"]\nmappings = [\"MCT\", \"Random\"]",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("needs the MCT mapping"), "{err}");
     }
 
     #[test]

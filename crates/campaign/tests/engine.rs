@@ -658,6 +658,46 @@ fn walltime_study_renders_both_modes() {
     assert!(cells.iter().all(|c| c.get("mapping").is_none()));
 }
 
+/// A6: multiple submission is one row per `k` in every group, under MCT,
+/// with no migration and no reallocation tick.
+#[test]
+fn multisub_study_has_one_row_per_k_in_every_group() {
+    let mut spec = example_spec("ablation_a6_multisub.toml");
+    spec.periods_s = vec![1_800, 3_600];
+    spec.fraction = 0.005;
+    let plan = spec.expand();
+    let (outcomes, results) = run_study(&spec);
+    assert_eq!(results.groups.len(), 2);
+    for suite in results.groups.values() {
+        let mut ks: Vec<usize> = suite
+            .comparisons
+            .iter()
+            .filter(|(cell, _)| cell.algorithm.name().starts_with("multisub"))
+            .map(|(cell, comparison)| {
+                assert_eq!(cell.heuristic, Heuristic::Mct);
+                assert_eq!(comparison.reallocations, 0, "{}", cell.algorithm);
+                cell.algorithm.strategy().copies()
+            })
+            .collect();
+        ks.sort_unstable();
+        assert_eq!(ks, [2, 3]);
+    }
+    for (unit, outcome) in plan.units.iter().zip(&outcomes) {
+        if let RunKind::Realloc(setting) = unit.kind {
+            if setting.algorithm.strategy().copies() > 1 {
+                let outcome = outcome.as_ref().unwrap();
+                assert_eq!(outcome.total_ticks, 0, "{}", unit.label());
+                assert_eq!(outcome.total_reallocations, 0, "{}", unit.label());
+            }
+        }
+    }
+    let csv = results.to_csv();
+    assert_eq!(
+        csv.lines().filter(|l| l.contains(",multisub,Mct,")).count(),
+        2
+    );
+}
+
 /// A4: the starvation indicators ride in the JSON report rows.
 #[test]
 fn starvation_study_reports_in_json_rows() {

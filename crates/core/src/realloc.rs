@@ -19,6 +19,9 @@
 //! * **[`ReallocAlgorithm::LoadThreshold`]** — a load-imbalance-gated
 //!   variant of Algorithm 1 the old enum could not express; see
 //!   [`crate::load_threshold`].
+//! * **[`ReallocAlgorithm::MultiSub`]** — the related-work baseline:
+//!   multiple submission, with no reallocation event
+//!   ([`MultiSubStrategy`]).
 //!
 //! What used to be a closed two-variant enum matched inside `run_tick` is
 //! now the [`ReallocStrategy`] trait plus a string-keyed registry: a
@@ -75,6 +78,14 @@ pub trait ReallocStrategy: std::fmt::Debug + Sync {
         report: &mut TickReport,
     );
 
+    /// Copies of each job the grid submits at arrival. Above 1 the
+    /// simulator places them on the best clusters by ECT, cancels the
+    /// waiting siblings when one copy starts and schedules no
+    /// reallocation event. Default: 1.
+    fn copies(&self) -> usize {
+        1
+    }
+
     /// Parameters this entry accepts in policy expressions
     /// (`load-threshold(factor=1.5)`). Default: none.
     fn params(&self) -> Vec<ParamSpec> {
@@ -119,6 +130,11 @@ impl ReallocAlgorithm {
         &crate::load_threshold::LoadThresholdStrategy::DEFAULT,
     );
 
+    /// Multiple submission (see [`MultiSubStrategy`]); reachable from
+    /// specs as `multisub`, which is `multisub(k=2)`.
+    pub const MultiSub: ReallocAlgorithm =
+        ReallocAlgorithm::base("multisub", &MultiSubStrategy::DEFAULT);
+
     /// The paper's two algorithms, paper order.
     pub const ALL: [ReallocAlgorithm; 2] =
         [ReallocAlgorithm::NoCancel, ReallocAlgorithm::CancelAll];
@@ -132,10 +148,11 @@ impl ReallocAlgorithm {
     /// The registry: every base strategy, paper strategies first
     /// (parameterised instances are reachable through expressions, not
     /// listed).
-    pub const BUILTINS: [ReallocAlgorithm; 3] = [
+    pub const BUILTINS: [ReallocAlgorithm; 4] = [
         ReallocAlgorithm::NoCancel,
         ReallocAlgorithm::CancelAll,
-        ReallocAlgorithm::LoadThreshold, // <- one line per new in-tree strategy
+        ReallocAlgorithm::LoadThreshold,
+        ReallocAlgorithm::MultiSub, // <- one line per new in-tree strategy
     ];
 }
 
@@ -405,6 +422,64 @@ impl ReallocStrategy for CancelAllStrategy {
         report: &mut TickReport,
     ) {
         run_cancel_all(clusters, jobs, cfg, now, report);
+    }
+}
+
+/// Multiple submission, the paper's related-work baseline (§5, Sonmez et
+/// al.): each job is submitted to the `k` best clusters by ECT and its
+/// other copies are cancelled when one starts. Queues carry phantom
+/// copies that inflate everyone else's estimates, but no periodic event
+/// is needed. The simulator does the work, keyed on
+/// [`copies`](ReallocStrategy::copies); this entry only carries `k`, and
+/// its tick never runs.
+#[derive(Debug)]
+pub struct MultiSubStrategy {
+    /// Copies per job, at least 2.
+    k: usize,
+}
+
+impl MultiSubStrategy {
+    /// The default configuration: two copies per job.
+    pub const DEFAULT: MultiSubStrategy = MultiSubStrategy { k: 2 };
+}
+
+impl ReallocStrategy for MultiSubStrategy {
+    fn name(&self) -> &'static str {
+        "multisub"
+    }
+    fn title_note(&self) -> &'static str {
+        " (multiple submission)"
+    }
+    fn copies(&self) -> usize {
+        self.k
+    }
+    fn params(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::int(
+            "k",
+            Some(2),
+            "copies per job, k >= 2, clamped to the fitting clusters",
+        )]
+    }
+    fn with_params(&self, args: &BoundArgs) -> Result<Box<dyn ReallocStrategy>, String> {
+        let k = args.i64("k").expect("declared with a default");
+        if k < 2 {
+            return Err(format!(
+                "`multisub` needs k >= 2 copies per job (got {k}); k = 1 is plain MCT mapping"
+            ));
+        }
+        Ok(Box::new(MultiSubStrategy {
+            k: usize::try_from(k).unwrap_or(usize::MAX),
+        }))
+    }
+    fn tick(
+        &self,
+        _clusters: &mut [Cluster],
+        _jobs: &[WaitingJob],
+        _cfg: &ReallocConfig,
+        _now: SimTime,
+        _report: &mut TickReport,
+    ) {
+        // The simulator schedules no reallocation event for this entry.
     }
 }
 

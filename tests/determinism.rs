@@ -102,15 +102,19 @@ const MULTISUB_PINS: [(bool, BatchPolicy, usize, u64); 8] = [
 
 #[test]
 fn multisub_outcomes_are_pinned() {
-    use caniou_realloc::realloc::multisub::{simulate_multisub, MultiSubConfig};
-    let jobs = Scenario::Apr.generate_fraction(42, 0.005);
     for (het, policy, k, pinned) in MULTISUB_PINS {
-        let out = simulate_multisub(
-            MultiSubConfig::new(platform_for(Scenario::Apr, het), policy, k),
-            jobs.clone(),
+        let multisub = ReallocAlgorithm::resolve_expr(&format!("multisub(k={k})")).unwrap();
+        let out = run_once(
+            Scenario::Apr,
+            het,
+            policy,
+            Some(ReallocConfig::new(multisub, Heuristic::Mct)),
         );
-        assert_eq!(out.records.len(), jobs.len());
-        let got = fingerprint(&out);
-        assert_eq!(got, pinned, "het={het} {policy} k={k}");
+        assert_eq!(
+            out.records.len(),
+            Scenario::Apr.generate_fraction(42, 0.005).len()
+        );
+        assert_eq!((out.total_ticks, out.total_reallocations), (0, 0));
+        assert_eq!(fingerprint(&out), pinned, "het={het} {policy} k={k}");
     }
 }
