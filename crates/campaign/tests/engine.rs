@@ -255,6 +255,106 @@ fn default_expression_cache_keys_are_pinned() {
     }
 }
 
+/// The example campaigns' non-default expressions — a per-site policy
+/// mix, a parameterised algorithm, `EASY-SJF`, the off-default mappings,
+/// multiple submission and a compound fault — keep their cache keys and
+/// labels, and spellings of a base entry keep collapsing onto it.
+#[test]
+fn non_default_expression_cache_keys_are_pinned() {
+    let examples = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let pinned = [
+        (
+            "heterogeneous_grid.toml",
+            "f13abc3411b7913da99075268d8b6ac6",
+            "jun/het/FCFS+CBF+CBF/reference/s42",
+        ),
+        (
+            "heterogeneous_grid.toml",
+            "12f03fdf3a90af49720f9872aa2a685e",
+            "jun/het/FCFS/load-threshold(factor=1.5)/Mct/p3600/t60/s42",
+        ),
+        (
+            "extended_policies.toml",
+            "e3e1459704d3a4d3e3ea2d4443227f06",
+            "jun/het/EASY-SJF/reference/s42",
+        ),
+        (
+            "extended_policies.toml",
+            "3910a6290690a9b9d6135fde6b4b469c",
+            "jun/het/CBF/load-threshold/Mct/p3600/t60/s42",
+        ),
+        (
+            "ablation_a3_mapping.toml",
+            "a4ea98370cce492f7a103073fe4ee61a",
+            "apr/het/CBF/reference/s42/mapping=Random",
+        ),
+        (
+            "ablation_a3_mapping.toml",
+            "b51595b55bc869d474a3c5dc60119170",
+            "apr/het/CBF/reference/s42/mapping=RoundRobin",
+        ),
+        (
+            "ablation_a6_multisub.toml",
+            "c138117a96823223882d16a06268e5f4",
+            "apr/het/FCFS/multisub(k=3)/Mct/p3600/t60/s42",
+        ),
+        (
+            "fault_sweep.toml",
+            "6b11a2c974b0d6aa67665505d1f34ce0",
+            "apr/het/FCFS/reference/s42/outage(mtbf_h=12, mttr_h=2)+ect-noise(sigma=0.5)",
+        ),
+    ];
+    for (file, key, label) in pinned {
+        let plan = CampaignSpec::load(&examples.join(file))
+            .unwrap_or_else(|e| panic!("{file}: {e}"))
+            .expand();
+        let unit = plan
+            .units
+            .iter()
+            .find(|u| u.label() == label)
+            .unwrap_or_else(|| panic!("{file}: no unit labelled {label}"));
+        assert_eq!(
+            ResultCache::key(unit),
+            key,
+            "cache key drifted for {label} — existing caches would miss"
+        );
+    }
+
+    let algorithm =
+        |s: &str| grid_realloc::ReallocAlgorithm::resolve_expr(s).map(|h| h.to_string());
+    let policy = |s: &str| BatchPolicy::resolve_assignment(s).map(|h| h.to_string());
+    let mapping = |s: &str| grid_realloc::Mapping::resolve_expr(s).map(|h| h.to_string());
+    let heuristic = |s: &str| Heuristic::resolve_expr(s).map(|h| h.to_string());
+    let fault = |s: &str| grid_fault::Fault::resolve_expr(s).map(|h| h.to_string());
+    for (resolved, expected) in [
+        (algorithm("multisub(k=2)"), "multisub"),
+        (algorithm("MULTISUB()"), "multisub"),
+        (algorithm("load-threshold(factor=2)"), "load-threshold"),
+        (
+            algorithm("load-threshold(factor=1.50)"),
+            "load-threshold(factor=1.5)",
+        ),
+        (policy("EASY(protected=1)"), "EASY"),
+        (policy("CBF+CBF+CBF"), "CBF"),
+        (policy("fcfs()+cbf+CBF(  )"), "FCFS+CBF+CBF"),
+        (policy("easy(protected=2)+FCFS"), "EASY(protected=2)+FCFS"),
+        (mapping("RoundRobin(offset=0)"), "RoundRobin"),
+        (mapping("mct()"), "MCT"),
+        (mapping("roundrobin(offset=2)"), "RoundRobin(offset=2)"),
+        (heuristic("Sufferage(rank=1)"), "Sufferage"),
+        (heuristic("minmin"), "MinMin"),
+        (heuristic("sufferage(rank=2)"), "Sufferage(rank=2)"),
+        (fault("outage(mtbf_h=24)"), "outage"),
+        (fault("none()"), "none"),
+        (
+            fault("ect-noise(sigma=0.5)+outage(mttr_h=2, mtbf_h=12)"),
+            "outage(mtbf_h=12, mttr_h=2)+ect-noise(sigma=0.5)",
+        ),
+    ] {
+        assert_eq!(resolved.as_deref(), Ok(expected));
+    }
+}
+
 /// The heterogeneous/parameterised example campaign runs end to end:
 /// mixed FCFS/CBF sites and a load-threshold factor sweep, with every
 /// cell distinguishable in the report keys.
