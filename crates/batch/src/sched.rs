@@ -1,12 +1,10 @@
 //! Pluggable local batch schedulers.
 //!
 //! The paper's §3.1 policies (FCFS, conservative and aggressive
-//! back-filling) used to be a closed `enum` matched all over
-//! [`Cluster`](crate::Cluster); they are now implementations of the
-//! [`LocalScheduler`] trait held in a string-keyed registry. A
-//! [`BatchPolicy`] is a `Copy` handle to a registered scheduler — identity
-//! is the canonical *policy expression*, so handles compare, hash and
-//! print exactly like the old enum did for the paper's bare names.
+//! back-filling) and EASY-SJF implement the [`LocalScheduler`] trait in
+//! a string-keyed registry. A [`BatchPolicy`] is a `Copy` handle to a
+//! registered scheduler whose identity is its canonical *policy
+//! expression*.
 //!
 //! ## Policy expressions
 //!
@@ -97,10 +95,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
 use grid_des::{Duration, SimTime};
-use grid_ser::expr::{BoundArgs, ParamSpec};
+use grid_ser::expr::{self, BoundArgs, Entry, Handle, ParamSpec};
 
 use crate::profile::Profile;
 
@@ -329,35 +326,43 @@ pub trait LocalScheduler: std::fmt::Debug + Sync {
 /// Copyable, comparable handle to a registered [`LocalScheduler`] — or
 /// to a per-site mix of them.
 ///
-/// Replaces the old three-variant enum of the same name: the historical
-/// `BatchPolicy::Fcfs` / `Cbf` / `Easy` spellings are associated
-/// constants, so existing call sites read unchanged, while
 /// [`BatchPolicy::resolve_expr`] opens the axis to any registered name
 /// with parameters (`EASY(protected=4)`) and
 /// [`BatchPolicy::resolve_assignment`] to per-cluster mixes
 /// (`FCFS+CBF+CBF`). Identity (equality, hashing, display, cache keys)
 /// is the canonical expression string.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BatchPolicy {
-    sched: &'static dyn LocalScheduler,
-    /// Canonical expression — the handle's identity. Equals the entry
-    /// name for default-parameter handles.
-    key: &'static str,
+    /// The scheduler under its canonical expression. A mix keys as its
+    /// joined site expressions.
+    handle: Handle<dyn LocalScheduler>,
     /// Per-site assignment when this handle is a mix (`FCFS+CBF+CBF`);
-    /// the elements are never mixes themselves.
+    /// the elements are never mixes themselves. The key determines it,
+    /// so it never splits identity.
     sites: Option<&'static [BatchPolicy]>,
 }
 
-#[allow(non_upper_case_globals)] // mirror the historical enum variants
+grid_ser::fmt_as_handle!(BatchPolicy, handle);
+
+impl Entry for dyn LocalScheduler {
+    fn params(&self) -> Vec<ParamSpec> {
+        LocalScheduler::params(self)
+    }
+    fn with_params(&self, args: &BoundArgs) -> Result<Box<Self>, String> {
+        LocalScheduler::with_params(self, args)
+    }
+}
+
+#[allow(non_upper_case_globals)]
 impl BatchPolicy {
     /// First-come-first-served: "the earliest slot at the end of the job
     /// queue" (Schwiegelshohn & Yahyapour). Default policy of PBS, SGE,
     /// Maui.
-    pub const Fcfs: BatchPolicy = BatchPolicy::base("FCFS", &FcfsScheduler);
+    pub const Fcfs: BatchPolicy = BatchPolicy::uniform(Handle::new("FCFS", &FcfsScheduler));
     /// Conservative back-filling (Lifka): earliest slot anywhere that does
     /// not delay any earlier-queued job. Available in Maui, LoadLeveler,
     /// OAR.
-    pub const Cbf: BatchPolicy = BatchPolicy::base("CBF", &CbfScheduler);
+    pub const Cbf: BatchPolicy = BatchPolicy::uniform(Handle::new("CBF", &CbfScheduler));
     /// EASY (aggressive) back-filling (Lifka's ANL/IBM SP scheduler): only
     /// the queue *head* holds a protected reservation; any other job may
     /// start immediately if it does not delay the head — even if that
@@ -366,43 +371,32 @@ impl BatchPolicy {
     /// found conservative back-filling superior to aggressive, §5).
     /// `EASY(protected=K)` protects the first K queued reservations
     /// instead of only the head.
-    pub const Easy: BatchPolicy = BatchPolicy::base("EASY", &EasyScheduler::CLASSIC);
+    pub const Easy: BatchPolicy =
+        BatchPolicy::uniform(Handle::new("EASY", &EasyScheduler::CLASSIC));
     /// SJF-ordered EASY back-filling (see [`crate::easy_sjf`]); reachable
-    /// from specs as `EASY-SJF` — the first policy the old enum could not
-    /// express.
+    /// from specs as `EASY-SJF`.
     pub const EasySjf: BatchPolicy =
-        BatchPolicy::base("EASY-SJF", &crate::easy_sjf::EasySjfScheduler);
-
-    /// A base (unparameterised) handle. `key` must equal `sched.name()`;
-    /// a unit test pins this for every built-in.
-    const fn base(key: &'static str, sched: &'static dyn LocalScheduler) -> BatchPolicy {
-        BatchPolicy {
-            sched,
-            key,
-            sites: None,
-        }
-    }
+        BatchPolicy::uniform(Handle::new("EASY-SJF", &crate::easy_sjf::EasySjfScheduler));
 
     /// The registry: every base policy, in canonical (paper-table)
     /// order. Parameterised instances and mixes are reachable through
-    /// expressions, not listed.
+    /// expressions, not listed. Each key must equal its scheduler's
+    /// `name()`; a unit test pins this.
     pub const BUILTINS: [BatchPolicy; 4] = [
         BatchPolicy::Fcfs,
         BatchPolicy::Cbf,
         BatchPolicy::Easy,
         BatchPolicy::EasySjf, // <- one line per new in-tree policy
     ];
-}
 
-/// Interned parameterised instances (`EASY(protected=4)`), one per
-/// distinct canonical expression; interning keeps handles `Copy` and
-/// bounds the leaked instances to one per configuration per process.
-static CONFIGURED: Mutex<Vec<BatchPolicy>> = Mutex::new(Vec::new());
+    /// A single-scheduler (non-mix) policy.
+    const fn uniform(handle: Handle<dyn LocalScheduler>) -> BatchPolicy {
+        BatchPolicy {
+            handle,
+            sites: None,
+        }
+    }
 
-/// Interned per-site mixes (`FCFS+CBF+CBF`).
-static MIXES: Mutex<Vec<BatchPolicy>> = Mutex::new(Vec::new());
-
-impl BatchPolicy {
     /// The underlying scheduler implementation.
     ///
     /// # Panics
@@ -412,17 +406,16 @@ impl BatchPolicy {
     pub fn scheduler(self) -> &'static dyn LocalScheduler {
         assert!(
             self.sites.is_none(),
-            "policy mix `{}` has no single scheduler; resolve per site with for_site()",
-            self.key
+            "policy mix `{self}` has no single scheduler; resolve per site with for_site()"
         );
-        self.sched
+        self.handle.get()
     }
 
     /// Canonical policy expression (`FCFS`, `EASY(protected=4)`,
     /// `FCFS+CBF+CBF`, …) — the handle's identity.
     #[inline]
     pub fn name(self) -> &'static str {
-        self.key
+        self.handle.key()
     }
 
     /// Per-site policies when this handle is a mix.
@@ -472,37 +465,8 @@ impl BatchPolicy {
     /// whose arguments all equal their defaults resolves to the base
     /// handle itself, anything else to an interned configured instance.
     pub fn resolve_expr(input: &str) -> Result<BatchPolicy, String> {
-        grid_ser::expr::resolve_configured(
-            input,
-            Self::resolve,
-            |name| {
-                format!(
-                    "unknown batch policy `{name}` (registered: {})",
-                    Self::BUILTINS
-                        .iter()
-                        .map(|p| p.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            },
-            |p| p.key,
-            |p| p.sched.params(),
-            |key, bound, base| {
-                let mut interned = CONFIGURED
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(hit) = interned.iter().find(|p| p.key == key) {
-                    return Ok(*hit);
-                }
-                let policy = BatchPolicy {
-                    sched: Box::leak(base.sched.with_params(&bound)?),
-                    key: String::leak(key),
-                    sites: None,
-                };
-                interned.push(policy);
-                Ok(policy)
-            },
-        )
+        let registry = Self::BUILTINS.map(|p| p.handle);
+        expr::resolve(input, &registry, "batch policy").map(BatchPolicy::uniform)
     }
 
     /// Resolve a per-site assignment: one policy expression per cluster,
@@ -511,7 +475,7 @@ impl BatchPolicy {
     /// uniform assignment (`CBF+CBF+CBF`) collapses to the plain handle,
     /// so the homogeneous spelling stays canonical.
     pub fn resolve_assignment(input: &str) -> Result<BatchPolicy, String> {
-        let parts = split_sites(input);
+        let parts = expr::split_plus(input);
         if parts.iter().any(|p| p.trim().is_empty()) {
             return Err(format!("`{input}`: empty policy between `+` separators"));
         }
@@ -540,66 +504,12 @@ impl BatchPolicy {
             "policy mixes cannot nest"
         );
         let key = sites.iter().map(|s| s.name()).collect::<Vec<_>>().join("+");
-        let mut interned = MIXES
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(hit) = interned.iter().find(|p| p.key == key) {
-            return *hit;
+        let mix = expr::intern(key, || Ok(Box::<[BatchPolicy]>::from(sites)))
+            .expect("a mix of resolved sites always builds");
+        BatchPolicy {
+            handle: Handle::new(mix.key(), sites[0].handle.get()),
+            sites: Some(mix.get()),
         }
-        let policy = BatchPolicy {
-            sched: sites[0].sched,
-            key: String::leak(key),
-            sites: Some(Vec::leak(sites.to_vec())),
-        };
-        interned.push(policy);
-        policy
-    }
-}
-
-/// Split a per-site assignment on `+` outside parentheses, so
-/// expression arguments stay intact (`EASY(protected=2)+FCFS`).
-fn split_sites(input: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, c) in input.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            '+' if depth == 0 => {
-                parts.push(&input[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&input[start..]);
-    parts
-}
-
-impl std::fmt::Debug for BatchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::fmt::Display for BatchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl PartialEq for BatchPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        self.name() == other.name()
-    }
-}
-
-impl Eq for BatchPolicy {}
-
-impl std::hash::Hash for BatchPolicy {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name().hash(state);
     }
 }
 
@@ -1125,7 +1035,7 @@ mod tests {
     #[test]
     fn builtin_keys_match_scheduler_names() {
         for p in &BatchPolicy::BUILTINS {
-            assert_eq!(p.key, p.sched.name(), "const key drifted for {}", p.key);
+            assert_eq!(p.name(), p.scheduler().name(), "const key drifted for {p}");
             assert!(!p.is_mix());
         }
     }

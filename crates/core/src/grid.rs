@@ -178,7 +178,7 @@ enum Event {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridStats {
     /// Events the bucketed queue routed through its overflow spill path
-    /// (beyond the calendar horizon); zero on the heap backend.
+    /// (beyond the calendar horizon).
     pub queue_bucket_spills: u64,
 }
 

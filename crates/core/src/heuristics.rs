@@ -52,10 +52,8 @@
 //! [`Heuristic::ALL`] entry (the registry, which is also the paper
 //! spec's default axis).
 
-use std::sync::Mutex;
-
 use grid_des::SimTime;
-use grid_ser::expr::{BoundArgs, ParamSpec};
+use grid_ser::expr::{self, BoundArgs, Entry, Handle, ParamSpec};
 
 use crate::ect::{Candidate, EctView, TargetRank, ViewMode};
 
@@ -100,30 +98,38 @@ pub trait OrderingHeuristic: std::fmt::Debug + Sync {
 /// Identity (equality, hashing, display, table rows) is the canonical
 /// policy expression — the bare label for the paper's six
 /// parameter-free orderings ([`Heuristic::resolve_expr`]).
-#[derive(Clone, Copy)]
-pub struct Heuristic {
-    order: &'static dyn OrderingHeuristic,
-    /// Canonical expression — the handle's identity.
-    key: &'static str,
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Heuristic(Handle<dyn OrderingHeuristic>);
+
+grid_ser::fmt_as_handle!(Heuristic, 0);
+
+impl Entry for dyn OrderingHeuristic {
+    fn params(&self) -> Vec<ParamSpec> {
+        OrderingHeuristic::params(self)
+    }
+    fn with_params(&self, args: &BoundArgs) -> Result<Box<Self>, String> {
+        OrderingHeuristic::with_params(self, args)
+    }
 }
 
-#[allow(non_upper_case_globals)] // mirror the historical enum variants
+#[allow(non_upper_case_globals)]
 impl Heuristic {
     /// Online: submission order.
-    pub const Mct: Heuristic = Heuristic::base("Mct", &MctOrder);
+    pub const Mct: Heuristic = Heuristic(Handle::new("Mct", &MctOrder));
     /// Offline: smallest best-ECT first.
-    pub const MinMin: Heuristic = Heuristic::base("MinMin", &MinMinOrder);
+    pub const MinMin: Heuristic = Heuristic(Handle::new("MinMin", &MinMinOrder));
     /// Offline: largest best-ECT first.
-    pub const MaxMin: Heuristic = Heuristic::base("MaxMin", &MaxMinOrder);
+    pub const MaxMin: Heuristic = Heuristic(Handle::new("MaxMin", &MaxMinOrder));
     /// Offline: largest absolute reallocation gain first.
-    pub const MaxGain: Heuristic = Heuristic::base("MaxGain", &MaxGainOrder);
+    pub const MaxGain: Heuristic = Heuristic(Handle::new("MaxGain", &MaxGainOrder));
     /// Offline: largest per-processor gain first.
-    pub const MaxRelGain: Heuristic = Heuristic::base("MaxRelGain", &MaxRelGainOrder);
+    pub const MaxRelGain: Heuristic = Heuristic(Handle::new("MaxRelGain", &MaxRelGainOrder));
     /// Offline: largest sufferage (2nd-best − best ECT) first.
     /// `Sufferage(rank=K)` measures against the (K+1)-th best instead.
-    pub const Sufferage: Heuristic = Heuristic::base("Sufferage", &SufferageOrder::CLASSIC);
+    pub const Sufferage: Heuristic = Heuristic(Handle::new("Sufferage", &SufferageOrder::CLASSIC));
 
-    /// All heuristics in the paper's table order: the registry.
+    /// All heuristics in the paper's table order: the registry. Each key
+    /// must equal its ordering's `label()`; a unit test pins this.
     pub const ALL: [Heuristic; 6] = [
         Heuristic::Mct,
         Heuristic::MinMin,
@@ -133,48 +139,34 @@ impl Heuristic {
         Heuristic::Sufferage,
     ];
 
-    /// A base (unparameterised) handle. `key` must equal
-    /// `order.label()`; a unit test pins this for every built-in.
-    const fn base(key: &'static str, order: &'static dyn OrderingHeuristic) -> Heuristic {
-        Heuristic { order, key }
-    }
-
     /// An unregistered handle around `order` (test wrappers).
     #[cfg(test)]
     pub(crate) fn wrap(order: &'static dyn OrderingHeuristic) -> Heuristic {
-        Heuristic {
-            order,
-            key: order.label(),
-        }
+        Heuristic(Handle::new(order.label(), order))
     }
 
     /// The ordering behind the handle.
     #[cfg(test)]
     pub(crate) fn order(self) -> &'static dyn OrderingHeuristic {
-        self.order
+        self.0.get()
     }
-}
 
-/// Interned parameterised instances, one per canonical expression.
-static CONFIGURED: Mutex<Vec<Heuristic>> = Mutex::new(Vec::new());
-
-impl Heuristic {
     /// Row label used in the paper's tables (without the `-C` suffix):
     /// the canonical expression.
     pub fn label(self) -> &'static str {
-        self.key
+        self.0.key()
     }
 
     /// `true` for the heuristics that must re-rank all remaining jobs at
     /// every step (everything but MCT).
     pub fn is_offline(self) -> bool {
-        self.order.is_offline()
+        self.0.get().is_offline()
     }
 
     /// Select the next job from the remaining ones (see
     /// [`OrderingHeuristic::select`]).
     pub fn select(self, view: &mut EctView<'_>) -> Option<usize> {
-        self.order.select(view)
+        self.0.get().select(view)
     }
 
     /// Look a base heuristic up by label (case-insensitive). Bare labels
@@ -190,74 +182,8 @@ impl Heuristic {
     /// and canonicalising (default-valued arguments drop away; the
     /// paper's six orderings accept none, so `MinMin()` is `MinMin`).
     pub fn resolve_expr(input: &str) -> Result<Heuristic, String> {
-        grid_ser::expr::resolve_configured(
-            input,
-            Self::resolve,
-            |name| {
-                format!(
-                    "unknown heuristic `{name}` (registered: {})",
-                    Self::ALL
-                        .iter()
-                        .map(|h| h.label())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            },
-            |h| h.key,
-            |h| h.order.params(),
-            |key, bound, base| {
-                let mut interned = CONFIGURED
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(hit) = interned.iter().find(|h| h.key == key) {
-                    return Ok(*hit);
-                }
-                let handle = Heuristic {
-                    order: Box::leak(base.order.with_params(&bound)?),
-                    key: String::leak(key),
-                };
-                interned.push(handle);
-                Ok(handle)
-            },
-        )
-    }
-}
-
-impl std::fmt::Debug for Heuristic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::fmt::Display for Heuristic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl PartialEq for Heuristic {
-    fn eq(&self, other: &Self) -> bool {
-        self.label() == other.label()
-    }
-}
-
-impl Eq for Heuristic {}
-
-impl std::hash::Hash for Heuristic {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.label().hash(state);
-    }
-}
-
-impl PartialOrd for Heuristic {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Heuristic {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.label().cmp(other.label())
+        let registry = Self::ALL.map(|h| h.0);
+        expr::resolve(input, &registry, "heuristic").map(Heuristic)
     }
 }
 
@@ -817,7 +743,7 @@ mod tests {
         assert_eq!(Heuristic::resolve("SUFFERAGE"), Some(Heuristic::Sufferage));
         assert_eq!(Heuristic::resolve("nope"), None);
         for h in Heuristic::ALL {
-            assert_eq!(h.key, h.order.label(), "const key drifted for {}", h.key);
+            assert_eq!(h.label(), h.order().label(), "const key drifted for {h}");
         }
     }
 

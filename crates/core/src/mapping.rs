@@ -8,19 +8,16 @@
 //! MCT is the paper's choice; Random and Round-Robin are provided for the
 //! mapping study (a campaign's `mappings` axis; `examples/ablation_a3_mapping.toml`).
 //!
-//! The closed enum this module used to export is now the
-//! [`MappingPolicy`] trait: a registry entry names the policy and builds
-//! its per-run state ([`MapperState`] — the Round-Robin cursor, the
-//! Random stream). A [`Mapping`] is a `Copy` handle resolvable by name
-//! ([`Mapping::resolve`]), so campaign layers and CLIs select mappings as
-//! strings and a new policy is one implementation plus one
+//! A [`MappingPolicy`] registry entry names the policy and builds its
+//! per-run state ([`MapperState`] — the Round-Robin cursor, the Random
+//! stream). A [`Mapping`] is a `Copy` handle resolved by expression
+//! ([`Mapping::resolve_expr`]), so campaign layers and CLIs select
+//! mappings as strings and a new policy is one implementation plus one
 //! [`Mapping::BUILTINS`] entry.
-
-use std::sync::Mutex;
 
 use grid_batch::{Cluster, JobSpec};
 use grid_des::{SimRng, SimTime};
-use grid_ser::expr::{BoundArgs, ParamSpec};
+use grid_ser::expr::{self, BoundArgs, Entry, Handle, ParamSpec};
 
 /// Identity + factory of a mapping policy (the registry entry).
 pub trait MappingPolicy: std::fmt::Debug + Sync {
@@ -63,43 +60,40 @@ pub trait MapperState: std::fmt::Debug + Send {
 /// expression: `RoundRobin` for the default configuration,
 /// `RoundRobin(offset=1)` for a parameterised variant
 /// ([`Mapping::resolve_expr`]).
-#[derive(Clone, Copy)]
-pub struct Mapping {
-    policy: &'static dyn MappingPolicy,
-    /// Canonical expression — the handle's identity.
-    key: &'static str,
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Mapping(Handle<dyn MappingPolicy>);
+
+grid_ser::fmt_as_handle!(Mapping, 0);
+
+impl Entry for dyn MappingPolicy {
+    fn params(&self) -> Vec<ParamSpec> {
+        MappingPolicy::params(self)
+    }
+    fn with_params(&self, args: &BoundArgs) -> Result<Box<Self>, String> {
+        MappingPolicy::with_params(self, args)
+    }
 }
 
-#[allow(non_upper_case_globals)] // mirror the historical enum variants
+#[allow(non_upper_case_globals)]
 impl Mapping {
     /// Minimum completion time: ask every (fitting) cluster for an ECT and
     /// pick the smallest; ties go to the lowest cluster index.
-    pub const Mct: Mapping = Mapping::base("MCT", &MctMapping);
+    pub const Mct: Mapping = Mapping(Handle::new("MCT", &MctMapping));
     /// Uniformly random fitting cluster.
-    pub const Random: Mapping = Mapping::base("Random", &RandomMapping);
+    pub const Random: Mapping = Mapping(Handle::new("Random", &RandomMapping));
     /// Cycle through the clusters, skipping those the job does not fit.
     /// `RoundRobin(offset=K)` starts the cursor at cluster K.
-    pub const RoundRobin: Mapping = Mapping::base("RoundRobin", &RoundRobinMapping::DEFAULT);
-
-    /// A base (unparameterised) handle. `key` must equal
-    /// `policy.name()`; a unit test pins this for every built-in.
-    const fn base(key: &'static str, policy: &'static dyn MappingPolicy) -> Mapping {
-        Mapping { policy, key }
-    }
+    pub const RoundRobin: Mapping = Mapping(Handle::new("RoundRobin", &RoundRobinMapping::DEFAULT));
 
     /// The registry: every base mapping (parameterised instances are
-    /// reachable through expressions, not listed).
+    /// reachable through expressions, not listed). Each key must equal
+    /// its policy's `name()`; a unit test pins this.
     pub const BUILTINS: [Mapping; 3] = [Mapping::Mct, Mapping::Random, Mapping::RoundRobin];
-}
 
-/// Interned parameterised instances, one per canonical expression.
-static CONFIGURED: Mutex<Vec<Mapping>> = Mutex::new(Vec::new());
-
-impl Mapping {
     /// Canonical policy expression (`MCT`, `RoundRobin(offset=1)`, …) —
     /// the handle's identity.
     pub fn name(self) -> &'static str {
-        self.key
+        self.0.key()
     }
 
     /// Look a base mapping up by name (case-insensitive). Bare names
@@ -115,74 +109,8 @@ impl Mapping {
     /// [`params`](MappingPolicy::params) and canonicalising
     /// (default-valued arguments drop away).
     pub fn resolve_expr(input: &str) -> Result<Mapping, String> {
-        grid_ser::expr::resolve_configured(
-            input,
-            Self::resolve,
-            |name| {
-                format!(
-                    "unknown mapping policy `{name}` (registered: {})",
-                    Self::BUILTINS
-                        .iter()
-                        .map(|m| m.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            },
-            |m| m.key,
-            |m| m.policy.params(),
-            |key, bound, base| {
-                let mut interned = CONFIGURED
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(hit) = interned.iter().find(|m| m.key == key) {
-                    return Ok(*hit);
-                }
-                let handle = Mapping {
-                    policy: Box::leak(base.policy.with_params(&bound)?),
-                    key: String::leak(key),
-                };
-                interned.push(handle);
-                Ok(handle)
-            },
-        )
-    }
-}
-
-impl std::fmt::Debug for Mapping {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::fmt::Display for Mapping {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl PartialEq for Mapping {
-    fn eq(&self, other: &Self) -> bool {
-        self.name() == other.name()
-    }
-}
-
-impl Eq for Mapping {}
-
-impl PartialOrd for Mapping {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Mapping {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.name().cmp(other.name())
-    }
-}
-
-impl std::hash::Hash for Mapping {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name().hash(state);
+        let registry = Self::BUILTINS.map(|m| m.0);
+        expr::resolve(input, &registry, "mapping policy").map(Mapping)
     }
 }
 
@@ -198,7 +126,7 @@ impl Mapper {
     pub fn new(policy: Mapping, seed: u64) -> Self {
         Mapper {
             policy,
-            state: policy.policy.make(seed),
+            state: policy.0.get().make(seed),
         }
     }
 
@@ -504,7 +432,7 @@ mod tests {
     #[test]
     fn builtin_keys_match_policy_names() {
         for m in Mapping::BUILTINS {
-            assert_eq!(m.key, m.policy.name(), "const key drifted for {}", m.key);
+            assert_eq!(m.name(), m.0.get().name(), "const key drifted for {m}");
         }
     }
 }

@@ -17,23 +17,19 @@
 //!   the location of a job and if it is submitted on another cluster, we
 //!   count this as a reallocation").
 //! * **[`ReallocAlgorithm::LoadThreshold`]** — a load-imbalance-gated
-//!   variant of Algorithm 1 the old enum could not express; see
-//!   [`crate::load_threshold`].
+//!   variant of Algorithm 1; see [`crate::load_threshold`].
 //! * **[`ReallocAlgorithm::MultiSub`]** — the related-work baseline:
 //!   multiple submission, with no reallocation event
 //!   ([`MultiSubStrategy`]).
 //!
-//! What used to be a closed two-variant enum matched inside `run_tick` is
-//! now the [`ReallocStrategy`] trait plus a string-keyed registry: a
-//! [`ReallocAlgorithm`] is a `Copy` handle resolvable by name
-//! ([`ReallocAlgorithm::resolve`]) from campaign specs, and a new
+//! Each is a [`ReallocStrategy`] in a string-keyed registry: a
+//! [`ReallocAlgorithm`] is a `Copy` handle resolved from campaign specs
+//! by expression ([`ReallocAlgorithm::resolve_expr`]), and a new
 //! strategy is one file implementing the trait plus one registry line.
-
-use std::sync::Mutex;
 
 use grid_batch::{Cluster, JobId};
 use grid_des::{Duration, SimTime};
-use grid_ser::expr::{BoundArgs, ParamSpec};
+use grid_ser::expr::{self, BoundArgs, Entry, Handle, ParamSpec};
 
 use crate::ect::{EctView, WaitingJob};
 use crate::heuristics::Heuristic;
@@ -106,76 +102,73 @@ pub trait ReallocStrategy: std::fmt::Debug + Sync {
 /// policy expression: `load-threshold` for the default configuration,
 /// `load-threshold(factor=1.5)` for a parameterised variant
 /// ([`ReallocAlgorithm::resolve_expr`]).
-#[derive(Clone, Copy)]
-pub struct ReallocAlgorithm {
-    strat: &'static dyn ReallocStrategy,
-    /// Canonical expression — the handle's identity.
-    key: &'static str,
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ReallocAlgorithm(Handle<dyn ReallocStrategy>);
+
+grid_ser::fmt_as_handle!(ReallocAlgorithm, 0);
+
+impl Entry for dyn ReallocStrategy {
+    fn params(&self) -> Vec<ParamSpec> {
+        ReallocStrategy::params(self)
+    }
+    fn with_params(&self, args: &BoundArgs) -> Result<Box<Self>, String> {
+        ReallocStrategy::with_params(self, args)
+    }
 }
 
-#[allow(non_upper_case_globals)] // mirror the historical enum variants
+#[allow(non_upper_case_globals)]
 impl ReallocAlgorithm {
     /// Algorithm 1: selective cancel-and-resubmit with a threshold.
-    pub const NoCancel: ReallocAlgorithm = ReallocAlgorithm::base("no-cancel", &NoCancelStrategy);
+    pub const NoCancel: ReallocAlgorithm =
+        ReallocAlgorithm(Handle::new("no-cancel", &NoCancelStrategy));
     /// Algorithm 2: cancel everything, reschedule the whole bag of tasks.
     pub const CancelAll: ReallocAlgorithm =
-        ReallocAlgorithm::base("cancel-all", &CancelAllStrategy);
+        ReallocAlgorithm(Handle::new("cancel-all", &CancelAllStrategy));
     /// Load-threshold-gated Algorithm 1 (see [`crate::load_threshold`]);
     /// reachable from specs as `load-threshold` — parameterised as
     /// `load-threshold(factor=1.5, floor_s=30)`. Not part of
     /// [`ReallocAlgorithm::ALL`] — the paper's campaign stays two
     /// algorithms wide.
-    pub const LoadThreshold: ReallocAlgorithm = ReallocAlgorithm::base(
+    pub const LoadThreshold: ReallocAlgorithm = ReallocAlgorithm(Handle::new(
         "load-threshold",
         &crate::load_threshold::LoadThresholdStrategy::DEFAULT,
-    );
+    ));
 
     /// Multiple submission (see [`MultiSubStrategy`]); reachable from
     /// specs as `multisub`, which is `multisub(k=2)`.
     pub const MultiSub: ReallocAlgorithm =
-        ReallocAlgorithm::base("multisub", &MultiSubStrategy::DEFAULT);
+        ReallocAlgorithm(Handle::new("multisub", &MultiSubStrategy::DEFAULT));
 
     /// The paper's two algorithms, paper order.
     pub const ALL: [ReallocAlgorithm; 2] =
         [ReallocAlgorithm::NoCancel, ReallocAlgorithm::CancelAll];
 
-    /// A base (unparameterised) handle. `key` must equal
-    /// `strat.name()`; a unit test pins this for every built-in.
-    const fn base(key: &'static str, strat: &'static dyn ReallocStrategy) -> ReallocAlgorithm {
-        ReallocAlgorithm { strat, key }
-    }
-
     /// The registry: every base strategy, paper strategies first
     /// (parameterised instances are reachable through expressions, not
-    /// listed).
+    /// listed). Each key must equal its strategy's `name()`; a unit test
+    /// pins this.
     pub const BUILTINS: [ReallocAlgorithm; 4] = [
         ReallocAlgorithm::NoCancel,
         ReallocAlgorithm::CancelAll,
         ReallocAlgorithm::LoadThreshold,
         ReallocAlgorithm::MultiSub, // <- one line per new in-tree strategy
     ];
-}
 
-/// Interned parameterised instances (`load-threshold(factor=1.5)`), one
-/// per distinct canonical expression.
-static CONFIGURED: Mutex<Vec<ReallocAlgorithm>> = Mutex::new(Vec::new());
-
-impl ReallocAlgorithm {
     /// The underlying strategy implementation.
     #[inline]
     pub fn strategy(self) -> &'static dyn ReallocStrategy {
-        self.strat
+        self.0.get()
     }
 
     /// Canonical strategy expression (`no-cancel`,
     /// `load-threshold(factor=1.5)`, …) — the handle's identity.
     pub fn name(self) -> &'static str {
-        self.key
+        self.0.key()
     }
 
     /// Table-row suffix (see [`ReallocStrategy::suffix`]).
     pub fn suffix(self) -> &'static str {
-        self.strat.suffix()
+        self.strategy().suffix()
     }
 
     /// Look a base strategy up by name (case-insensitive). Bare names
@@ -196,74 +189,8 @@ impl ReallocAlgorithm {
     /// arguments drop away, so `load-threshold(factor=2)` *is*
     /// `load-threshold`; anything else interns a configured instance.
     pub fn resolve_expr(input: &str) -> Result<ReallocAlgorithm, String> {
-        grid_ser::expr::resolve_configured(
-            input,
-            Self::resolve,
-            |name| {
-                format!(
-                    "unknown reallocation algorithm `{name}` (registered: {})",
-                    Self::BUILTINS
-                        .iter()
-                        .map(|a| a.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            },
-            |a| a.key,
-            |a| a.strat.params(),
-            |key, bound, base| {
-                let mut interned = CONFIGURED
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(hit) = interned.iter().find(|a| a.key == key) {
-                    return Ok(*hit);
-                }
-                let handle = ReallocAlgorithm {
-                    strat: Box::leak(base.strat.with_params(&bound)?),
-                    key: String::leak(key),
-                };
-                interned.push(handle);
-                Ok(handle)
-            },
-        )
-    }
-}
-
-impl std::fmt::Debug for ReallocAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::fmt::Display for ReallocAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl PartialEq for ReallocAlgorithm {
-    fn eq(&self, other: &Self) -> bool {
-        self.name() == other.name()
-    }
-}
-
-impl Eq for ReallocAlgorithm {}
-
-impl std::hash::Hash for ReallocAlgorithm {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name().hash(state);
-    }
-}
-
-impl PartialOrd for ReallocAlgorithm {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ReallocAlgorithm {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.name().cmp(other.name())
+        let registry = Self::BUILTINS.map(|a| a.0);
+        expr::resolve(input, &registry, "reallocation algorithm").map(ReallocAlgorithm)
     }
 }
 
@@ -826,7 +753,7 @@ mod tests {
     #[test]
     fn builtin_keys_match_strategy_names() {
         for a in ReallocAlgorithm::BUILTINS {
-            assert_eq!(a.key, a.strat.name(), "const key drifted for {}", a.key);
+            assert_eq!(a.name(), a.strategy().name(), "const key drifted for {a}");
         }
     }
 

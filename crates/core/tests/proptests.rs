@@ -2,8 +2,9 @@
 
 use grid_batch::{BatchPolicy, ClusterSpec, JobSpec, Platform};
 use grid_des::Duration;
+use grid_fault::Fault;
 use grid_metrics::Comparison;
-use grid_realloc::{simulate, GridConfig, Heuristic, ReallocAlgorithm, ReallocConfig};
+use grid_realloc::{simulate, GridConfig, Heuristic, Mapping, ReallocAlgorithm, ReallocConfig};
 use proptest::prelude::*;
 
 /// Arbitrary grid workload over a two-cluster platform.
@@ -193,5 +194,130 @@ proptest! {
         .unwrap();
         prop_assert_eq!(out.total_reallocations, 0);
         prop_assert_eq!(out.records.len(), jobs.len());
+    }
+}
+
+/// Every built-in entry name of the five policy axes.
+fn entry_names() -> Vec<&'static str> {
+    BatchPolicy::BUILTINS
+        .iter()
+        .map(|p| p.name())
+        .chain(ReallocAlgorithm::BUILTINS.iter().map(|a| a.name()))
+        .chain(Heuristic::ALL.iter().map(|h| h.label()))
+        .chain(Mapping::BUILTINS.iter().map(|m| m.name()))
+        .chain(["none", "outage", "ect-noise", "perturb"])
+        .collect()
+}
+
+/// Every parameter a built-in entry declares, with its entry.
+const PARAMS: [(&str, &str); 14] = [
+    ("EASY", "protected"),
+    ("load-threshold", "factor"),
+    ("load-threshold", "floor_s"),
+    ("multisub", "k"),
+    ("Sufferage", "rank"),
+    ("RoundRobin", "offset"),
+    ("outage", "mtbf_h"),
+    ("outage", "mttr_h"),
+    ("outage", "seed"),
+    ("ect-noise", "sigma"),
+    ("ect-noise", "seed"),
+    ("perturb", "jitter_s"),
+    ("perturb", "runtime_factor"),
+    ("perturb", "seed"),
+];
+
+/// Token soup: entry and parameter names, the expression punctuation,
+/// digits, spaces and a few hostile characters.
+fn hostile_expression() -> impl Strategy<Value = String> {
+    let mut tokens: Vec<String> = entry_names().into_iter().map(String::from).collect();
+    tokens.extend(PARAMS.map(|(_, key)| key.to_string()));
+    tokens.extend(["(", ")", "=", ",", "+", ".", "-", " "].map(String::from));
+    tokens.extend((0..10).map(|d| d.to_string()));
+    tokens.extend(["\"", "\\", "\t", "\0", "é", "e", "true", "\u{202e}"].map(String::from));
+    prop::collection::vec(prop::sample::select(tokens), 0..16).prop_map(|t| t.concat())
+}
+
+/// Well-formed-looking expressions: `+`-joined `name(key=value, …)`
+/// parts, half of them led by one of the entry's own parameters, so
+/// many resolve and exercise canonicalisation and interning.
+fn structured_expression() -> impl Strategy<Value = String> {
+    let values = [
+        "0", "1", "2", "3", "-1", "0.5", "1.5", "2.0", "24", "1e3", "x", "true",
+    ];
+    let value = || prop::sample::select(values.to_vec());
+    let arg = (
+        prop::sample::select(PARAMS.map(|(_, key)| key).to_vec()),
+        value(),
+    );
+    let part = (
+        prop::sample::select(PARAMS.to_vec()),
+        value(),
+        prop::sample::select(entry_names()),
+        prop::collection::vec(arg, 0..2),
+        any::<bool>(),
+    )
+        .prop_map(|((entry, key), value, name, args, own)| {
+            let mut args: Vec<String> = args.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let name = if own {
+                args.insert(0, format!("{key}={value}"));
+                entry
+            } else {
+                name
+            };
+            if args.is_empty() {
+                name.to_string()
+            } else {
+                format!("{name}({})", args.join(", "))
+            }
+        });
+    prop::collection::vec(part, 1..4).prop_map(|parts| parts.join("+"))
+}
+
+/// Resolve `input` with one resolver; an `Ok` handle must re-resolve from
+/// its canonical spelling to itself, under the same name.
+fn round_trips<H: PartialEq + std::fmt::Display + std::fmt::Debug>(
+    input: &str,
+    resolve: impl Fn(&str) -> Result<H, String>,
+) -> Result<(), String> {
+    if let Ok(handle) = resolve(input) {
+        let canonical = handle.to_string();
+        match resolve(&canonical) {
+            Ok(again) if again == handle && again.to_string() == canonical => {}
+            again => return Err(format!("{input:?} → {canonical:?} → {again:?}")),
+        }
+    }
+    Ok(())
+}
+
+/// Every expression resolver, on one input: none may panic.
+fn resolve_everywhere(input: &str) -> Result<(), String> {
+    std::panic::catch_unwind(|| {
+        round_trips(input, BatchPolicy::resolve_expr)?;
+        round_trips(input, BatchPolicy::resolve_assignment)?;
+        round_trips(input, ReallocAlgorithm::resolve_expr)?;
+        round_trips(input, Heuristic::resolve_expr)?;
+        round_trips(input, Mapping::resolve_expr)?;
+        round_trips(input, Fault::resolve_expr)
+    })
+    .unwrap_or_else(|_| Err(format!("{input:?} panicked")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile policy expressions produce errors, never panics, and
+    /// whatever resolves round-trips through its canonical spelling.
+    #[test]
+    fn hostile_expressions_error_or_round_trip(input in hostile_expression()) {
+        let checked = resolve_everywhere(&input);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    /// Near-valid expressions resolve to handles that round-trip.
+    #[test]
+    fn structured_expressions_round_trip(input in structured_expression()) {
+        let checked = resolve_everywhere(&input);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 }

@@ -51,9 +51,7 @@ pub use noise::EctNoiseSpec;
 pub use outage::{OutageSpec, OutageWindow, OutageWindows};
 pub use perturb::PerturbSpec;
 
-use std::sync::Mutex;
-
-use grid_ser::expr::{BoundArgs, PolicyExpr};
+use grid_ser::expr::{self, BoundArgs, Handle, PolicyExpr};
 
 /// The resolved configuration of one fault expression: any combination
 /// of the three fault models (all `None` = the healthy grid).
@@ -72,15 +70,10 @@ pub struct FaultConfig {
 /// Identity (equality, hashing, ordering, display, cache keys) is the
 /// canonical fault expression, exactly like the policy handles of the
 /// other campaign axes.
-#[derive(Clone, Copy)]
-pub struct Fault {
-    cfg: &'static FaultConfig,
-    /// Canonical expression — the handle's identity.
-    key: &'static str,
-}
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Fault(Handle<FaultConfig>);
 
-/// Interned non-trivial fault handles, one per canonical expression.
-static CONFIGURED: Mutex<Vec<Fault>> = Mutex::new(Vec::new());
+grid_ser::fmt_as_handle!(Fault, 0);
 
 /// The component kinds, in canonical (display) order.
 const KINDS: [&str; 3] = ["outage", "ect-noise", "perturb"];
@@ -88,28 +81,28 @@ const KINDS: [&str; 3] = ["outage", "ect-noise", "perturb"];
 impl Fault {
     /// The healthy grid: no faults injected. Campaign descriptors omit
     /// the fault key for this handle, so pre-fault cache keys survive.
-    pub const NONE: Fault = Fault {
-        cfg: &FaultConfig {
+    pub const NONE: Fault = Fault(Handle::new(
+        "none",
+        &FaultConfig {
             outage: None,
             ect_noise: None,
             perturb: None,
         },
-        key: "none",
-    };
+    ));
 
     /// Canonical fault expression — the handle's identity.
     pub fn name(self) -> &'static str {
-        self.key
+        self.0.key()
     }
 
     /// `true` for the healthy-grid handle.
     pub fn is_none(self) -> bool {
-        self.key == "none"
+        self.name() == "none"
     }
 
     /// The resolved configuration.
     pub fn config(self) -> &'static FaultConfig {
-        self.cfg
+        self.0.get()
     }
 
     /// Resolve a fault expression (`none`, `outage(mtbf_h=12)`,
@@ -121,7 +114,7 @@ impl Fault {
     /// are ordered `outage`, `ect-noise`, `perturb`, so every spelling
     /// of one configuration is one handle.
     pub fn resolve_expr(input: &str) -> Result<Fault, String> {
-        let parts = split_components(input);
+        let parts = expr::split_plus(input);
         if parts.iter().any(|p| p.trim().is_empty()) {
             return Err(format!("`{input}`: empty fault component between `+`"));
         }
@@ -176,40 +169,8 @@ impl Fault {
             .collect::<Vec<_>>()
             .join("+");
         debug_assert!(!key.is_empty(), "non-none expression must have a component");
-        let mut interned = CONFIGURED
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(hit) = interned.iter().find(|f| f.key == key) {
-            return Ok(*hit);
-        }
-        let handle = Fault {
-            cfg: Box::leak(Box::new(cfg)),
-            key: String::leak(key),
-        };
-        interned.push(handle);
-        Ok(handle)
+        expr::intern(key, || Ok(Box::new(cfg))).map(Fault)
     }
-}
-
-/// Split a compound fault expression on `+` outside parentheses, so
-/// component arguments stay intact (`outage(mtbf_h=12)+perturb(...)`).
-fn split_components(input: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, c) in input.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            '+' if depth == 0 => {
-                parts.push(&input[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&input[start..]);
-    parts
 }
 
 /// Mix a fault-model seed into the run seed (SplitMix64-style), so a
@@ -220,44 +181,6 @@ pub(crate) fn mix_seed(run_seed: u64, fault_seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-impl std::fmt::Debug for Fault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::fmt::Display for Fault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl PartialEq for Fault {
-    fn eq(&self, other: &Self) -> bool {
-        self.name() == other.name()
-    }
-}
-
-impl Eq for Fault {}
-
-impl std::hash::Hash for Fault {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.name().hash(state);
-    }
-}
-
-impl PartialOrd for Fault {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Fault {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.name().cmp(other.name())
-    }
 }
 
 #[cfg(test)]

@@ -25,8 +25,18 @@
 //! compare and hash) identically. Canonicalisation is what lets
 //! expression handles flow into cache descriptors and table keys without
 //! perturbing the byte-identity of default-parameter runs.
+//!
+//! Every axis selects its entries through one [`Handle`]: a `Copy`
+//! pointer to a `'static` entry whose identity is its canonical
+//! expression. [`resolve`] turns an expression into a handle for any
+//! axis whose entries implement [`Entry`], and [`intern`] keeps one
+//! handle per canonical expression.
 
+use std::any::Any;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, PoisonError};
 
 /// A parsed argument value.
 #[derive(Debug, Clone, PartialEq)]
@@ -460,37 +470,194 @@ impl BoundArgs {
     }
 }
 
-/// The shared resolution spine of every policy registry: parse `input`,
-/// look the name up (`lookup`, case handled by the caller; `unknown`
-/// renders the error when it misses, typically listing the live
-/// registry), validate the arguments against the entry's parameters and
-/// canonicalise. An expression whose arguments all equal their defaults
-/// resolves to the base handle itself; anything else is handed to
-/// `configure(canonical_key, bound, base)`, which interns and builds
-/// the configured instance (the only registry-specific step).
+/// The configuration hooks of one policy axis's registry entries. Each
+/// axis implements it for its `dyn Trait`, forwarding to the trait's own
+/// `params`/`with_params`, so [`resolve`] serves every axis.
+pub trait Entry: Sync + 'static {
+    /// Parameters the entry accepts in policy expressions.
+    fn params(&self) -> Vec<ParamSpec>;
+
+    /// Build a configured instance from validated arguments. Called only
+    /// when at least one argument differs from its declared default.
+    fn with_params(&self, args: &BoundArgs) -> Result<Box<Self>, String>;
+}
+
+/// Copyable handle to a `'static` registry entry (a batch scheduler, a
+/// mapping, a reallocation strategy, an ordering, a fault
+/// configuration).
 ///
-/// Keeping this spine in one place means canonical-identity semantics —
-/// the property cache keys and table keys rely on — cannot drift
-/// between the four registries.
-pub fn resolve_configured<H: Copy>(
-    input: &str,
-    lookup: impl FnOnce(&str) -> Option<H>,
-    unknown: impl FnOnce(&str) -> String,
-    entry_key: impl Fn(H) -> &'static str,
-    entry_params: impl FnOnce(H) -> Vec<ParamSpec>,
-    configure: impl FnOnce(String, BoundArgs, H) -> Result<H, String>,
-) -> Result<H, String> {
-    let expr = PolicyExpr::parse(input)?;
-    let Some(base) = lookup(&expr.name) else {
-        return Err(unknown(&expr.name));
+/// Identity — equality, hashing, ordering, display and therefore cache
+/// keys and table rows — is the canonical expression the handle was
+/// resolved under, never the entry's address.
+pub struct Handle<T: ?Sized + 'static> {
+    entry: &'static T,
+    key: &'static str,
+}
+
+impl<T: ?Sized> Handle<T> {
+    /// A handle to `entry` whose identity is the canonical expression
+    /// `key`.
+    pub const fn new(key: &'static str, entry: &'static T) -> Handle<T> {
+        Handle { entry, key }
+    }
+
+    /// The canonical expression — the handle's identity.
+    #[inline]
+    pub fn key(self) -> &'static str {
+        self.key
+    }
+
+    /// The entry behind the handle.
+    #[inline]
+    pub fn get(self) -> &'static T {
+        self.entry
+    }
+}
+
+impl<T: ?Sized> Clone for Handle<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: ?Sized> Copy for Handle<T> {}
+
+impl<T: ?Sized> fmt::Debug for Handle<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.key)
+    }
+}
+
+impl<T: ?Sized> fmt::Display for Handle<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.key)
+    }
+}
+
+impl<T: ?Sized> PartialEq for Handle<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<T: ?Sized> Eq for Handle<T> {}
+
+impl<T: ?Sized> Hash for Handle<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key.hash(state);
+    }
+}
+
+impl<T: ?Sized> PartialOrd for Handle<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T: ?Sized> Ord for Handle<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(other.key)
+    }
+}
+
+/// Implement `Debug` and `Display` for a newtype over a [`Handle`] by
+/// printing the handle in field `$field`, i.e. its canonical expression.
+#[macro_export]
+macro_rules! fmt_as_handle {
+    ($ty:ty, $field:tt) => {
+        impl ::std::fmt::Debug for $ty {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                ::std::fmt::Display::fmt(&self.$field, f)
+            }
+        }
+
+        impl ::std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                ::std::fmt::Display::fmt(&self.$field, f)
+            }
+        }
     };
-    let specs = entry_params(base);
-    let bound = BoundArgs::bind(&expr, &specs, entry_key(base))?;
-    let key = bound.canonical(entry_key(base));
-    if key == entry_key(base) {
+}
+
+/// Every interned handle of the process, of any entry type. Interning
+/// keeps handles `Copy` and bounds the leaked entries to one per
+/// canonical expression per process.
+static INTERNED: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
+
+/// The interned handle of entry type `T` keyed `key`; on first use the
+/// entry is built with `build` and leaked.
+pub fn intern<T: ?Sized + Sync + 'static>(
+    key: String,
+    build: impl FnOnce() -> Result<Box<T>, String>,
+) -> Result<Handle<T>, String> {
+    // A `build` that panicked pushed nothing, so a poisoned table is
+    // still valid.
+    let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    let hit = interned
+        .iter()
+        .filter_map(|h| h.downcast_ref::<Handle<T>>())
+        .find(|h| h.key == key);
+    if let Some(hit) = hit {
+        return Ok(*hit);
+    }
+    let entry = Box::leak(build()?);
+    let handle = Handle::new(String::leak(key), entry);
+    interned.push(Box::new(handle));
+    Ok(handle)
+}
+
+/// Resolve a policy expression against one axis's `registry` of base
+/// handles (`noun` names the axis in errors): parse, look the entry up
+/// by name (case-insensitive), validate the arguments against its
+/// declared parameters and canonicalise. An expression whose arguments
+/// all equal their defaults is the base handle itself; anything else
+/// interns a configured instance under its canonical expression.
+///
+/// Keeping this in one place means canonical identity — the property
+/// cache keys and table keys rely on — cannot drift between axes.
+pub fn resolve<T: Entry + ?Sized>(
+    input: &str,
+    registry: &[Handle<T>],
+    noun: &str,
+) -> Result<Handle<T>, String> {
+    let expr = PolicyExpr::parse(input)?;
+    let Some(&base) = registry
+        .iter()
+        .find(|h| h.key.eq_ignore_ascii_case(&expr.name))
+    else {
+        let names: Vec<&str> = registry.iter().map(|h| h.key).collect();
+        return Err(format!(
+            "unknown {noun} `{}` (registered: {})",
+            expr.name,
+            names.join(", ")
+        ));
+    };
+    let bound = BoundArgs::bind(&expr, &base.entry.params(), base.key)?;
+    if bound.is_all_default() {
         return Ok(base);
     }
-    configure(key, bound, base)
+    intern(bound.canonical(base.key), || base.entry.with_params(&bound))
+}
+
+/// Split `input` on `+` outside parentheses, so each part's arguments
+/// stay intact (`EASY(protected=2)+FCFS`).
+pub fn split_plus(input: &str) -> Vec<&str> {
+    let mut parts = Vec::new();
+    let mut depth = 0usize;
+    let mut start = 0;
+    for (i, c) in input.char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' => depth = depth.saturating_sub(1),
+            '+' if depth == 0 => {
+                parts.push(&input[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    parts.push(&input[start..]);
+    parts
 }
 
 /// Coerce a parsed value to the declared kind (`Int` → `Float` is the
@@ -638,5 +805,99 @@ mod tests {
         let d = describe_params("lt", &specs());
         assert!(d.contains("factor: float = 2 (imbalance factor)"), "{d}");
         assert_eq!(describe_params("FCFS", &[]), "`FCFS` takes no parameters");
+    }
+
+    #[derive(Debug)]
+    struct Scale(f64);
+
+    impl Entry for Scale {
+        fn params(&self) -> Vec<ParamSpec> {
+            vec![ParamSpec::float("factor", Some(2.0), "scale factor")]
+        }
+        fn with_params(&self, args: &BoundArgs) -> Result<Box<Scale>, String> {
+            let factor = args.f64("factor").expect("declared with a default");
+            if factor <= 0.0 {
+                return Err(format!("`scale` needs factor > 0, got {factor}"));
+            }
+            Ok(Box::new(Scale(factor)))
+        }
+    }
+
+    const SCALE: Handle<Scale> = Handle::new("scale", &Scale(2.0));
+    const SHIFT: Handle<Scale> = Handle::new("shift", &Scale(0.0));
+
+    #[test]
+    fn handles_compare_order_hash_and_print_by_key() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |h: Handle<Scale>| {
+            let mut state = DefaultHasher::new();
+            h.hash(&mut state);
+            state.finish()
+        };
+        let same_key = Handle::new("scale", &Scale(9.0));
+        assert_eq!(same_key, SCALE, "identity is the key, not the entry");
+        assert_eq!(hash(same_key), hash(SCALE));
+        assert_ne!(SCALE, SHIFT);
+        assert!(SCALE < SHIFT);
+        assert_eq!(SCALE.max(SHIFT), SHIFT);
+        assert_eq!(format!("{SCALE} {SCALE:?}"), "scale scale");
+        assert_eq!(SCALE.get().0, 2.0);
+    }
+
+    #[test]
+    fn intern_returns_one_handle_per_key() {
+        let mut builds = 0;
+        let mut make = |f: f64| {
+            intern::<Scale>("handle-test(factor=3)".into(), || {
+                builds += 1;
+                Ok(Box::new(Scale(f)))
+            })
+            .unwrap()
+        };
+        let (a, b) = (make(3.0), make(4.0));
+        assert_eq!(a, b);
+        assert!(std::ptr::eq(a.get(), b.get()), "second lookup hits");
+        assert!(std::ptr::eq(a.key(), b.key()));
+        assert_eq!(builds, 1);
+        // The same key under another entry type is a different handle.
+        let other = intern::<str>("handle-test(factor=3)".into(), || Ok("x".into())).unwrap();
+        assert_eq!(other.get(), "x");
+        // A failed build interns nothing.
+        let err = intern::<Scale>("handle-test(bad)".into(), || Err("no".into()));
+        assert_eq!(err.unwrap_err(), "no");
+        let ok = intern::<Scale>("handle-test(bad)".into(), || Ok(Box::new(Scale(1.0))));
+        assert_eq!(ok.unwrap().get().0, 1.0);
+    }
+
+    #[test]
+    fn resolve_canonicalises_and_interns() {
+        let registry = [SCALE, SHIFT];
+        for spelled in ["scale", "SCALE()", "scale(factor=2.0)"] {
+            let h = resolve(spelled, &registry, "knob").unwrap();
+            assert!(std::ptr::eq(h.get(), SCALE.get()), "{spelled} is the base");
+        }
+        let a = resolve("scale(factor=1.5)", &registry, "knob").unwrap();
+        let b = resolve("Scale( factor = 1.50 )", &registry, "knob").unwrap();
+        assert_eq!(a.key(), "scale(factor=1.5)");
+        assert!(std::ptr::eq(a.get(), b.get()), "interned once");
+        assert_eq!(a.get().0, 1.5);
+        let err = resolve("nope", &registry, "knob").unwrap_err();
+        assert_eq!(err, "unknown knob `nope` (registered: scale, shift)");
+        let err = resolve("scale(factor=0)", &registry, "knob").unwrap_err();
+        assert!(err.contains("factor > 0"), "{err}");
+        let err = resolve("scale(f=1)", &registry, "knob").unwrap_err();
+        assert!(err.contains("factor: float = 2"), "{err}");
+    }
+
+    #[test]
+    fn split_plus_keeps_parenthesised_arguments() {
+        assert_eq!(split_plus("FCFS"), ["FCFS"]);
+        assert_eq!(
+            split_plus("EASY(protected=2)+FCFS"),
+            ["EASY(protected=2)", "FCFS"]
+        );
+        assert_eq!(split_plus("a(x=\"1+2\")+b"), ["a(x=\"1+2\")", "b"]);
+        assert_eq!(split_plus("a++b"), ["a", "", "b"]);
+        assert_eq!(split_plus("+"), ["", ""]);
     }
 }
