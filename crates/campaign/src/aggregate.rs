@@ -334,9 +334,17 @@ pub fn stream_csv<W: std::io::Write>(
         return Err(missing_error(&missing));
     }
     let extra = ExtraAxes::of(rows.iter().map(|(g, _)| g));
-    let io = |e: std::io::Error| format!("csv stream: {e}");
-    out.write_all(csv_header(extra, false).as_bytes())
-        .map_err(io)?;
+    // `Ok(false)`: the reader closed early (`| head`) and has all it
+    // asked for, so the stream ends cleanly.
+    let mut emit = |line: String| match out.write_all(line.as_bytes()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        written => written
+            .map(|()| true)
+            .map_err(|e| format!("csv stream: {e}")),
+    };
+    if !emit(csv_header(extra, false))? {
+        return Ok(());
+    }
     let mut baseline = None;
     for &(group, i) in &rows {
         let unit = &plan.units[i];
@@ -346,8 +354,9 @@ pub fn stream_csv<W: std::io::Write>(
             RunKind::Realloc(setting) => group_cell(unit, &setting),
             RunKind::Reference => unreachable!("export_order keeps only reallocation units"),
         };
-        out.write_all(csv_row(&group, &cell, &comparison, extra, "").as_bytes())
-            .map_err(io)?;
+        if !emit(csv_row(&group, &cell, &comparison, extra, ""))? {
+            break;
+        }
     }
     Ok(())
 }

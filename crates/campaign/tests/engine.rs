@@ -823,6 +823,57 @@ fn starvation_study_reports_in_json_rows() {
     );
 }
 
+/// A reader that closes early (`report --format csv | head -1`) ends
+/// the CSV stream cleanly, as it ends the table and JSON reports.
+#[test]
+fn csv_report_exits_cleanly_when_its_reader_closes_early() {
+    use std::io::BufRead;
+    let dir = scratch("cli-pipe");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("tiny.toml");
+    std::fs::write(
+        &spec,
+        "name = \"tiny\"\nfraction = 0.002\n[matrix]\nscenarios = [\"jun\"]\n",
+    )
+    .unwrap();
+    let cache = dir.join("cache");
+    let campaign = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(args)
+            .arg("--spec")
+            .arg(&spec)
+            .arg("--cache")
+            .arg(&cache)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let run = campaign(&["run", "--quiet"]).wait_with_output().unwrap();
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    // Close the pipe before the header, and after reading one line.
+    for lines in [0, 1] {
+        let mut report = campaign(&["report", "--format", "csv"]);
+        let mut stdout = std::io::BufReader::new(report.stdout.take().unwrap());
+        for _ in 0..lines {
+            let mut line = String::new();
+            stdout.read_line(&mut line).unwrap();
+            assert!(line.starts_with("scenario,platform,"), "{line}");
+        }
+        drop(stdout);
+        let report = report.wait_with_output().unwrap();
+        assert!(
+            report.status.success(),
+            "{}",
+            String::from_utf8_lossy(&report.stderr)
+        );
+    }
+}
+
 /// `campaign report --check` prints the tables, then Table 1 and the
 /// eleven shape checks — at 0.2% byte for byte the goldens of
 /// `tests/golden_paper_suite.rs`.
