@@ -39,6 +39,9 @@
 //! [`LocalScheduler`](crate::sched::LocalScheduler) trait; see the
 //! [`sched`](crate::sched) module for the registry.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use grid_des::{Duration, SimRng, SimTime};
 use grid_obs::{Field, Obs};
 
@@ -199,6 +202,33 @@ impl JobSlab {
     }
 }
 
+/// The ids of every job queued or running on a cluster: answers
+/// [`Cluster::submit`]'s duplicate check in O(1).
+type IdSet = HashSet<JobId, BuildHasherDefault<IdHasher>>;
+
+/// Multiplicative hash of a [`JobId`]'s `u64`. Only membership is ever
+/// asked of an [`IdSet`], so the weaker mixing never shows in an output.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(26);
+    }
+}
+
 /// Counters accumulated over a run (used by tests, benches and reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
@@ -343,6 +373,8 @@ pub struct Cluster {
     spec: ClusterSpec,
     policy: BatchPolicy,
     running: Vec<Running>,
+    /// Ids of the queued and running jobs (the duplicate check).
+    ids: IdSet,
     /// Arena holding the specs/scaled views of the waiting jobs; the
     /// `q_*` arrays below are the queue itself, position-aligned
     /// (struct-of-arrays so the scheduler scan stays contiguous).
@@ -412,6 +444,7 @@ impl Cluster {
             spec,
             policy,
             running: Vec::new(),
+            ids: IdSet::default(),
             slab: JobSlab::default(),
             q_slot: Vec::new(),
             q_procs: Vec::new(),
@@ -640,7 +673,7 @@ impl Cluster {
                 total: self.spec.procs,
             });
         }
-        if self.find_queued(job.id).is_some() || self.find_running(job.id).is_some() {
+        if !self.ids.insert(job.id) {
             return Err(SubmitError::Duplicate(job.id));
         }
         let scaled = self.scale_job(&job);
@@ -660,21 +693,20 @@ impl Cluster {
             // A tail job never disturbs existing reservations under these
             // policies, so the warm profile absorbs it directly.
             self.ensure_schedule(now);
+            let floor = self.policy.scheduler().tail_floor(&self.q_reserved, now);
+            let profile = self.profile.as_mut().expect("schedule just ensured");
             let start = match frozen {
                 Some(start) => {
                     debug_assert_eq!(
                         start,
-                        self.place_at_tail(scaled.procs, scaled.walltime, now),
+                        profile.first_fit(floor, scaled.walltime, scaled.procs),
                         "the frozen staircase disagrees with the profile"
                     );
+                    profile.reserve(start, scaled.walltime, scaled.procs);
                     start
                 }
-                None => self.place_at_tail(scaled.procs, scaled.walltime, now),
+                None => profile.place(floor, scaled.walltime, scaled.procs),
             };
-            self.profile
-                .as_mut()
-                .expect("schedule just ensured")
-                .reserve(start, scaled.walltime, scaled.procs);
             self.queue_push(job, scaled, start, now);
             start
         } else {
@@ -708,6 +740,7 @@ impl Cluster {
         let idx = self.find_queued(id)?;
         self.invalidate_snapshot();
         let (job, scaled, reserved) = self.queue_remove(idx);
+        self.ids.remove(&id);
         self.stats.canceled += 1;
         // A hole opened: later reservations may move earlier. When the
         // scheduler claims a byte-identical repair point for a cancel
@@ -749,6 +782,9 @@ impl Cluster {
         self.q_reserved.clear();
         self.q_enqueued.clear();
         self.slab.clear();
+        for (job, _) in &drained {
+            self.ids.remove(&job.id);
+        }
         self.stats.canceled += drained.len() as u64;
         self.invalidate();
         drained
@@ -963,6 +999,7 @@ impl Cluster {
         debug_assert!(until > now, "recovery must lie in the future");
         self.invalidate_snapshot();
         let running: Vec<JobSpec> = self.running.drain(..).map(|r| r.job).collect();
+        self.ids.clear();
         let waiting: Vec<JobSpec> = self
             .q_slot
             .iter()
@@ -1060,6 +1097,7 @@ impl Cluster {
         self.invalidate_snapshot();
         let r = self.running.remove(idx);
         assert_eq!(r.end, now, "completion event fired at the wrong time");
+        self.ids.remove(&id);
         self.stats.completed += 1;
         if r.scaled.runtime >= r.scaled.walltime {
             self.stats.killed += 1;

@@ -60,10 +60,7 @@ impl LocalScheduler for EasySjfScheduler {
             let (procs, walltime) = (queue.procs[i], queue.walltime[i]);
             if rank == 0 {
                 // The SJF head holds the only protected reservation.
-                let start = profile.first_fit(now, walltime, procs);
-                profile.reserve(start, walltime, procs);
-                queue.reserved[i] = start;
-                fit.note(procs, walltime, start);
+                queue.reserved[i] = fit.place(profile, now, procs, walltime);
                 continue;
             }
             if profile.min_free(now, walltime) >= procs {
@@ -74,15 +71,7 @@ impl LocalScheduler for EasySjfScheduler {
             }
         }
         for i in pending {
-            let (procs, walltime) = (queue.procs[i], queue.walltime[i]);
-            let floor = fit.floor(now, procs, walltime);
-            if floor > now {
-                profile.note_batch_fast();
-            }
-            let start = profile.first_fit(floor, walltime, procs);
-            profile.reserve(start, walltime, procs);
-            queue.reserved[i] = start;
-            fit.note(procs, walltime, start);
+            queue.reserved[i] = fit.place(profile, now, queue.procs[i], queue.walltime[i]);
         }
     }
 }

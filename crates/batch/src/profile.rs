@@ -9,13 +9,19 @@
 //! The backend is **adaptive**. The balanced, time-indexed
 //! [`AvailTree`] (see the [`avail`](crate::avail) module) has O(log n)
 //! mutations and an aggregate-pruned [`Profile::first_fit`] descent, but
-//! `BENCH_sched.json` shows it *loses* to a flat sorted buffer below a
-//! few thousand breakpoints (pointer chasing and per-node overhead
-//! dominate). So a profile starts life as a `SmallProfile` — a
-//! SmallVec-style inline point buffer — and promotes to the tree only
-//! when it outgrows [`DEFAULT_CROSSOVER`] breakpoints. The switch is
-//! invisible behind the `Profile` API and byte-identical by
-//! construction, which the differential suite pins on every observation.
+//! `BENCH_sched.json` shows it *loses* to a flat sorted buffer up to
+//! ~5k breakpoints even when every operation inserts or removes one,
+//! and at every measured depth when none does (pointer chasing and
+//! per-node overhead dominate). So a profile starts life as a
+//! `SmallProfile` — a SmallVec-style inline point buffer — and promotes
+//! to the tree only when it outgrows [`DEFAULT_CROSSOVER`] breakpoints.
+//! The switch is invisible behind the `Profile` API and byte-identical
+//! by construction, which the differential suite pins on every
+//! observation. The flat buffer keeps its mutations cheap: a range
+//! shifted by one amount can only merge at its two seams, so `reserve`
+//! and `release` fix those two pairs instead of rescanning the buffer,
+//! and [`Profile::place`] carves the first fit it just found in the
+//! scan's own pass.
 //! A profile that never promotes (crossover `usize::MAX`, see
 //! [`Profile::flat_with_crossover`]) runs the flat algorithms alone: it
 //! is the property-test oracle the tree is compared against and the
@@ -36,8 +42,10 @@ use crate::avail::{AvailTree, Breakpoints};
 
 /// Promotion threshold of [`Profile::flat`]: a profile whose breakpoint
 /// count *exceeds* this promotes from the inline buffer to the
-/// [`AvailTree`]. Conservatively inside the 2–5k band where
-/// `BENCH_sched.json` puts the flat-buffer/tree break-even.
+/// [`AvailTree`]. Below the flat-buffer/tree break-even
+/// `BENCH_sched.json` measures (past ~5k breakpoints, and only when
+/// every operation moves a breakpoint), so a promoted profile trades
+/// some speed for the tree's bounded worst case.
 pub const DEFAULT_CROSSOVER: usize = 2048;
 
 /// Step function of free processors over time, with an adaptive backend:
@@ -342,6 +350,43 @@ impl Profile {
     /// # Panics
     /// Panics if `procs > total` or `dur == 0`.
     pub fn first_fit(&self, after: SimTime, dur: Duration, procs: u32) -> SimTime {
+        self.count_probe(dur, procs);
+        match &*self.repr {
+            Repr::Small(s) => s.earliest_fit(after, procs, dur),
+            Repr::Tree(t) => t.first_fit(after, dur, procs),
+        }
+    }
+
+    /// [`Profile::first_fit`] that reserves its own answer: the same
+    /// start, the same carve and the same single probe as `first_fit`
+    /// followed by [`Profile::reserve`] of the start it returned.
+    ///
+    /// The inline backend carves in the scan's own pass: the scan ends
+    /// knowing the breakpoint in force at the start and the first one at
+    /// or past the end, so it inserts the missing edge points there and
+    /// merges the two seams without a second search. On the tree it is
+    /// `first_fit` then `reserve`.
+    ///
+    /// # Panics
+    /// Panics like [`Profile::first_fit`].
+    pub fn place(&mut self, after: SimTime, dur: Duration, procs: u32) -> SimTime {
+        if procs == 0 || self.backend_is_tree() {
+            let start = self.first_fit(after, dur, procs);
+            self.reserve(start, dur, procs);
+            return start;
+        }
+        self.count_probe(dur, procs);
+        let Repr::Small(s) = Arc::make_mut(&mut self.repr) else {
+            unreachable!("the tree backend took the branch above");
+        };
+        let start = s.place(after, procs, dur);
+        self.maybe_promote();
+        start
+    }
+
+    /// Check a placement query's arguments and count it as one
+    /// first-fit probe.
+    fn count_probe(&self, dur: Duration, procs: u32) {
         assert!(
             procs <= self.total(),
             "job needs {procs} procs, cluster has {}",
@@ -349,10 +394,6 @@ impl Profile {
         );
         assert!(dur > Duration::ZERO, "placement window must be non-empty");
         self.probes.set(self.probes.get() + 1);
-        match &*self.repr {
-            Repr::Small(s) => s.earliest_fit(after, procs, dur),
-            Repr::Tree(t) => t.first_fit(after, dur, procs),
-        }
     }
 
     /// Historical spelling of [`Profile::first_fit`] (argument order
@@ -667,14 +708,15 @@ impl PointBuf {
         }
     }
 
-    fn truncate(&mut self, n: usize) {
+    fn remove(&mut self, i: usize) {
         match self {
-            PointBuf::Inline { len, .. } => {
-                if n < *len as usize {
-                    *len = n as u8;
-                }
+            PointBuf::Inline { len, arr } => {
+                arr.copy_within(i + 1..*len as usize, i);
+                *len -= 1;
             }
-            PointBuf::Spill(v) => v.truncate(n),
+            PointBuf::Spill(v) => {
+                v.remove(i);
+            }
         }
     }
 
@@ -777,7 +819,7 @@ impl SmallProfile {
             );
             p.1 -= procs;
         }
-        self.coalesce();
+        self.merge_seams(si, ei);
     }
 
     /// Same caller guarantees as [`SmallProfile::reserve`].
@@ -795,7 +837,32 @@ impl SmallProfile {
             );
             p.1 += procs;
         }
-        self.coalesce();
+        self.merge_seams(si, ei);
+    }
+
+    /// [`SmallProfile::earliest_fit`] that carves its answer: the scan's
+    /// in-force index `i` and end index `j` are where the window's edge
+    /// points belong. Caller guarantees `dur > 0` and
+    /// `0 < procs <= total`.
+    fn place(&mut self, after: SimTime, procs: u32, dur: Duration) -> SimTime {
+        let (start, mut si, mut ei) = self.fit(after, procs, dur);
+        let end = start + dur;
+        let (t, free) = self.points()[si];
+        if t < start {
+            si += 1;
+            ei += 1;
+            self.buf.insert(si, (start, free));
+        }
+        if self.points().get(ei).is_none_or(|p| p.0 > end) {
+            let free = self.points()[ei - 1].1;
+            self.buf.insert(ei, (end, free));
+        }
+        for p in &mut self.buf.as_mut_slice()[si..ei] {
+            debug_assert!(p.1 >= procs, "first fit chose a blocked window");
+            p.1 -= procs;
+        }
+        self.merge_seams(si, ei);
+        start
     }
 
     fn advance_origin(&mut self, now: SimTime) {
@@ -811,6 +878,13 @@ impl SmallProfile {
     }
 
     fn earliest_fit(&self, after: SimTime, procs: u32, dur: Duration) -> SimTime {
+        self.fit(after, procs, dur).0
+    }
+
+    /// The first fit, with the index of the breakpoint in force at its
+    /// start and the index of the first breakpoint at or past its end
+    /// (the length when none is).
+    fn fit(&self, after: SimTime, procs: u32, dur: Duration) -> (SimTime, usize, usize) {
         let points = self.points();
         let after = after.max(self.origin());
         let n = points.len();
@@ -834,7 +908,7 @@ impl SmallProfile {
                 }
                 j += 1;
             }
-            return cand;
+            return (cand, i, j);
         }
     }
 
@@ -860,19 +934,30 @@ impl SmallProfile {
         }
     }
 
-    /// Merge adjacent breakpoints with equal free counts (keeps the first
-    /// of each run, like `Vec::dedup_by`).
-    fn coalesce(&mut self) {
-        let s = self.buf.as_mut_slice();
-        let n = s.len();
-        let mut w = 1;
-        for r in 1..n {
-            if s[r].1 != s[w - 1].1 {
-                s[w] = s[r];
-                w += 1;
-            }
+    /// Merge the seams of `[si, ei)` after its points shifted by one
+    /// common amount. In a coalesced buffer the shift keeps every pair
+    /// inside the range distinct, so only the pairs `(si - 1, si)` and
+    /// `(ei - 1, ei)` can now hold equal free counts; the earlier point of
+    /// a merged pair stays. (`ei` is a real point: the window's end.)
+    fn merge_seams(&mut self, si: usize, ei: usize) {
+        let s = self.points();
+        let (left, right) = (si > 0 && s[si - 1].1 == s[si].1, s[ei - 1].1 == s[ei].1);
+        if right {
+            self.buf.remove(ei);
         }
-        self.buf.truncate(w);
+        if left {
+            self.buf.remove(si);
+        }
+    }
+
+    /// Merge every run of adjacent breakpoints with equal free counts,
+    /// keeping the first of each run: the full rescan the seam merge
+    /// replaced, kept as its test oracle.
+    #[cfg(test)]
+    fn coalesce(&mut self) {
+        let mut points = self.points().to_vec();
+        points.dedup_by_key(|p| p.1);
+        self.buf = PointBuf::Spill(points);
     }
 
     fn assert_invariants(&self) {
@@ -1487,6 +1572,160 @@ mod tests {
                 points[in_force..].to_vec()
             );
         }
+    }
+
+    /// The carve the seam merge replaced: insert both window edges,
+    /// shift the range by `delta`, then rescan the whole buffer.
+    fn rescan_carve(s: &mut SmallProfile, start: SimTime, dur: Duration, delta: i64) {
+        let si = s.ensure_breakpoint(start);
+        let ei = s.ensure_breakpoint(start + dur);
+        for p in &mut s.buf.as_mut_slice()[si..ei] {
+            p.1 = u32::try_from(i64::from(p.1) + delta).expect("valid carve");
+        }
+        s.coalesce();
+    }
+
+    /// One profile operation `(kind, a, dur, procs)`: kind `0` reserves
+    /// at `a` when the window has room there, `1` places from `a`, `2`
+    /// releases the live reservation `a` picks from its start plus `dur`
+    /// (modulo its length) on.
+    type Op = (u8, u64, u64, u32);
+
+    /// Apply `ops` to `profile` (with the seam merge) and to a rescan
+    /// oracle, checking their points after every operation. Returns the
+    /// largest point count reached.
+    fn seam_run(profile: &mut Profile, ops: &[Op]) -> usize {
+        let total = profile.total();
+        let origin = profile.origin();
+        let mut oracle = SmallProfile::flat(total, origin);
+        let mut live: Vec<(SimTime, Duration, u32)> = Vec::new();
+        let mut widest = profile.len();
+        for (i, &(kind, a, dur, procs)) in ops.iter().enumerate() {
+            let (dur, procs) = (d(dur), (procs - 1) % total + 1);
+            match kind % 3 {
+                0 if profile.min_free(t(a), dur) >= procs => {
+                    profile.reserve(t(a), dur, procs);
+                    rescan_carve(&mut oracle, t(a), dur, -i64::from(procs));
+                    live.push((t(a), dur, procs));
+                }
+                1 => {
+                    let start = profile.place(t(a), dur, procs);
+                    assert_eq!(start, oracle.earliest_fit(t(a), procs, dur), "op {i}");
+                    rescan_carve(&mut oracle, start, dur, -i64::from(procs));
+                    live.push((start, dur, procs));
+                }
+                2 if !live.is_empty() => {
+                    let (start, len, procs) = live.swap_remove(a as usize % live.len());
+                    let cut = dur.0 % len.0;
+                    profile.release(start + d(cut), d(len.0 - cut), procs);
+                    rescan_carve(
+                        &mut oracle,
+                        start + d(cut),
+                        d(len.0 - cut),
+                        i64::from(procs),
+                    );
+                    if cut > 0 {
+                        live.push((start, d(cut), procs));
+                    }
+                }
+                _ => continue,
+            }
+            assert_eq!(profile.points(), oracle.points(), "points after op {i}");
+            profile.assert_invariants();
+            widest = widest.max(profile.len());
+        }
+        widest
+    }
+
+    proptest::proptest! {
+        /// Merging only the two seams of each shifted range leaves exactly
+        /// the points a full rescan does, for every mix of reserve, place
+        /// and release on the flat-only profile (inline and spilled).
+        #[test]
+        fn seam_merge_matches_the_full_rescan(
+            total in 1u32..12,
+            ops in proptest::prop::collection::vec((0u8..3, 0u64..48, 1u64..24, 1u32..12), 0..80),
+        ) {
+            seam_run(&mut flat_only(total), &ops);
+        }
+
+        /// `place` starts, carves and counts exactly like `first_fit`
+        /// followed by `reserve`, on the inline buffer, the tree and a
+        /// profile that promotes part way.
+        #[test]
+        fn place_matches_first_fit_then_reserve(
+            crossover in proptest::prop::sample::select(vec![DEFAULT_CROSSOVER, 0, 4]),
+            total in 1u32..12,
+            ops in proptest::prop::collection::vec((0u8..4, 0u64..64, 1u64..24, 0u32..12), 0..80),
+        ) {
+            let mut placed = Profile::flat_with_crossover(total, t(0), crossover);
+            let mut paired = placed.clone();
+            let mut live: Vec<(SimTime, Duration, u32)> = Vec::new();
+            for &(kind, a, dur, procs) in &ops {
+                let (dur, procs) = (d(dur), procs % (total + 1));
+                match kind {
+                    0 | 1 => {
+                        let start = placed.place(t(a), dur, procs);
+                        let want = paired.first_fit(t(a), dur, procs);
+                        paired.reserve(want, dur, procs);
+                        proptest::prop_assert_eq!(start, want);
+                        live.push((start, dur, procs));
+                    }
+                    2 if !live.is_empty() => {
+                        let (start, dur, procs) = live.swap_remove(a as usize % live.len());
+                        let from = start.max(placed.origin());
+                        if start + dur > from {
+                            placed.release(from, (start + dur).since(from), procs);
+                            paired.release(from, (start + dur).since(from), procs);
+                        }
+                    }
+                    _ => {
+                        placed.advance_origin(t(a));
+                        paired.advance_origin(t(a));
+                    }
+                }
+                proptest::prop_assert_eq!(placed.points(), paired.points());
+                proptest::prop_assert_eq!(placed.backend_is_tree(), paired.backend_is_tree());
+                proptest::prop_assert_eq!(placed.take_probes(), paired.take_probes());
+                proptest::prop_assert_eq!(placed.take_promotions(), paired.take_promotions());
+                placed.assert_invariants();
+            }
+        }
+    }
+
+    /// Ten disjoint windows spill the inline buffer (21 points against
+    /// 16 inline) and releasing them shrinks it back to one point, the
+    /// seam merge agreeing with the rescan at every step; the first
+    /// window starts at the origin and the last fill on the tail point.
+    #[test]
+    fn seam_merge_crosses_the_inline_boundary_at_origin_and_tail() {
+        let mut p = flat_only(8);
+        let mut ops: Vec<Op> = (0..10).map(|k| (0, k * 4, 2, 3)).collect();
+        // Fill each gap, then release the reservations back to flat.
+        ops.extend((0..10).map(|k| (1, k * 4 + 2, 2, 3)));
+        ops.extend((0..20).map(|_| (2, 0, 0, 1)));
+        let widest = seam_run(&mut p, &ops);
+        assert!(widest > INLINE_POINTS, "reached {widest} points");
+        assert_eq!(p.points(), &[(t(0), 8)]);
+    }
+
+    /// A seam at the origin has no left neighbour, and a window ending on
+    /// the tail point merges into it, from either side.
+    #[test]
+    fn seams_at_the_origin_and_the_tail_point() {
+        let mut p = flat_only(8);
+        p.reserve(t(10), d(10), 3); // (0,8) (10,5) (20,8)
+        p.reserve(t(0), d(10), 3); // origin seam merges (10,5) away
+        assert_eq!(p.points(), &[(t(0), 5), (t(20), 8)]);
+        p.release(t(0), d(20), 3); // both seams: back to the one origin point
+        assert_eq!(p.points(), &[(t(0), 8)]);
+        p.reserve(t(0), d(30), 8);
+        assert_eq!(p.place(t(0), d(5), 8), t(30)); // starts on the tail point
+        assert_eq!(p.points(), &[(t(0), 0), (t(35), 8)]);
+        p.reserve(t(35), d(5), 2);
+        p.release(t(35), d(5), 2); // ends on the tail point, which merges away
+        assert_eq!(p.points(), &[(t(0), 0), (t(35), 8)]);
+        p.assert_invariants();
     }
 
     #[test]

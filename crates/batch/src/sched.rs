@@ -87,11 +87,12 @@
 //! only ever *decreases* (each placement carves a reservation), so a job
 //! at least as wide and at least as long as an already-placed one can
 //! never start earlier than it did. `BatchFit` tracks the dominance frontier of
-//! this walk's placements and raises the `first_fit` search floor
-//! accordingly — the descent resumes from the previous placement instead
-//! of restarting at `now`, with byte-identical results. Placements that
-//! actually rode a raised floor are counted via
-//! [`Profile::note_batch_fast`].
+//! this walk's placements and raises the search floor accordingly — the
+//! descent resumes from the previous placement instead of restarting at
+//! `now`, with byte-identical results. `BatchFit::place` is every such
+//! placement: floor, [`Profile::place`] (a first fit that carves its own
+//! answer), then the frontier update. Placements that actually rode a
+//! raised floor are counted via [`Profile::note_batch_fast`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -194,6 +195,26 @@ impl BatchFit {
             }
         }
         floor
+    }
+
+    /// Place and carve a job of `(procs, walltime)` searching from
+    /// `base` ([`Profile::place`] from this walk's floor), count the
+    /// placement as batch-fast when the floor skipped part of the search,
+    /// and record it. Returns the start.
+    pub(crate) fn place(
+        &mut self,
+        profile: &mut Profile,
+        base: SimTime,
+        procs: u32,
+        walltime: Duration,
+    ) -> SimTime {
+        let floor = self.floor(base, procs, walltime);
+        if floor > base {
+            profile.note_batch_fast();
+        }
+        let start = profile.place(floor, walltime, procs);
+        self.note(procs, walltime, start);
+        start
     }
 
     /// Record a placement of `(procs, walltime)` at `start`.
@@ -724,15 +745,7 @@ impl LocalScheduler for CbfScheduler {
         // placement that provably blocks this job.
         let mut fit = BatchFit::new();
         for i in from..queue.len() {
-            let (procs, walltime) = (queue.procs[i], queue.walltime[i]);
-            let floor = fit.floor(now, procs, walltime);
-            if floor > now {
-                profile.note_batch_fast();
-            }
-            let start = profile.first_fit(floor, walltime, procs);
-            profile.reserve(start, walltime, procs);
-            queue.reserved[i] = start;
-            fit.note(procs, walltime, start);
+            queue.reserved[i] = fit.place(profile, now, queue.procs[i], queue.walltime[i]);
         }
     }
 }
@@ -809,14 +822,7 @@ impl LocalScheduler for EasyScheduler {
         for i in from..queue.len() {
             let (procs, walltime) = (queue.procs[i], queue.walltime[i]);
             if i < self.protected {
-                let floor = fit.floor(now, procs, walltime);
-                if floor > now {
-                    profile.note_batch_fast();
-                }
-                let start = profile.first_fit(floor, walltime, procs);
-                profile.reserve(start, walltime, procs);
-                queue.reserved[i] = start;
-                fit.note(procs, walltime, start);
+                queue.reserved[i] = fit.place(profile, now, procs, walltime);
                 continue;
             }
             // Aggressive phase: start immediately if that does not delay
@@ -832,15 +838,7 @@ impl LocalScheduler for EasyScheduler {
         // Estimation phase: tentative (unprotected) slots for the rest,
         // so ECT queries and wake-ups have something to read.
         for i in pending {
-            let (procs, walltime) = (queue.procs[i], queue.walltime[i]);
-            let floor = fit.floor(now, procs, walltime);
-            if floor > now {
-                profile.note_batch_fast();
-            }
-            let start = profile.first_fit(floor, walltime, procs);
-            profile.reserve(start, walltime, procs);
-            queue.reserved[i] = start;
-            fit.note(procs, walltime, start);
+            queue.reserved[i] = fit.place(profile, now, queue.procs[i], queue.walltime[i]);
         }
     }
 }

@@ -259,8 +259,9 @@ fn cmd_plan(opts: &CommonArgs) -> Result<(), String> {
     let axes = spec.axes();
     println!(
         "matrix: {} @ fraction {}",
-        axes.iter()
-            .map(|(name, values)| format!("{} {name}", values.len()))
+        plan.matrix()
+            .iter()
+            .map(|(name, count)| format!("{count} {name}"))
             .collect::<Vec<_>>()
             .join(" x "),
         spec.fraction,

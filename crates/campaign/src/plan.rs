@@ -1,5 +1,8 @@
 //! Concrete run units and the expanded campaign plan.
 
+use std::collections::HashSet;
+use std::hash::Hash;
+
 use grid_batch::BatchPolicy;
 use grid_des::Duration;
 use grid_fault::Fault;
@@ -205,6 +208,45 @@ impl CampaignPlan {
     /// Number of reallocation runs.
     pub fn realloc_count(&self) -> usize {
         self.len() - self.reference_count()
+    }
+
+    /// The plan's matrix as `(axis, distinct values)`, counted from the
+    /// units: the setup axes over the reference runs, the
+    /// (algorithm, heuristic) pairs, periods and thresholds over the
+    /// reallocation runs. The setup axes multiply out to
+    /// [`CampaignPlan::reference_count`] and all of them to
+    /// [`CampaignPlan::realloc_count`]; the spec's own axis lengths
+    /// overcount when an algorithm runs under fewer heuristics than the
+    /// axis lists (multiple submission runs under `Mct` alone).
+    pub fn matrix(&self) -> Vec<(&'static str, usize)> {
+        fn count<T: Eq + Hash>(values: impl Iterator<Item = T>) -> usize {
+            values.collect::<HashSet<T>>().len()
+        }
+        let refs = || self.units.iter().filter(|u| u.kind == RunKind::Reference);
+        let settings = || {
+            self.units.iter().filter_map(|u| match u.kind {
+                RunKind::Realloc(s) => Some(s),
+                RunKind::Reference => None,
+            })
+        };
+        vec![
+            ("scenarios", count(refs().map(|u| u.scenario))),
+            ("platforms", count(refs().map(|u| u.heterogeneous))),
+            ("policies", count(refs().map(|u| u.policy))),
+            (
+                "algorithm-heuristic pairs",
+                count(settings().map(|s| (s.algorithm, s.heuristic))),
+            ),
+            ("faults", count(refs().map(|u| u.fault))),
+            ("mappings", count(refs().map(|u| u.mapping))),
+            (
+                "walltime_adjustment",
+                count(refs().map(|u| u.walltime_adjustment)),
+            ),
+            ("periods_s", count(settings().map(|s| s.period))),
+            ("thresholds_s", count(settings().map(|s| s.threshold))),
+            ("seeds", count(refs().map(|u| u.seed))),
+        ]
     }
 }
 

@@ -823,6 +823,46 @@ fn starvation_study_reports_in_json_rows() {
     );
 }
 
+/// `campaign plan`'s matrix line counts what the plan runs: A6's two
+/// `multisub` entries run under `Mct` alone, so its 4 algorithms and 2
+/// heuristics make 6 reallocation settings, not 8.
+#[test]
+fn plan_matrix_line_counts_the_a6_settings_from_the_plan() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/ablation_a6_multisub.toml");
+    let plan = example_spec("ablation_a6_multisub.toml").expand();
+    let matrix = plan.matrix();
+    let count = |axis: &str| matrix.iter().find(|(name, _)| *name == axis).unwrap().1;
+    assert_eq!(count("algorithm-heuristic pairs"), 6);
+    let setups: usize = ["scenarios", "platforms", "policies", "faults", "mappings"]
+        .into_iter()
+        .chain(["walltime_adjustment", "seeds"])
+        .map(count)
+        .product();
+    assert_eq!(setups, plan.reference_count());
+    let all: usize = matrix.iter().map(|(_, n)| n).product();
+    assert_eq!(all, plan.realloc_count());
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["plan", "--spec"])
+        .arg(&path)
+        .arg("--cache")
+        .arg(scratch("cli-plan").join("absent"))
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = stdout.lines().find(|l| l.starts_with("matrix: ")).unwrap();
+    assert!(line.contains(" x 6 algorithm-heuristic pairs x "), "{line}");
+    assert!(
+        stdout.contains("total runs: 7 (1 reference + 6 reallocation)"),
+        "{stdout}"
+    );
+}
+
 /// A reader that closes early (`report --format csv | head -1`) ends
 /// the CSV stream cleanly, as it ends the table and JSON reports.
 #[test]
