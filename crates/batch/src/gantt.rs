@@ -3,8 +3,8 @@
 //! The paper illustrates the reallocation mechanism with two Gantt figures
 //! (Figure 1: a reallocation between two clusters; Figure 2: its side
 //! effects). This module renders cluster execution histories in the same
-//! style so the `figures` binary and the `figure1_gantt` /
-//! `figure2_side_effects` examples can regenerate them in a terminal.
+//! style so the `figures` binary (`crates/bench/src/bin/figures.rs`) can
+//! regenerate them in a terminal.
 
 use std::collections::BTreeMap;
 

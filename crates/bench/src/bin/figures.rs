@@ -8,32 +8,27 @@
 //! actual pair of simulations (without / with reallocation), not drawn by
 //! hand — see `grid_realloc::figures` for the workloads.
 
+use std::process::ExitCode;
+
 use grid_realloc::figures::{figure1, figure2};
 
-fn main() {
-    let mut which: Option<u32> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--figure" => {
-                let v = args.next().expect("--figure needs 1 or 2");
-                which = Some(v.parse().expect("invalid figure number"));
-            }
-            "--help" | "-h" => {
-                println!("usage: figures [--figure 1|2]");
-                return;
-            }
-            other => panic!("unknown option {other:?}"),
+const USAGE: &str = "usage: figures [--figure 1|2]";
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let figures = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] => format!("{}\n{}", figure1(), figure2()),
+        ["--figure", "1"] => figure1(),
+        ["--figure", "2"] => figure2(),
+        ["--help" | "-h"] => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-    }
-    match which {
-        Some(1) => print!("{}", figure1()),
-        Some(2) => print!("{}", figure2()),
-        Some(n) => panic!("no figure {n}; the paper has figures 1 and 2"),
-        None => {
-            print!("{}", figure1());
-            println!();
-            print!("{}", figure2());
+        _ => {
+            eprintln!("figures: unknown option or figure number in {args:?}\n{USAGE}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    print!("{figures}");
+    ExitCode::SUCCESS
 }

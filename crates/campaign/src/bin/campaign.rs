@@ -3,8 +3,9 @@
 //!
 //! ```text
 //! campaign plan   --spec FILE
-//! campaign run    --spec FILE [--cache DIR]
-//!                 [--threads N] [--quiet] [--progress] [--trace DIR]
+//! campaign run    --spec FILE [--cache DIR] [--threads N]
+//!                 [--converge TARGET] [--min-seeds N]
+//!                 [--quiet] [--progress] [--trace DIR]
 //! campaign runner --spec FILE [--cache DIR] [--threads N]
 //!                 [--runner-id ID] [--lease-ttl SECS] [--poll-ms MS]
 //!                 [--converge TARGET] [--min-seeds N]
@@ -40,10 +41,13 @@
 //! number of `campaign runner` processes against the same cache
 //! directory and they drain the plan through atomic lease files —
 //! dynamic work claiming, no coordinator, crash recovery via lease
-//! expiry, and byte-identical records regardless of fleet size. With a
-//! convergence target (spec `[converge]` or `--converge`), multi-seed
-//! cells stop scheduling new seeds once the 95% CI half-width of
-//! `rel_avg_response` meets the target. `status` reports fleet progress
+//! expiry, and byte-identical records regardless of fleet size. `run`
+//! and `runner` share one drain loop and differ only in how they claim
+//! units: in memory, or through leases. With a convergence target (spec
+//! `[converge]` or `--converge`, `--min-seeds`), both stop scheduling
+//! new seeds of a multi-seed cell once the 95% CI half-width of
+//! `rel_avg_response` meets the target, and `report` excludes the same
+//! skipped runs. `status` reports fleet progress
 //! (done/claimed/failed, live runners, runs/s, ETA) purely from the
 //! cache + lease directory — run it from anywhere, attached to nothing.
 //! Runners leave periodic heartbeat files (`leases/runners/*.hb`) that
@@ -66,7 +70,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use grid_campaign::{execute, CampaignSpec, Converge, ExecOptions, FleetOptions, ResultCache};
+use grid_campaign::{
+    execute_plan, CampaignSpec, Converge, DrainSummary, ExecOptions, FleetOptions, ResultCache,
+};
 use grid_obs::{HttpServer, MetricsRegistry, Response};
 
 struct CommonArgs {
@@ -317,9 +323,11 @@ fn cmd_run(opts: &CommonArgs) -> Result<(), String> {
             opts.cache.display(),
         );
     }
-    let (_, summary) = execute(
-        &plan.units,
-        Some(&cache),
+    let summary = execute_plan(
+        &spec,
+        &plan,
+        &cache,
+        effective_converge(&spec, opts),
         &ExecOptions {
             threads: opts.threads,
             // The live status line supersedes per-run progress lines.
@@ -328,13 +336,23 @@ fn cmd_run(opts: &CommonArgs) -> Result<(), String> {
             trace: opts.trace.clone(),
         },
     );
-    println!(
-        "campaign {}: {} computed, {} cached, {} failed",
-        spec.name,
-        summary.computed,
-        summary.cached,
-        summary.failures.len()
-    );
+    finish(
+        format!(
+            "campaign {}: {} computed, {} cached, {} failed, {} skipped",
+            spec.name,
+            summary.computed,
+            summary.cached,
+            summary.failures.len(),
+            summary.skipped
+        ),
+        &summary,
+    )
+}
+
+/// Print a drain's summary line and what it could not resolve; any
+/// failure or unpersisted record fails the command.
+fn finish(line: String, summary: &DrainSummary) -> Result<(), String> {
+    println!("{line}");
     for f in &summary.failures {
         eprintln!("  failed: {} — {}", f.unit, f.message);
     }
@@ -434,29 +452,18 @@ fn cmd_runner(opts: &CommonArgs) -> Result<(), String> {
             metrics: registry,
         },
     )?;
-    println!(
-        "runner {}: {} computed, {} cached, {} skipped, {} failed, {} lease(s) reclaimed",
-        runner_id,
-        summary.computed,
-        summary.cached,
-        summary.skipped,
-        summary.failed,
-        summary.stolen
-    );
-    for f in &summary.failures {
-        eprintln!("  failed: {} — {}", f.unit, f.message);
-    }
-    for f in &summary.store_errors {
-        eprintln!("  not persisted: {} — {}", f.unit, f.message);
-    }
-    match (summary.failed, summary.store_errors.len()) {
-        (0, 0) => Ok(()),
-        (0, stores) => Err(format!(
-            "{stores} result(s) could not be written to the cache — \
-             a later `report` will find them missing"
-        )),
-        (fails, _) => Err(format!("{fails} run(s) failed")),
-    }
+    finish(
+        format!(
+            "runner {}: {} computed, {} cached, {} skipped, {} failed, {} lease(s) reclaimed",
+            runner_id,
+            summary.computed,
+            summary.cached,
+            summary.skipped,
+            summary.failures.len(),
+            summary.stolen
+        ),
+        &summary,
+    )
 }
 
 fn cmd_status(opts: &CommonArgs) -> Result<(), String> {

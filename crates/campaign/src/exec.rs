@@ -1,30 +1,25 @@
-//! Parallel executor with panic isolation and caching.
-//!
-//! Work units are pulled off a shared atomic cursor by a scoped worker
-//! pool (dynamic load balancing with an explicit thread count, so
-//! benchmarks and the CLI can pin parallelism). Each unit:
-//!
-//! 1. probes the [`ResultCache`] (when configured) — a hit skips the
-//!    simulation entirely;
-//! 2. otherwise runs the simulation inside `catch_unwind`, so one
-//!    poisoned scenario fails that unit, not the campaign;
-//! 3. persists the record back to the cache before reporting progress.
+//! Simulating one unit (`compute_and_store`, shared by every drain, so
+//! all of them write byte-identical caches), and the in-process entry
+//! points of the drain loop ([`crate::drain`]): [`execute`] returns each
+//! outcome in input order, [`execute_plan`] (`campaign run`) applies the
+//! convergence frontier and keeps no outcomes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use grid_batch::ClusterStats;
 use grid_metrics::RunOutcome;
-use grid_obs::{Obs, ProgressView};
+use grid_obs::Obs;
 use grid_realloc::experiments::platform_for;
 use grid_realloc::{GridConfig, GridSim};
 use grid_ser::Value;
 
 use crate::cache::{ResultCache, RunRecord};
-use crate::plan::{RunKind, RunUnit};
+use crate::drain::{Drain, DrainSummary, Resolution};
+use crate::fleet::ConvergenceTracker;
+use crate::plan::{CampaignPlan, RunKind, RunUnit};
+use crate::spec::{CampaignSpec, Converge};
 
 /// Executor knobs.
 #[derive(Debug, Clone, Default)]
@@ -40,38 +35,6 @@ pub struct ExecOptions {
     /// computed run into this directory. Tracing enables the recorder;
     /// outcome and cache bytes stay identical either way.
     pub trace: Option<PathBuf>,
-}
-
-/// What one unit did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UnitDisposition {
-    Cached,
-    Computed,
-    Failed,
-}
-
-/// One failed unit.
-#[derive(Debug, Clone)]
-pub struct RunFailure {
-    /// Label of the failing unit.
-    pub unit: String,
-    /// Panic payload or I/O error, as text.
-    pub message: String,
-}
-
-/// Campaign-level execution summary.
-#[derive(Debug, Clone, Default)]
-pub struct ExecSummary {
-    /// Units simulated this invocation.
-    pub computed: usize,
-    /// Units answered from the cache.
-    pub cached: usize,
-    /// Units that panicked — no outcome exists for these.
-    pub failures: Vec<RunFailure>,
-    /// Units that simulated fine but whose record could not be written
-    /// to the cache. Their outcomes are valid in-process; a later
-    /// `report` run against the cache will find them missing.
-    pub store_errors: Vec<RunFailure>,
 }
 
 /// The simulation a unit describes, with no instrumentation handle
@@ -139,31 +102,11 @@ fn obs_sidecar(
     v
 }
 
-/// What [`compute_and_store`] did with one unit.
-#[derive(Debug)]
-pub(crate) enum Computed {
-    /// Simulation succeeded (record + sidecar stored when a cache was
-    /// given; `store_error` carries a failed record write).
-    Done {
-        /// The simulation outcome.
-        outcome: RunOutcome,
-        /// Simulation wall time.
-        wall: std::time::Duration,
-        /// Record-store failure, if any (the outcome is still valid).
-        store_error: Option<String>,
-    },
-    /// The simulation panicked.
-    Panicked {
-        /// Panic payload as text.
-        message: String,
-    },
-}
-
 /// Simulate one unit under `catch_unwind`, persist its record and
 /// telemetry sidecar (when a cache is given) and its trace files (when a
-/// trace directory is given). The one compute path shared by the
-/// in-process executor and the fleet runner, so both produce
-/// byte-identical cache contents and identical warning lines.
+/// trace directory is given). The drain loop's one compute path, so
+/// every drain writes byte-identical cache contents and identical
+/// warning lines.
 ///
 /// `metrics` mirrors engine counters into a live [`MetricsRegistry`]
 /// (the runner's `/metrics` endpoint); like tracing, it enables the
@@ -173,7 +116,7 @@ pub(crate) fn compute_and_store(
     cache: Option<&ResultCache>,
     trace: Option<&std::path::Path>,
     metrics: Option<&grid_obs::MetricsRegistry>,
-) -> Computed {
+) -> Resolution {
     let t0 = Instant::now();
     let obs = match (metrics, trace) {
         (Some(reg), _) => Obs::with_metrics(reg.clone()),
@@ -219,7 +162,7 @@ pub(crate) fn compute_and_store(
                     eprintln!("[WARN] {}: trace not written: {e}", unit.label());
                 }
             }
-            Computed::Done {
+            Resolution::Computed {
                 outcome,
                 wall,
                 store_error,
@@ -228,7 +171,7 @@ pub(crate) fn compute_and_store(
         Err(payload) => {
             let message = panic_message(&payload);
             eprintln!("[FAIL] {}: {message}", unit.label());
-            Computed::Panicked { message }
+            Resolution::Failed(message)
         }
     }
 }
@@ -247,150 +190,54 @@ pub(crate) fn safe_stem(label: &str) -> String {
         .collect()
 }
 
-/// Execute `units`, returning each unit's outcome in input order
-/// (`None` for failed units) plus a summary.
+/// Execute `units` in this process, returning each unit's outcome in
+/// input order (`None` for failed units) plus a summary.
 pub fn execute(
     units: &[RunUnit],
     cache: Option<&ResultCache>,
     opts: &ExecOptions,
-) -> (Vec<Option<RunOutcome>>, ExecSummary) {
-    let n = units.len();
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n.max(1));
-    let started = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let failures = Mutex::new(Vec::new());
-    let store_errors = Mutex::new(Vec::new());
-    let view = Mutex::new(ProgressView::new(n));
-    if let Some(dir) = &opts.trace {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("[WARN] trace dir {}: {e}", dir.display());
-        }
-    }
+) -> (Vec<Option<RunOutcome>>, DrainSummary) {
+    in_process(units, cache, opts, None, true)
+}
 
-    let run_unit = |i: usize| -> (UnitDisposition, Option<RunOutcome>) {
-        let unit = &units[i];
-        if let Some(cache) = cache {
-            if let Some(record) = cache.load(unit) {
-                if opts.status {
-                    let mut v = view.lock().unwrap();
-                    v.on_cached();
-                    v.elapsed_ms = started.elapsed().as_millis() as u64;
-                    eprint!("\r{}", v.render());
-                }
-                return (UnitDisposition::Cached, Some(record.outcome));
-            }
-        }
-        match compute_and_store(unit, cache, opts.trace.as_deref(), None) {
-            Computed::Done {
-                outcome,
-                wall,
-                store_error,
-            } => {
-                if let Some(message) = store_error {
-                    store_errors.lock().unwrap().push(RunFailure {
-                        unit: unit.label(),
-                        message,
-                    });
-                }
-                if opts.progress {
-                    let k = done.load(Ordering::Relaxed) + 1;
-                    eprintln!(
-                        "[{k:>4}/{n}] {} ({} jobs, {wall:.1?})",
-                        unit.label(),
-                        outcome.len(),
-                    );
-                }
-                if opts.status {
-                    let mut v = view.lock().unwrap();
-                    v.on_computed(wall.as_millis() as u64);
-                    v.elapsed_ms = started.elapsed().as_millis() as u64;
-                    eprint!("\r{}", v.render());
-                }
-                (UnitDisposition::Computed, Some(outcome))
-            }
-            Computed::Panicked { message } => {
-                failures.lock().unwrap().push(RunFailure {
-                    unit: unit.label(),
-                    message,
-                });
-                if opts.status {
-                    let mut v = view.lock().unwrap();
-                    v.on_failed();
-                    v.elapsed_ms = started.elapsed().as_millis() as u64;
-                    eprint!("\r{}", v.render());
-                }
-                (UnitDisposition::Failed, None)
-            }
-        }
+/// Drain `plan` (the expansion of `spec`) in this process, as `campaign
+/// run` does: [`execute`]'s loop under the convergence frontier of
+/// `converge` (falling back to the spec's `[converge]`), the same
+/// frontier `campaign runner` and `campaign report` apply. Outcomes are
+/// not kept, so memory stays flat as the plan grows.
+pub fn execute_plan(
+    spec: &CampaignSpec,
+    plan: &CampaignPlan,
+    cache: &ResultCache,
+    converge: Option<Converge>,
+    opts: &ExecOptions,
+) -> DrainSummary {
+    let frontier = converge
+        .or(spec.converge)
+        .map(|conf| ConvergenceTracker::new(spec, plan, conf));
+    in_process(&plan.units, Some(cache), opts, frontier, false).1
+}
+
+fn in_process(
+    units: &[RunUnit],
+    cache: Option<&ResultCache>,
+    opts: &ExecOptions,
+    frontier: Option<ConvergenceTracker>,
+    keep_outcomes: bool,
+) -> (Vec<Option<RunOutcome>>, DrainSummary) {
+    let drain = Drain {
+        units,
+        cache,
+        threads: opts.threads,
+        lines: opts.progress,
+        status: opts.status,
+        trace: opts.trace.as_deref(),
+        metrics: None,
+        frontier,
+        leases: None,
+        keep_outcomes,
     };
-
-    let mut merged: Vec<(usize, (UnitDisposition, Option<RunOutcome>))> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let result = run_unit(i);
-                            done.fetch_add(1, Ordering::Relaxed);
-                            local.push((i, result));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("campaign worker never panics"))
-                .collect()
-        });
-    merged.sort_by_key(|&(i, _)| i);
-
-    let mut summary = ExecSummary {
-        failures: failures.into_inner().unwrap(),
-        store_errors: store_errors.into_inner().unwrap(),
-        ..ExecSummary::default()
-    };
-    let outcomes: Vec<Option<RunOutcome>> = merged
-        .into_iter()
-        .map(|(_, (disposition, outcome))| {
-            match disposition {
-                UnitDisposition::Cached => summary.cached += 1,
-                UnitDisposition::Computed => summary.computed += 1,
-                UnitDisposition::Failed => {}
-            }
-            outcome
-        })
-        .collect();
-    if opts.status {
-        let mut v = view.lock().unwrap();
-        v.elapsed_ms = started.elapsed().as_millis() as u64;
-        eprintln!("\r{}", v.render());
-    }
-    if opts.progress {
-        eprintln!(
-            "campaign: {} runs in {:.1?} ({} computed, {} cached, {} failed, {} unpersisted, {threads} threads)",
-            n,
-            started.elapsed(),
-            summary.computed,
-            summary.cached,
-            summary.failures.len(),
-            summary.store_errors.len(),
-        );
-    }
-    (outcomes, summary)
+    drain.run().expect("in-process claims touch no lease file")
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -611,5 +458,89 @@ mod tests {
         assert!(outcomes[0].is_some(), "healthy units must still complete");
         assert!(outcomes[2].is_some());
         assert_eq!(summary.computed, 2);
+    }
+    /// A seed that fails leaves no record for the frontier to wait on:
+    /// its cell never converges, and every later seed runs.
+    #[test]
+    fn a_failed_seed_lets_the_frontier_run_its_cell_out() {
+        let mut spec = CampaignSpec::paper();
+        spec.scenarios = vec![Scenario::Jun];
+        spec.heterogeneity = vec![false];
+        spec.policies = vec![BatchPolicy::Fcfs];
+        spec.algorithms = vec![grid_realloc::ReallocAlgorithm::resolve("no-cancel").unwrap()];
+        spec.heuristics = vec![grid_realloc::Heuristic::Mct];
+        spec.seeds = vec![1, 2, 3, 4];
+        spec.fraction = 0.005;
+        let mut plan = spec.expand();
+        assert_eq!(plan.len(), 8);
+        let poisoned = plan
+            .units
+            .iter()
+            .position(|u| u.seed == 1 && u.kind != RunKind::Reference)
+            .unwrap();
+        plan.units[poisoned].fraction = -1.0;
+        let dir = std::env::temp_dir().join(format!("grid-campaign-conv-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ResultCache::open(&dir).unwrap();
+        // A generous target would stop every cell at two seeds.
+        let conf = Converge {
+            target: 1e9,
+            min_seeds: 2,
+        };
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let summary = execute_plan(&spec, &plan, &cache, Some(conf), &ExecOptions::default());
+            let _ = std::fs::remove_dir_all(cache.dir());
+            done.send(summary).unwrap();
+        });
+        let summary = finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the drain finishes instead of waiting on the failed seed");
+        assert_eq!(summary.failures.len(), 1);
+        assert_eq!(summary.skipped, 0);
+        assert_eq!(summary.computed, 7);
+    }
+
+    /// Workers drop the lock while a record loads; a resolve in that
+    /// window must not leave a worker asleep on a deferred unit that
+    /// nothing will wake it for.
+    #[test]
+    fn deferring_drains_never_sleep_through_their_last_wake_up() {
+        let mut spec = CampaignSpec::paper();
+        spec.scenarios = vec![Scenario::Jun];
+        spec.heterogeneity = vec![false];
+        spec.policies = vec![BatchPolicy::Fcfs];
+        spec.heuristics = vec![
+            grid_realloc::Heuristic::Mct,
+            grid_realloc::Heuristic::MinMin,
+        ];
+        spec.seeds = (1..=6).collect();
+        spec.fraction = 0.002;
+        let plan = spec.expand();
+        assert_eq!(plan.len(), 30);
+        let conf = Converge {
+            target: 1e9,
+            min_seeds: 3,
+        };
+        let base = std::env::temp_dir().join(format!("grid-campaign-wake-{}", std::process::id()));
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for round in 0..20 {
+                let cache = ResultCache::open(base.join(round.to_string())).unwrap();
+                let opts = ExecOptions {
+                    threads: Some(3),
+                    ..ExecOptions::default()
+                };
+                done.send(execute_plan(&spec, &plan, &cache, Some(conf), &opts))
+                    .unwrap();
+            }
+            let _ = std::fs::remove_dir_all(&base);
+        });
+        for _ in 0..20 {
+            let summary = finished
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("every drain finishes");
+            assert_eq!((summary.computed, summary.skipped), (15, 15));
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! content-addressed cache directory.
 //!
 //! The fleet runner ([`run_fleet`], CLI `campaign runner`) is the
-//! multi-process drain. Work is claimed dynamically, so one slow unit
+//! multi-process drain: the drain loop of [`crate::drain`] with this
+//! module's lease directory as its claim source, failure markers and a
+//! heartbeat thread. Work is claimed dynamically, so one slow unit
 //! never strands the rest of the fleet idle behind a fixed partition:
 //! every pending unit is guarded by a lease file under
 //! `<cache>/leases/`, claimed with an atomic `create_new` (exactly one
@@ -40,22 +42,23 @@
 //! half-width of `rel_avg_response` over the seeds run so far falls to
 //! the target. The frontier is a pure function of the cached records
 //! (seeds are walked in spec order and a seed is only skipped when every
-//! earlier seed of its cell is resolved), so every runner of a fleet —
-//! and the report — reaches the same decisions, whatever the fleet size.
+//! earlier seed of its cell is resolved), so every runner of a fleet,
+//! `campaign run` and the report reach the same decisions, whatever the
+//! fleet size.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use grid_obs::{Counter, Gauge, MetricsRegistry, ProgressView, RunnerRow};
 use grid_ser::Value;
 
 use crate::aggregate::Welford;
 use crate::cache::ResultCache;
-use crate::exec::{compute_and_store, safe_stem, Computed, RunFailure};
+use crate::drain::{Drain, DrainSummary, Leases};
+use crate::exec::safe_stem;
 use crate::plan::{CampaignPlan, ReallocSetting, RunKind, RunUnit, SetupKey};
 use crate::spec::{CampaignSpec, Converge};
 
@@ -470,10 +473,8 @@ impl RunnerHeartbeat {
 /// CLI's `/status` route, which reads its own heartbeat back without
 /// opening a [`LeaseDir`].
 pub fn heartbeat_file(cache_dir: &Path, runner: &str) -> PathBuf {
-    cache_dir
-        .join(LEASE_SUBDIR)
-        .join(RUNNER_SUBDIR)
-        .join(format!("{}.hb", safe_stem(runner)))
+    let dir = cache_dir.join(LEASE_SUBDIR);
+    LeaseDir { dir }.heartbeat_path(runner)
 }
 
 /// A convergence probe's view of one `(cell, seed)` slot.
@@ -588,14 +589,14 @@ impl ConvergenceTracker {
         &mut self,
         cell: usize,
         sp: usize,
-        plan: &CampaignPlan,
+        units: &[RunUnit],
         cache: &ResultCache,
         leases: Option<&LeaseDir>,
     ) -> SeedVal {
         if let Some(v) = self.values[cell][sp] {
             return v;
         }
-        let unit = &plan.units[self.cells[cell][sp]];
+        let unit = &units[self.cells[cell][sp]];
         let val = match cache.load(unit) {
             Some(record) => {
                 let reference = RunUnit {
@@ -632,13 +633,13 @@ impl ConvergenceTracker {
         &mut self,
         cell: usize,
         k: usize,
-        plan: &CampaignPlan,
+        units: &[RunUnit],
         cache: &ResultCache,
         leases: Option<&LeaseDir>,
     ) -> Decision {
         let mut w = Welford::default();
         for j in 0..k {
-            match self.probe(cell, j, plan, cache, leases) {
+            match self.probe(cell, j, units, cache, leases) {
                 SeedVal::Failed => return Decision::Run,
                 SeedVal::Missing => return Decision::Defer,
                 SeedVal::Value(x) => w.push(x),
@@ -650,11 +651,12 @@ impl ConvergenceTracker {
         Decision::Run
     }
 
-    /// The frontier's verdict for plan unit `i`.
+    /// The frontier's verdict for plan unit `i` (`units` is the plan's
+    /// units).
     pub fn decision(
         &mut self,
         i: usize,
-        plan: &CampaignPlan,
+        units: &[RunUnit],
         cache: &ResultCache,
         leases: Option<&LeaseDir>,
     ) -> Decision {
@@ -665,7 +667,7 @@ impl ConvergenceTracker {
             if sp < self.conf.min_seeds {
                 return Decision::Run;
             }
-            return self.frontier(cell, sp, plan, cache, leases);
+            return self.frontier(cell, sp, units, cache, leases);
         }
         if let Some((deps, sp)) = self.refs_of.get(&i).cloned() {
             if sp < self.conf.min_seeds {
@@ -673,7 +675,7 @@ impl ConvergenceTracker {
             }
             let mut verdict = Decision::Skip;
             for cell in deps {
-                match self.frontier(cell, sp, plan, cache, leases) {
+                match self.frontier(cell, sp, units, cache, leases) {
                     Decision::Run => return Decision::Run,
                     Decision::Defer => verdict = Decision::Defer,
                     Decision::Skip => {}
@@ -682,6 +684,21 @@ impl ConvergenceTracker {
             return verdict;
         }
         Decision::Run
+    }
+
+    /// Record that plan unit `i` failed or left no record, so no later
+    /// seed of its cells waits for it: such a cell never converges
+    /// cleanly, and every seed runs (as a failure marker tells other
+    /// runners).
+    pub(crate) fn note_failed(&mut self, i: usize) {
+        if let Some(&(cell, sp)) = self.realloc_of.get(&i) {
+            self.values[cell][sp] = Some(SeedVal::Failed);
+        }
+        if let Some((deps, sp)) = self.refs_of.get(&i) {
+            for &cell in deps {
+                self.values[cell][*sp] = Some(SeedVal::Failed);
+            }
+        }
     }
 }
 
@@ -700,7 +717,7 @@ pub fn convergence_skips(
     };
     let mut tracker = ConvergenceTracker::new(spec, plan, conf);
     (0..plan.units.len())
-        .filter(|&i| tracker.decision(i, plan, cache, None) == Decision::Skip)
+        .filter(|&i| tracker.decision(i, &plan.units, cache, None) == Decision::Skip)
         .collect()
 }
 
@@ -804,369 +821,45 @@ impl FleetMetrics {
     }
 }
 
-/// What one fleet runner did.
-#[derive(Debug, Clone, Default)]
-pub struct FleetSummary {
-    /// Units this runner simulated.
-    pub computed: usize,
-    /// Units found already in the cache (pre-existing, or completed by
-    /// another runner mid-drain).
-    pub cached: usize,
-    /// Units the convergence frontier skipped.
-    pub skipped: usize,
-    /// Units resolved as failed (own panics plus foreign failure
-    /// markers).
-    pub failed: usize,
-    /// Expired leases this runner reclaimed.
-    pub stolen: usize,
-    /// Failure details (own panics and honoured markers).
-    pub failures: Vec<RunFailure>,
-    /// Computed units whose record could not be written.
-    pub store_errors: Vec<RunFailure>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Pending,
-    InFlight,
-    Done,
-}
-
-struct FleetState {
-    slots: Vec<Slot>,
-    outstanding: usize,
-    /// Scan-start ratchet: everything below is `Done`.
-    next: usize,
-    /// Slots currently `InFlight` (maintained on claim/resolve so the
-    /// heartbeat thread never rescans the slot vector).
-    in_flight: usize,
-    tracker: Option<ConvergenceTracker>,
-    summary: FleetSummary,
-    view: ProgressView,
-}
-
-enum Action {
-    Run { index: usize },
-    Wait,
-    Finished,
-}
-
-impl FleetState {
-    fn resolve(&mut self, i: usize, update: impl FnOnce(&mut FleetSummary, &mut ProgressView)) {
-        debug_assert_ne!(self.slots[i], Slot::Done);
-        if self.slots[i] == Slot::InFlight {
-            self.in_flight -= 1;
-        }
-        self.slots[i] = Slot::Done;
-        self.outstanding -= 1;
-        update(&mut self.summary, &mut self.view);
-    }
-}
-
 /// Drain `plan` as one runner of a coordinator-free fleet sharing
-/// `cache`: claim pending units via lease files, honour failure markers,
-/// apply the convergence frontier, and poll while foreign leases hold
-/// the remainder. Returns when every unit is resolved (computed here,
-/// cached by anyone, skipped, or failed).
+/// `cache`: the drain loop ([`crate::drain`]) with lease-file claims,
+/// failure markers, the convergence frontier and a heartbeat thread.
+/// Returns when every unit is resolved (computed here, cached by anyone,
+/// skipped, or failed).
 pub fn run_fleet(
     spec: &CampaignSpec,
     plan: &CampaignPlan,
     cache: &ResultCache,
     opts: &FleetOptions,
-) -> Result<FleetSummary, String> {
-    let units = &plan.units;
-    let n = units.len();
-    let leases = LeaseDir::open(cache).map_err(|e| format!("lease dir: {e}"))?;
-    let ttl = if opts.lease_ttl_s == 0 {
-        DEFAULT_LEASE_TTL_S
-    } else {
-        opts.lease_ttl_s
+) -> Result<DrainSummary, String> {
+    let leases = Leases {
+        dir: LeaseDir::open(cache).map_err(|e| format!("lease dir: {e}"))?,
+        runner: opts
+            .runner_id
+            .clone()
+            .unwrap_or_else(|| format!("r{}", std::process::id())),
+        ttl_s: NonZeroU64::new(opts.lease_ttl_s).map_or(DEFAULT_LEASE_TTL_S, u64::from),
+        poll: Duration::from_millis(
+            NonZeroU64::new(opts.poll_ms).map_or(DEFAULT_POLL_MS, u64::from),
+        ),
+        keys: plan.units.iter().map(ResultCache::key).collect(),
     };
-    let poll = Duration::from_millis(if opts.poll_ms == 0 {
-        DEFAULT_POLL_MS
-    } else {
-        opts.poll_ms
-    });
-    let runner = opts
-        .runner_id
-        .clone()
-        .unwrap_or_else(|| format!("r{}", std::process::id()));
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n.max(1));
-    let keys: Vec<String> = units.iter().map(ResultCache::key).collect();
-    let conf = opts.converge.or(spec.converge);
-    let started = Instant::now();
-    let started_unix = now_unix();
-    let fm = opts.metrics.as_ref().map(FleetMetrics::register);
-    if let Some(fm) = &fm {
-        fm.units_total.set(n as f64);
-    }
-    let state = Mutex::new(FleetState {
-        slots: vec![Slot::Pending; n],
-        outstanding: n,
-        next: 0,
-        in_flight: 0,
-        tracker: conf.map(|c| ConvergenceTracker::new(spec, plan, c)),
-        summary: FleetSummary::default(),
-        view: ProgressView::new(n),
-    });
-
-    let render = |st: &mut FleetState| {
-        if opts.progress {
-            st.view.elapsed_ms = started.elapsed().as_millis() as u64;
-            st.view.claimed = st.in_flight;
-            eprint!("\r{}", st.view.render());
-        }
+    let drain = Drain {
+        units: &plan.units,
+        cache: Some(cache),
+        threads: opts.threads,
+        lines: false,
+        status: opts.progress,
+        trace: opts.trace.as_deref(),
+        metrics: opts.metrics.as_ref(),
+        frontier: opts
+            .converge
+            .or(spec.converge)
+            .map(|conf| ConvergenceTracker::new(spec, plan, conf)),
+        leases: Some(leases),
+        keep_outcomes: false,
     };
-
-    // One pass over the pending units under the lock: resolve what can
-    // be resolved without computing (cache hits, markers, skips), claim
-    // the first runnable unit, and report whether anything is left.
-    let next_action = |st: &mut FleetState| -> io::Result<Action> {
-        if st.outstanding == 0 {
-            return Ok(Action::Finished);
-        }
-        let mut first_active = None;
-        for i in st.next..n {
-            if st.slots[i] == Slot::Done {
-                continue;
-            }
-            if first_active.is_none() {
-                first_active = Some(i);
-            }
-            if st.slots[i] == Slot::InFlight {
-                continue;
-            }
-            let unit = &units[i];
-            if cache.contains(unit) {
-                st.resolve(i, |s, v| {
-                    s.cached += 1;
-                    v.on_cached();
-                });
-                if let Some(fm) = &fm {
-                    fm.units_cached.inc();
-                }
-                render(st);
-                continue;
-            }
-            if let Some(message) = leases.failed_message(&keys[i]) {
-                st.resolve(i, |s, v| {
-                    s.failed += 1;
-                    s.failures.push(RunFailure {
-                        unit: unit.label(),
-                        message,
-                    });
-                    v.on_failed();
-                });
-                if let Some(fm) = &fm {
-                    fm.units_failed.inc();
-                }
-                render(st);
-                continue;
-            }
-            if let Some(tracker) = &mut st.tracker {
-                match tracker.decision(i, plan, cache, Some(&leases)) {
-                    Decision::Skip => {
-                        st.resolve(i, |s, v| {
-                            s.skipped += 1;
-                            v.on_skipped();
-                        });
-                        if let Some(fm) = &fm {
-                            fm.units_skipped.inc();
-                        }
-                        render(st);
-                        continue;
-                    }
-                    Decision::Defer => continue,
-                    Decision::Run => {}
-                }
-            }
-            match leases.try_claim(&keys[i], &unit.label(), &runner, ttl)? {
-                Claim::Claimed { stolen } => {
-                    st.slots[i] = Slot::InFlight;
-                    st.in_flight += 1;
-                    if stolen {
-                        st.summary.stolen += 1;
-                        if let Some(fm) = &fm {
-                            fm.leases_stolen.inc();
-                        }
-                    }
-                    render(st);
-                    return Ok(Action::Run { index: i });
-                }
-                Claim::Held { .. } => continue,
-            }
-        }
-        if let Some(f) = first_active {
-            st.next = f;
-        } else {
-            st.next = n;
-        }
-        Ok(if st.outstanding == 0 {
-            Action::Finished
-        } else {
-            Action::Wait
-        })
-    };
-
-    let error = Mutex::new(None::<String>);
-    let workers_alive = AtomicUsize::new(threads);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                loop {
-                    let action = {
-                        let mut st = state.lock().unwrap();
-                        match next_action(&mut st) {
-                            Ok(a) => a,
-                            Err(e) => {
-                                *error.lock().unwrap() = Some(format!("lease claim: {e}"));
-                                // Unblock the other workers: resolve
-                                // nothing, just stop scanning from this
-                                // thread.
-                                break;
-                            }
-                        }
-                    };
-                    match action {
-                        Action::Run { index } => {
-                            let unit = &units[index];
-                            let computed = compute_and_store(
-                                unit,
-                                Some(cache),
-                                opts.trace.as_deref(),
-                                opts.metrics.as_ref(),
-                            );
-                            let mut st = state.lock().unwrap();
-                            match computed {
-                                Computed::Done {
-                                    wall, store_error, ..
-                                } => {
-                                    // Record stored before the lease
-                                    // drops: observers never see a
-                                    // released unit without its record.
-                                    leases.release(&keys[index]);
-                                    st.resolve(index, |s, v| {
-                                        if let Some(message) = store_error {
-                                            s.store_errors.push(RunFailure {
-                                                unit: unit.label(),
-                                                message,
-                                            });
-                                        }
-                                        s.computed += 1;
-                                        v.on_computed(wall.as_millis() as u64);
-                                    });
-                                    if let Some(fm) = &fm {
-                                        fm.units_computed.inc();
-                                        fm.run_wall_ms.observe(wall.as_millis() as u64);
-                                    }
-                                }
-                                Computed::Panicked { message } => {
-                                    leases.mark_failed(
-                                        &keys[index],
-                                        &unit.label(),
-                                        &runner,
-                                        &message,
-                                    );
-                                    leases.release(&keys[index]);
-                                    st.resolve(index, |s, v| {
-                                        s.failed += 1;
-                                        s.failures.push(RunFailure {
-                                            unit: unit.label(),
-                                            message,
-                                        });
-                                        v.on_failed();
-                                    });
-                                    if let Some(fm) = &fm {
-                                        fm.units_failed.inc();
-                                    }
-                                }
-                            }
-                            render(&mut st);
-                        }
-                        Action::Wait => std::thread::sleep(poll),
-                        Action::Finished => break,
-                    }
-                }
-                workers_alive.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        // Heartbeat thread: write `leases/runners/<id>.hb` immediately
-        // and then every HEARTBEAT_INTERVAL_S, polling in short steps so
-        // the scope joins promptly once the last worker exits (including
-        // the early-error break path, which never drains `outstanding`).
-        scope.spawn(|| loop {
-            let hb = {
-                let st = state.lock().unwrap();
-                let elapsed = started.elapsed().as_secs_f64();
-                let done = st.view.done();
-                if let Some(fm) = &fm {
-                    fm.units_in_flight.set(st.in_flight as f64);
-                    fm.units_done.set(done as f64);
-                }
-                RunnerHeartbeat {
-                    runner: runner.clone(),
-                    pid: std::process::id(),
-                    started_unix,
-                    beat_unix: now_unix(),
-                    current: st
-                        .slots
-                        .iter()
-                        .position(|&s| s == Slot::InFlight)
-                        .map(|i| keys[i].clone()),
-                    in_flight: st.in_flight,
-                    computed: st.summary.computed,
-                    cached: st.summary.cached,
-                    failed: st.summary.failed,
-                    skipped: st.summary.skipped,
-                    runs_per_s: if elapsed > 0.0 {
-                        done as f64 / elapsed
-                    } else {
-                        0.0
-                    },
-                }
-            };
-            if leases.write_heartbeat(&hb).is_ok() {
-                if let Some(fm) = &fm {
-                    fm.heartbeats_written.inc();
-                }
-            }
-            let mut slept_ms = 0u64;
-            while workers_alive.load(Ordering::SeqCst) > 0
-                && slept_ms < HEARTBEAT_INTERVAL_S * 1_000
-            {
-                std::thread::sleep(Duration::from_millis(100));
-                slept_ms += 100;
-            }
-            if workers_alive.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-        });
-    });
-    // Clean exit: the heartbeat disappears with the runner, so `status`
-    // never attributes liveness to a finished process.
-    leases.remove_heartbeat(&runner);
-    if let Some(fm) = &fm {
-        let st = state.lock().unwrap();
-        fm.units_in_flight.set(0.0);
-        fm.units_done.set(st.view.done() as f64);
-    }
-    if let Some(e) = error.into_inner().unwrap() {
-        return Err(e);
-    }
-    let mut st = state.into_inner().unwrap();
-    if opts.progress {
-        st.view.elapsed_ms = started.elapsed().as_millis() as u64;
-        st.view.claimed = 0;
-        eprintln!("\r{}", st.view.render());
-    }
-    Ok(st.summary)
+    drain.run().map(|(_, summary)| summary)
 }
 
 /// Detached fleet progress, derived purely from the cache and lease
@@ -1338,11 +1031,7 @@ pub fn fleet_status(
     lease_ttl_s: u64,
 ) -> Result<FleetStatus, String> {
     let leases = LeaseDir::open(cache).map_err(|e| format!("lease dir: {e}"))?;
-    let ttl = if lease_ttl_s == 0 {
-        DEFAULT_LEASE_TTL_S
-    } else {
-        lease_ttl_s
-    };
+    let ttl = NonZeroU64::new(lease_ttl_s).map_or(DEFAULT_LEASE_TTL_S, u64::from);
     let skips = convergence_skips(spec, plan, cache, None);
     let mut done = 0usize;
     let mut failed = 0usize;

@@ -9,8 +9,10 @@
 //!   or JSON (`examples/paper_campaign.toml` is annotated), that
 //!   [expands](CampaignSpec::expand) into concrete run units;
 //! * [`CampaignPlan`] — the deterministic expansion into run units;
-//! * [`execute`](exec::execute()) — a work-stealing parallel executor with
-//!   per-run panic isolation and progress reporting;
+//! * [`drain`] — the one parallel drain loop, with per-run panic
+//!   isolation and progress reporting: [`execute`](exec::execute()) and
+//!   [`execute_plan`] (`campaign run`) claim units in memory,
+//!   [`run_fleet`] through lease files;
 //! * [`ResultCache`] — a content-addressed on-disk cache (hash of the
 //!   canonical run descriptor + engine version) so interrupted campaigns
 //!   resume and unchanged runs are never recomputed;
@@ -21,8 +23,9 @@
 //! * [`fleet`] — a coordinator-free runner fleet: any number of
 //!   `campaign runner` processes drain one plan by atomically claiming
 //!   units through lease files in the shared cache directory
-//!   ([`LeaseDir`]), with crash recovery via lease expiry, optional
-//!   per-cell CI-convergence stopping ([`Converge`]), and periodic
+//!   ([`LeaseDir`]), with crash recovery via lease expiry, the per-cell
+//!   CI-convergence frontier ([`Converge`], which `campaign run` applies
+//!   too), and periodic
 //!   runner heartbeats ([`RunnerHeartbeat`]) that feed live fleet
 //!   telemetry — `campaign status` attribution, the `/status` JSON
 //!   snapshot, and Prometheus `/metrics` pages served by
@@ -46,6 +49,7 @@
 
 pub mod aggregate;
 pub mod cache;
+pub mod drain;
 pub mod exec;
 pub mod fleet;
 pub mod plan;
@@ -56,11 +60,12 @@ pub use aggregate::{
     SeedAggKey, SeedAggregate, StatsIndex, StreamAgg, Welford,
 };
 pub use cache::{GcReport, ResultCache, RunRecord};
-pub use exec::{execute, ExecOptions, ExecSummary};
+pub use drain::{DrainSummary, RunFailure};
+pub use exec::{execute, execute_plan, ExecOptions};
 pub use fleet::{
     convergence_skips, fleet_status, heartbeat_file, run_fleet, Claim, ConvergenceTracker,
-    Decision, FleetMetrics, FleetOptions, FleetStatus, FleetSummary, LeaseDir, LeaseInfo,
-    LeaseScan, RunnerHeartbeat, HEARTBEAT_INTERVAL_S, HEARTBEAT_STALE_S, RUNNER_SUBDIR,
+    Decision, FleetMetrics, FleetOptions, FleetStatus, LeaseDir, LeaseInfo, LeaseScan,
+    RunnerHeartbeat, HEARTBEAT_INTERVAL_S, HEARTBEAT_STALE_S, RUNNER_SUBDIR,
 };
 pub use plan::{CampaignPlan, ReallocSetting, RunKind, RunUnit};
 pub use spec::{CampaignSpec, Converge};

@@ -955,3 +955,48 @@ fn report_check_prints_table1_and_the_shape_checks() {
     let csv = campaign(&["report", "--check", "--format", "csv"]);
     assert!(!csv.status.success());
 }
+
+/// `campaign run` applies the spec's convergence frontier, as `runner`
+/// and `report` do: on `examples/converge_sweep.toml` it computes the
+/// runner's 15 units, skips the other 15 and writes the runner's bytes.
+#[test]
+fn run_stops_at_the_convergence_frontier_like_the_runner() {
+    let spec = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/converge_sweep.toml");
+    let dir = scratch("cli-converge");
+    let campaign = |args: &[&str], cache: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(args)
+            .arg("--spec")
+            .arg(&spec)
+            .arg("--cache")
+            .arg(dir.join(cache))
+            .arg("--quiet")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let run = campaign(&["run"], "run");
+    assert!(
+        run.contains(": 15 computed, 0 cached, 0 failed, 15 skipped"),
+        "{run}"
+    );
+    let resumed = campaign(&["run"], "run");
+    assert!(
+        resumed.contains(": 0 computed, 15 cached, 0 failed, 15 skipped"),
+        "{resumed}"
+    );
+    let runner = campaign(&["runner", "--runner-id", "conv"], "runner");
+    assert!(
+        runner.contains(": 15 computed, 0 cached, 15 skipped, 0 failed"),
+        "{runner}"
+    );
+    assert_eq!(
+        cache_bytes(&dir.join("run")),
+        cache_bytes(&dir.join("runner"))
+    );
+}

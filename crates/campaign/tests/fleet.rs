@@ -101,7 +101,7 @@ fn three_runner_drain_is_byte_identical_to_single_runner() {
     let cache_single = ResultCache::open(&dir_single).unwrap();
     let summary = run_fleet(&spec, &plan, &cache_single, &fleet_opts("solo")).unwrap();
     assert_eq!(summary.computed, plan.len());
-    assert_eq!(summary.failed, 0);
+    assert!(summary.failures.is_empty());
     assert_eq!(summary.stolen, 0);
 
     let dir_fleet = scratch("trio");
@@ -124,8 +124,11 @@ fn three_runner_drain_is_byte_identical_to_single_runner() {
     // arise from claim races, never divergent bytes).
     let mut total_computed = 0;
     for s in &summaries {
-        assert_eq!(s.computed + s.cached + s.skipped + s.failed, plan.len());
-        assert_eq!(s.failed, 0);
+        assert_eq!(
+            s.computed + s.cached + s.skipped + s.failures.len(),
+            plan.len()
+        );
+        assert!(s.failures.is_empty());
         total_computed += s.computed;
     }
     assert!(total_computed >= plan.len());
@@ -231,7 +234,7 @@ fn failure_marker_resolves_the_unit_instead_of_retrying_forever() {
         "deterministic panic: boom",
     );
     let summary = run_fleet(&spec, &plan, &cache, &fleet_opts("local")).unwrap();
-    assert_eq!(summary.failed, 1);
+    assert_eq!(summary.failures.len(), 1);
     assert_eq!(summary.computed, plan.len() - 1);
     assert!(
         summary.failures[0].message.contains("boom"),
@@ -392,4 +395,113 @@ fn converge_free_fleet_matches_single_execute() {
     let summary = run_fleet(&spec, &plan, &cache_fleet, &fleet_opts("solo")).unwrap();
     assert_eq!(summary.skipped, 0, "no converge rule, nothing skipped");
     assert_eq!(cache_bytes(&dir_single), cache_bytes(&dir_fleet));
+}
+
+#[test]
+fn a_truncated_record_is_recomputed_and_restored() {
+    let spec = tiny_spec();
+    let plan = spec.expand();
+    let dir = scratch("truncated");
+    let cache = ResultCache::open(&dir).unwrap();
+    run_fleet(&spec, &plan, &cache, &fleet_opts("first")).unwrap();
+    let golden = cache_bytes(&dir);
+    // A torn write from outside the runner's atomic rename (a full disk,
+    // a copy cut short): the file exists but holds no record.
+    std::fs::write(cache.path(&plan.units[3]), "").unwrap();
+    let summary = run_fleet(&spec, &plan, &cache, &fleet_opts("repair")).unwrap();
+    assert_eq!(summary.computed, 1, "the hit test decodes the record");
+    assert_eq!(summary.cached, plan.len() - 1);
+    assert_eq!(
+        cache_bytes(&dir),
+        golden,
+        "the repaired record is byte-identical"
+    );
+}
+
+#[test]
+fn runner_creates_a_missing_trace_directory() {
+    let spec = tiny_spec();
+    let plan = spec.expand();
+    let dir = scratch("trace-dir");
+    let cache = ResultCache::open(dir.join("cache")).unwrap();
+    let traces = dir.join("traces/nested");
+    let opts = FleetOptions {
+        trace: Some(traces.clone()),
+        ..fleet_opts("tracer")
+    };
+    let summary = run_fleet(&spec, &plan, &cache, &opts).unwrap();
+    assert_eq!(summary.computed, plan.len());
+    let names: Vec<String> = std::fs::read_dir(&traces)
+        .expect("the drain creates the trace directory")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    for suffix in [".trace.json", ".events.jsonl"] {
+        let count = names.iter().filter(|n| n.ends_with(suffix)).count();
+        assert_eq!(count, summary.computed, "{suffix}: {names:?}");
+    }
+}
+
+#[test]
+fn an_idle_worker_does_not_sleep_out_the_poll_interval() {
+    let spec = tiny_spec();
+    let plan = spec.expand();
+    assert!(plan.len() >= 3);
+    let cache = ResultCache::open(scratch("tail-wait")).unwrap();
+    let opts = FleetOptions {
+        threads: Some(2),
+        poll_ms: 30_000,
+        ..fleet_opts("tail")
+    };
+    let started = std::time::Instant::now();
+    let summary = run_fleet(&spec, &plan, &cache, &opts).unwrap();
+    assert_eq!(summary.computed, plan.len());
+    // Without foreign leases nothing needs polling: the worker that runs
+    // out of units waits for its peer's last resolve, not for the poll
+    // interval.
+    let elapsed = started.elapsed();
+    assert!(elapsed.as_secs() < 10, "drain took {elapsed:?}");
+}
+
+/// A worker that dies outside the per-unit panic isolation, here on a
+/// warning written to a stderr nobody reads any more, ends the runner
+/// instead of leaving its heartbeat thread waiting for that worker.
+#[test]
+fn a_dead_worker_does_not_hang_the_runner() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let dir = scratch("dead-worker");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("not-a-dir"), "").unwrap();
+    let spec = dir.join("seeds.toml");
+    std::fs::write(
+        &spec,
+        "name = \"seeds\"\nfraction = 0.002\nseeds = \"1..=50\"\n[matrix]\n\
+         scenarios = [\"jun\"]\nplatforms = [\"homogeneous\"]\npolicies = [\"fcfs\"]\n\
+         algorithms = [\"no-cancel\"]\nheuristics = [\"mct\"]\n",
+    )
+    .unwrap();
+    let mut runner = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["runner", "--quiet", "--threads", "1", "--spec"])
+        .arg(&spec)
+        .arg("--cache")
+        .arg(dir.join("cache"))
+        // Every computed unit warns that its trace cannot be written.
+        .arg("--trace")
+        .arg(dir.join("not-a-dir/traces"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = std::io::BufReader::new(runner.stderr.take().unwrap());
+    stderr.read_line(&mut String::new()).unwrap();
+    drop(stderr);
+    let started = Instant::now();
+    while runner.try_wait().unwrap().is_none() {
+        if started.elapsed() > Duration::from_secs(60) {
+            runner.kill().unwrap();
+            panic!("the runner hung after its worker died");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
